@@ -102,21 +102,12 @@ and classify_flat name =
 (* ------------------------------------------------------------------ *)
 (* Checks                                                              *)
 
-let u32_le s pos =
-  let b i = Int32.of_int (Char.code s.[pos + i]) in
-  Int32.logor (b 0)
-    (Int32.logor
-       (Int32.shift_left (b 1) 8)
-       (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-
 (* Every metadata file shares the same frame: payload + CRC32C LE. *)
 let check_crc_trailer env name =
-  let data = Env.read_all env name in
-  if String.length data < 4 then Some "truncated"
-  else
-    let payload = String.sub data 0 (String.length data - 4) in
-    if Crc32c.string payload <> u32_le data (String.length data - 4) then Some "bad checksum"
-    else None
+  match Meta_file.load env ~name with
+  | _ -> []
+  | exception Env.Corruption c ->
+    [ { f_file = name; f_severity = Error; f_kind = Bad_checksum; f_detail = c.c_detail } ]
 
 let check_sst env name =
   try
@@ -180,12 +171,7 @@ let check_snapshot_member env name ~member =
   | Funk_sst _ | Baseline_sst -> check_sst env name
   | Funk_log _ | Baseline_log -> check_log env name
   | Funk_view _ -> check_view env name
-  | Evendb_manifest | Checkpoint | Recovery_table -> (
-    match check_crc_trailer env name with
-    | None -> []
-    | Some detail ->
-      Env.note_corruption env;
-      [ { f_file = name; f_severity = Error; f_kind = Bad_checksum; f_detail = detail } ])
+  | Evendb_manifest | Checkpoint | Recovery_table -> check_crc_trailer env name
   | Mode -> check_mode env name
   | _ ->
     [
@@ -263,12 +249,7 @@ let scrub_findings env =
           | None -> []
           | exception Env.Corruption c ->
             [ { f_file = name; f_severity = Error; f_kind = Bad_checksum; f_detail = c.c_detail } ])
-        | Baseline_manifest | Recovery_table | Checkpoint -> (
-          match check_crc_trailer env name with
-          | None -> []
-          | Some detail ->
-            Env.note_corruption env;
-            [ { f_file = name; f_severity = Error; f_kind = Bad_checksum; f_detail = detail } ])
+        | Baseline_manifest | Recovery_table | Checkpoint -> check_crc_trailer env name
         | Mode -> check_mode env name
         | Snapshot_complete id -> (
           match Snapshot.load_complete env ~id with
@@ -292,13 +273,9 @@ let scrub_findings env =
           | () -> []
           | exception Env.Corruption c ->
             [ { f_file = name; f_severity = Error; f_kind = Bad_checksum; f_detail = c.c_detail } ])
-        | Repl_watermark -> (
+        | Repl_watermark ->
           (* varint LSN + CRC32C trailer — the shared metadata frame. *)
-          match check_crc_trailer env name with
-          | None -> []
-          | Some detail ->
-            Env.note_corruption env;
-            [ { f_file = name; f_severity = Error; f_kind = Bad_checksum; f_detail = detail } ])
+          check_crc_trailer env name
         | Follower_marker | Fenced_marker ->
           (* Presence alone carries the meaning; content is free-form. *)
           []

@@ -64,16 +64,6 @@ type stats = { funks_shipped : int; bytes_shipped : int }
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
 
-let u32_le_string (crc : int32) =
-  String.init 4 (fun i -> Char.chr (Int32.to_int (Int32.shift_right_logical crc (8 * i)) land 0xff))
-
-let u32_le_of_string s pos =
-  let b i = Int32.of_int (Char.code s.[pos + i]) in
-  Int32.logor (b 0)
-    (Int32.logor
-       (Int32.shift_left (b 1) 8)
-       (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-
 let write_string buf s =
   Varint.write buf (String.length s);
   Buffer.add_string buf s
@@ -108,7 +98,7 @@ let encode_header h =
         Varint.write buf 2;
         Varint.write buf 0);
       Varint.write buf e.e_data_len;
-      Buffer.add_string buf (u32_le_string e.e_data_crc))
+      Buffer.add_string buf (Meta_file.crc_to_string e.e_data_crc))
     h.h_entries;
   Buffer.contents buf
 
@@ -133,7 +123,7 @@ let decode_header s =
       let base_len, pos = Varint.read s pos in
       let data_len, pos = Varint.read s pos in
       if pos + 4 > String.length s then invalid_arg "Backup: entry crc out of bounds";
-      let crc = u32_le_of_string s pos in
+      let crc = Meta_file.crc_of_string s pos in
       let kind =
         match kind with
         | 0 -> Full
@@ -147,19 +137,15 @@ let decode_header s =
   in
   { h_snapshot = snapshot; h_base = base; h_version = version; h_entries = entries [] pos n }
 
-let corrupt env ~file detail =
-  Env.note_corruption env;
-  Io_error.raise_corruption ~file ~detail
-
 (* Read and structurally validate one archive; returns the header plus
    the data section. *)
 let read_archive env name =
   let data = Env.read_all env name in
-  let fail detail = corrupt env ~file:name detail in
+  let fail detail = Meta_file.corrupt env ~name detail in
   if String.length data < String.length magic + 4 then fail "truncated";
   if String.sub data 0 (String.length magic) <> magic then fail "bad magic";
   let body = String.sub data 0 (String.length data - 4) in
-  if Crc32c.string body <> u32_le_of_string data (String.length data - 4) then
+  if Crc32c.string body <> Meta_file.crc_of_string data (String.length data - 4) then
     fail "bad checksum";
   match
     let hlen, pos = Varint.read body (String.length magic) in
@@ -262,18 +248,7 @@ let ship ?obs ~src ~dest ~snapshot_id ?base_id () =
   let body = Buffer.contents buf in
   let seq = match List.rev (list_archives dest) with (s, _) :: _ -> s + 1 | [] -> 1 in
   let name = archive_name seq in
-  let tmp = name ^ ".tmp" in
-  let file = Env.create dest tmp in
-  (try
-     Env.append file body;
-     Env.append file (u32_le_string (Crc32c.string body));
-     Env.fsync file;
-     Env.close_file file;
-     Env.rename dest ~old_name:tmp ~new_name:name
-   with exn ->
-     Env.close_file file;
-     (try Env.delete dest tmp with _ -> ());
-     raise exn);
+  Meta_file.store dest ~name body;
   let bytes = String.length body + 4 in
   (match obs with
   | Some obs ->
@@ -296,7 +271,7 @@ let restore ~src ~dest =
     List.fold_left
       (fun prev (_seq, name) ->
         let header, payload = read_archive src name in
-        let fail detail = corrupt src ~file:name detail in
+        let fail detail = Meta_file.corrupt src ~name detail in
         (match (prev, header.h_base) with
         | None, None -> ()
         | None, Some _ -> fail "chain starts with an incremental archive"

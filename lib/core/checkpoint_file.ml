@@ -6,45 +6,7 @@ let file_name = "CHECKPOINT"
 let store ?(name = file_name) env ~version =
   let buf = Buffer.create 16 in
   Varint.write buf version;
-  let payload = Buffer.contents buf in
-  let crc = Crc32c.string payload in
-  let tmp = name ^ ".tmp" in
-  let file = Env.create env tmp in
-  (* Write-tmp-then-rename: a failure anywhere leaves the previous
-     checkpoint untouched; only the tmp file needs sweeping up. *)
-  (try
-     Env.append file payload;
-     Env.append file
-       (String.init 4 (fun i ->
-            Char.chr (Int32.to_int (Int32.shift_right_logical crc (8 * i)) land 0xff)));
-     Env.fsync file;
-     Env.close_file file;
-     Env.rename env ~old_name:tmp ~new_name:name
-   with exn ->
-     Env.close_file file;
-     (try Env.delete env tmp with _ -> ());
-     raise exn)
-
-let corrupt env ~name detail =
-  Env.note_corruption env;
-  Io_error.raise_corruption ~file:name ~detail
+  Meta_file.store env ~name (Buffer.contents buf)
 
 let load ?(name = file_name) env =
-  let corrupt env detail = corrupt env ~name detail in
-  if not (Env.exists env name) then None
-  else begin
-    let data = Env.read_all env name in
-    if String.length data < 5 then corrupt env "truncated";
-    let payload = String.sub data 0 (String.length data - 4) in
-    let stored =
-      let b i = Int32.of_int (Char.code data.[String.length data - 4 + i]) in
-      Int32.logor (b 0)
-        (Int32.logor
-           (Int32.shift_left (b 1) 8)
-           (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-    in
-    if Crc32c.string payload <> stored then corrupt env "bad checksum";
-    match Varint.read payload 0 with
-    | version, _ -> Some version
-    | exception Invalid_argument _ -> corrupt env "malformed payload"
-  end
+  Meta_file.decode env ~name (fun payload -> fst (Varint.read payload 0))

@@ -13,5 +13,5 @@ val file_name : string
 val store : ?name:string -> Env.t -> version:int -> unit
 val load : ?name:string -> Env.t -> int option
 (** [None] if no checkpoint was ever completed. Raises
-    [Invalid_argument] on corruption. [?name] overrides the location
+    [Env.Corruption] on corruption. [?name] overrides the location
     (default {!file_name}) for snapshot-pinned copies. *)

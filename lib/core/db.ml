@@ -1002,17 +1002,6 @@ let set_commit_hook db hook = Atomic.set db.commit_hook hook
 (* ------------------------------------------------------------------ *)
 (* Scan (§3.3)                                                         *)
 
-let bounded_iter it ~high =
-  let stopped = ref false in
-  fun () ->
-    if !stopped then None
-    else
-      match it () with
-      | Some (e : K.entry) when String.compare e.key high <= 0 -> Some e
-      | _ ->
-        stopped := true;
-        None
-
 let scan_internal db ?limit ~low ~high () =
   if String.compare low high > 0 then []
   else begin
@@ -1111,7 +1100,7 @@ let scan_internal db ?limit ~low ~high () =
                       let sst_entries =
                         try
                           let it =
-                            bounded_iter (Sstable.Reader.iter_from (Funk.sst funk) lo) ~high
+                            K.upto ~high (Sstable.Reader.iter_from (Funk.sst funk) lo)
                           in
                           let rec drain acc =
                             match it () with

@@ -8,51 +8,15 @@ type t = {
 
 let file_name = "MANIFEST"
 
-let u32_le_string (crc : int32) =
-  String.init 4 (fun i -> Char.chr (Int32.to_int (Int32.shift_right_logical crc (8 * i)) land 0xff))
-
-let u32_le_of_string s pos =
-  let b i = Int32.of_int (Char.code s.[pos + i]) in
-  Int32.logor (b 0)
-    (Int32.logor
-       (Int32.shift_left (b 1) 8)
-       (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-
 let store ?(name = file_name) env t =
   let buf = Buffer.create 64 in
   Varint.write buf t.next_id;
   Varint.write buf (List.length t.live);
   List.iter (fun id -> Varint.write buf id) t.live;
-  let payload = Buffer.contents buf in
-  let tmp = name ^ ".tmp" in
-  let file = Env.create env tmp in
-  (* Write-tmp-then-rename: a failure anywhere leaves the previous
-     manifest untouched; only the tmp file needs sweeping up. *)
-  (try
-     Env.append file payload;
-     Env.append file (u32_le_string (Crc32c.string payload));
-     Env.fsync file;
-     Env.close_file file;
-     Env.rename env ~old_name:tmp ~new_name:name
-   with exn ->
-     Env.close_file file;
-     (try Env.delete env tmp with _ -> ());
-     raise exn)
-
-let corrupt env ~name detail =
-  Env.note_corruption env;
-  Io_error.raise_corruption ~file:name ~detail
+  Meta_file.store env ~name (Buffer.contents buf)
 
 let load ?(name = file_name) env =
-  let corrupt env detail = corrupt env ~name detail in
-  if not (Env.exists env name) then None
-  else begin
-    let data = Env.read_all env name in
-    if String.length data < 4 then corrupt env "truncated";
-    let payload = String.sub data 0 (String.length data - 4) in
-    if Crc32c.string payload <> u32_le_of_string data (String.length data - 4) then
-      corrupt env "bad checksum";
-    match
+  Meta_file.decode env ~name (fun payload ->
       let next_id, pos = Varint.read payload 0 in
       let n, pos = Varint.read payload pos in
       let rec ids acc pos = function
@@ -61,8 +25,4 @@ let load ?(name = file_name) env =
           let id, pos = Varint.read payload pos in
           ids (id :: acc) pos (k - 1)
       in
-      { next_id; live = ids [] pos n }
-    with
-    | t -> Some t
-    | exception Invalid_argument _ -> corrupt env "malformed payload"
-  end
+      { next_id; live = ids [] pos n })

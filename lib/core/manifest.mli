@@ -21,6 +21,6 @@ val file_name : string
 val store : ?name:string -> Env.t -> t -> unit
 val load : ?name:string -> Env.t -> t option
 (** [None] when no manifest exists (fresh database). Raises
-    [Invalid_argument] on corruption. [?name] overrides the location
+    [Env.Corruption] on corruption. [?name] overrides the location
     (default {!file_name}) — snapshots keep a pinned copy under their
     own namespace. *)

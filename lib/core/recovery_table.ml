@@ -32,52 +32,17 @@ let store ?(name = file_name) env t =
       Varint.write buf e;
       Varint.write buf (s + 1))
     t;
-  let payload = Buffer.contents buf in
-  let crc = Crc32c.string payload in
-  let tmp = name ^ ".tmp" in
-  let file = Env.create env tmp in
-  Env.append file payload;
-  let crc_buf = Buffer.create 4 in
-  Buffer.add_char crc_buf (Char.chr (Int32.to_int crc land 0xff));
-  Buffer.add_char crc_buf (Char.chr (Int32.to_int (Int32.shift_right_logical crc 8) land 0xff));
-  Buffer.add_char crc_buf (Char.chr (Int32.to_int (Int32.shift_right_logical crc 16) land 0xff));
-  Buffer.add_char crc_buf (Char.chr (Int32.to_int (Int32.shift_right_logical crc 24) land 0xff));
-  Env.append file (Buffer.contents crc_buf);
-  Env.fsync file;
-  Env.close_file file;
-  Env.rename env ~old_name:tmp ~new_name:name
-
-let corrupt env ~name detail =
-  Env.note_corruption env;
-  Io_error.raise_corruption ~file:name ~detail
+  Meta_file.store env ~name (Buffer.contents buf)
 
 let load ?(name = file_name) env =
-  let corrupt env detail = corrupt env ~name detail in
-  if not (Env.exists env name) then empty
-  else begin
-    let data = Env.read_all env name in
-    if String.length data < 4 then corrupt env "truncated";
-    let payload = String.sub data 0 (String.length data - 4) in
-    let crc_bytes = String.sub data (String.length data - 4) 4 in
-    let stored =
-      let b i = Int32.of_int (Char.code crc_bytes.[i]) in
-      Int32.logor (b 0)
-        (Int32.logor
-           (Int32.shift_left (b 1) 8)
-           (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-    in
-    if Crc32c.string payload <> stored then corrupt env "bad checksum";
-    match
-      let n, pos = Varint.read payload 0 in
-      let rec rows acc pos = function
-        | 0 -> List.rev acc
-        | k ->
-          let e, pos = Varint.read payload pos in
-          let s, pos = Varint.read payload pos in
-          rows ((e, s - 1) :: acc) pos (k - 1)
-      in
-      rows [] pos n
-    with
-    | rows -> rows
-    | exception Invalid_argument _ -> corrupt env "malformed payload"
-  end
+  Option.value ~default:empty
+    (Meta_file.decode env ~name (fun payload ->
+         let n, pos = Varint.read payload 0 in
+         let rec rows acc pos = function
+           | 0 -> List.rev acc
+           | k ->
+             let e, pos = Varint.read payload pos in
+             let s, pos = Varint.read payload pos in
+             rows ((e, s - 1) :: acc) pos (k - 1)
+         in
+         rows [] pos n))

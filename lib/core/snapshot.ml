@@ -45,16 +45,6 @@ type info = {
 (* ------------------------------------------------------------------ *)
 (* COMPLETE marker codec (varint payload + CRC32C LE trailer)          *)
 
-let u32_le_string (crc : int32) =
-  String.init 4 (fun i -> Char.chr (Int32.to_int (Int32.shift_right_logical crc (8 * i)) land 0xff))
-
-let u32_le_of_string s pos =
-  let b i = Int32.of_int (Char.code s.[pos + i]) in
-  Int32.logor (b 0)
-    (Int32.logor
-       (Int32.shift_left (b 1) 8)
-       (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-
 let store_complete env info =
   let buf = Buffer.create 64 in
   Varint.write buf info.version;
@@ -65,35 +55,10 @@ let store_complete env info =
       Varint.write buf id;
       Varint.write buf len)
     info.funks;
-  let payload = Buffer.contents buf in
-  let name = member ~id:info.id complete_name in
-  let tmp = name ^ ".tmp" in
-  let file = Env.create env tmp in
-  (try
-     Env.append file payload;
-     Env.append file (u32_le_string (Crc32c.string payload));
-     Env.fsync file;
-     Env.close_file file;
-     Env.rename env ~old_name:tmp ~new_name:name
-   with exn ->
-     Env.close_file file;
-     (try Env.delete env tmp with _ -> ());
-     raise exn)
-
-let corrupt env ~id detail =
-  Env.note_corruption env;
-  Io_error.raise_corruption ~file:(member ~id complete_name) ~detail
+  Meta_file.store env ~name:(member ~id:info.id complete_name) (Buffer.contents buf)
 
 let load_complete env ~id =
-  let name = member ~id complete_name in
-  if not (Env.exists env name) then None
-  else begin
-    let data = Env.read_all env name in
-    if String.length data < 4 then corrupt env ~id "truncated";
-    let payload = String.sub data 0 (String.length data - 4) in
-    if Crc32c.string payload <> u32_le_of_string data (String.length data - 4) then
-      corrupt env ~id "bad checksum";
-    match
+  Meta_file.decode env ~name:(member ~id complete_name) (fun payload ->
       let version, pos = Varint.read payload 0 in
       let next_id, pos = Varint.read payload pos in
       let n, pos = Varint.read payload pos in
@@ -104,11 +69,7 @@ let load_complete env ~id =
           let len, pos = Varint.read payload pos in
           funks ((fid, len) :: acc) pos (k - 1)
       in
-      { id; version; next_id; funks = funks [] pos n }
-    with
-    | info -> Some info
-    | exception Invalid_argument _ -> corrupt env ~id "malformed payload"
-  end
+      { id; version; next_id; funks = funks [] pos n })
 
 (* ------------------------------------------------------------------ *)
 (* Namespace enumeration                                               *)

@@ -1,23 +1,15 @@
 open Evendb_util
-open Evendb_storage
 open Evendb_sstable
-open Evendb_log
 open Evendb_obs
-
-module K = Kv_iter
-module Memtable = Evendb_lsm.Memtable
+open Evendb_lsm.Lsm_tree
 
 module Config = struct
   type t = {
     memtable_bytes : int;
-    l0_compaction_trigger : int;
     max_fragments_per_guard : int;
     guard_bytes : int;
-    bloom_bits_per_key : int;
-    sstable_block_bytes : int;
     sync_writes : bool;
     wal_fsync_every : int;
-    max_levels : int;
     attr_enabled : bool;
     block_cache_bytes : int;
   }
@@ -27,14 +19,10 @@ module Config = struct
   let default =
     {
       memtable_bytes = 4 * mib;
-      l0_compaction_trigger = 4;
       max_fragments_per_guard = 4;
       guard_bytes = 8 * mib;
-      bloom_bits_per_key = 10;
-      sstable_block_bytes = 4096;
       sync_writes = false;
       wal_fsync_every = 32768;
-      max_levels = 5;
       attr_enabled = true;
       block_cache_bytes = 32 * mib;
     }
@@ -48,940 +36,218 @@ module Config = struct
     }
 end
 
-type fragment = {
-  fid : int;
-  reader : Sstable.Reader.t;
-  smallest : string;
-  largest : string;
-  bytes : int;
-  refs : int Atomic.t;
-}
-
-type guard = {
+type 'f guard = {
   guard_key : string;
-  fragments : fragment list; (* newest first *)
+  fragments : 'f list; (* newest first *)
 }
 
-type state = {
-  mem : Memtable.t;
-  imm : Memtable.t option;
-  levels : guard list array; (* sorted by guard_key; first is "" *)
-  pins : int Atomic.t;
-  state_retired : bool Atomic.t;
-}
+(* Guarded layout: each level is a guard list sorted by guard_key, the
+   first guard being ""; L0 is that single guard. *)
+module Policy = struct
+  type config = Config.t
+  type 'f level = 'f guard list
 
-type t = {
-  env : Env.t;
-  cfg : Config.t;
-  state : state Atomic.t;
-  writer : Mutex.t;
-  seq : int Atomic.t;
-  mutable wal : Log_file.Writer.t;
-  mutable wal_gen : int;
-  next_fid : int Atomic.t;
-  snap_mutex : Mutex.t;
-  snapshots : (int, int) Hashtbl.t;
-  mutable next_ticket : int;
-  logical_written : int Atomic.t;
-  put_count : int Atomic.t;
-  closed : bool Atomic.t;
-  obs : Obs.t;
-  attr : Attr.t; (* per-op tail-latency cause attribution *)
-  tm_put : Obs.Timer.t;
-  tm_get : Obs.Timer.t;
-  tm_delete : Obs.Timer.t;
-  tm_scan : Obs.Timer.t;
-  ctr_stalls : Obs.Counter.t;
-  ctr_wal_appends : Obs.Counter.t;
-  ctr_io_errors : Obs.Counter.t; (* Io_errors observed by maintenance paths *)
-  lvl_written : Obs.Counter.t array; (* bytes landing in level i *)
-  lvl_compacted : Obs.Counter.t array; (* bytes compacted out of level i *)
-  lvl_reads : Obs.Counter.t array; (* gets served by level i *)
-}
+  let name = "flsm"
+  let max_levels = 5
+  let span_names = [ "fragment_append"; "guard_merge"; "memtable_flush"; "recovery" ]
+  let file_span = Some "fragment_append"
 
-let level_counters obs ~max_levels name =
-  Array.init max_levels (fun i -> Obs.counter obs (Printf.sprintf "level%d.%s" i name))
+  let settings (c : Config.t) =
+    {
+      memtable_bytes = c.memtable_bytes;
+      sync_writes = c.sync_writes;
+      wal_fsync_every = c.wal_fsync_every;
+      attr_enabled = c.attr_enabled;
+      block_cache_bytes = c.block_cache_bytes;
+    }
 
-let sst_name fid = Printf.sprintf "flsm_%08d.sst" fid
-let wal_name gen = Printf.sprintf "flsm_wal_%08d.log" gen
-let manifest_name = "FLSM_MANIFEST"
+  let empty_level = [ { guard_key = ""; fragments = [] } ]
+  let map f = List.map (fun g -> { g with fragments = List.map f g.fragments })
+  let files level = List.concat_map (fun g -> g.fragments) level
 
-let env t = t.env
-let logical_bytes_written t = Atomic.get t.logical_written
-let obs t = t.obs
-let attr t = t.attr
+  let add_l0 frag = function
+    | [ g ] -> [ { g with fragments = frag :: g.fragments } ]
+    | _ -> assert false
 
-let metrics_dump t = function
-  | `Json -> Obs.to_json t.obs
-  | `Prometheus -> Obs.to_prometheus t.obs
+  let encode buf guards =
+    Varint.write buf (List.length guards);
+    List.iter
+      (fun g ->
+        Varint.write buf (String.length g.guard_key);
+        Buffer.add_string buf g.guard_key;
+        Varint.write buf (List.length g.fragments);
+        List.iter (Varint.write buf) g.fragments)
+      guards
 
-let write_amplification t =
-  let written = (Io_stats.snapshot (Env.stats t.env)).Io_stats.bytes_written in
-  let logical = logical_bytes_written t in
-  if logical = 0 then 0.0 else float_of_int written /. float_of_int logical
-
-(* ------------------------------------------------------------------ *)
-(* State lifecycle (same refcount discipline as the LSM baseline)      *)
-
-let state_fragments s =
-  Array.to_list s.levels |> List.concat_map (fun guards -> List.concat_map (fun g -> g.fragments) guards)
-
-let fragment_release t f =
-  if Atomic.fetch_and_add f.refs (-1) = 1 then Env.delete t.env (sst_name f.fid)
-
-let release_state t s =
-  if Atomic.fetch_and_add s.pins (-1) = 1 && Atomic.get s.state_retired then
-    List.iter (fragment_release t) (state_fragments s)
-
-let rec pin_state t =
-  let s = Atomic.get t.state in
-  ignore (Atomic.fetch_and_add s.pins 1);
-  if Atomic.get s.state_retired then begin
-    release_state t s;
-    Domain.cpu_relax ();
-    pin_state t
-  end
-  else s
-
-let publish t s' =
-  let old = Atomic.get t.state in
-  Atomic.set t.state s';
-  Atomic.set old.state_retired true;
-  release_state t old
-
-let fresh_state ~mem ~imm ~levels =
-  Array.iter
-    (fun guards ->
-      List.iter
-        (fun g -> List.iter (fun f -> ignore (Atomic.fetch_and_add f.refs 1)) g.fragments)
-        guards)
-    levels;
-  { mem; imm; levels; pins = Atomic.make 1; state_retired = Atomic.make false }
-
-(* ------------------------------------------------------------------ *)
-(* Manifest                                                            *)
-
-let store_manifest t levels =
-  let buf = Buffer.create 256 in
-  Varint.write buf (Atomic.get t.next_fid);
-  Varint.write buf t.wal_gen;
-  Varint.write buf (Atomic.get t.seq);
-  Varint.write buf (Array.length levels);
-  Array.iter
-    (fun guards ->
-      Varint.write buf (List.length guards);
-      List.iter
-        (fun g ->
-          Varint.write buf (String.length g.guard_key);
-          Buffer.add_string buf g.guard_key;
-          Varint.write buf (List.length g.fragments);
-          List.iter (fun f -> Varint.write buf f.fid) g.fragments)
-        guards)
-    levels;
-  let payload = Buffer.contents buf in
-  let crc = Crc32c.string payload in
-  let tmp = manifest_name ^ ".tmp" in
-  let file = Env.create t.env tmp in
-  (* Write-tmp-then-rename: a failure leaves the old manifest intact. *)
-  try
-    Env.append file payload;
-    Env.append file
-      (String.init 4 (fun i ->
-           Char.chr (Int32.to_int (Int32.shift_right_logical crc (8 * i)) land 0xff)));
-    Env.fsync file;
-    Env.close_file file;
-    Env.rename t.env ~old_name:tmp ~new_name:manifest_name
-  with exn ->
-    Env.close_file file;
-    (try Env.delete t.env tmp with _ -> ());
-    raise exn
-
-let manifest_corrupt env detail =
-  Env.note_corruption env;
-  Io_error.raise_corruption ~file:manifest_name ~detail
-
-let load_manifest env =
-  if not (Env.exists env manifest_name) then None
-  else begin
-    let data = Env.read_all env manifest_name in
-    if String.length data < 4 then manifest_corrupt env "truncated";
-    let payload = String.sub data 0 (String.length data - 4) in
-    let stored =
-      let b i = Int32.of_int (Char.code data.[String.length data - 4 + i]) in
-      Int32.logor (b 0)
-        (Int32.logor
-           (Int32.shift_left (b 1) 8)
-           (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
+  let decode payload pos =
+    let n_guards, pos = Varint.read payload pos in
+    let pos = ref pos in
+    let guards =
+      List.init n_guards (fun _ ->
+          let klen, p = Varint.read payload !pos in
+          let guard_key = String.sub payload p klen in
+          let n_frags, p = Varint.read payload (p + klen) in
+          pos := p;
+          let fragments =
+            List.init n_frags (fun _ ->
+                let fid, p = Varint.read payload !pos in
+                pos := p;
+                fid)
+          in
+          { guard_key; fragments })
     in
-    if Crc32c.string payload <> stored then manifest_corrupt env "bad checksum";
-    match
-      let next_fid, pos = Varint.read payload 0 in
-      let wal_gen, pos = Varint.read payload pos in
-      let seq, pos = Varint.read payload pos in
-      let n_levels, pos = Varint.read payload pos in
-      let posr = ref pos in
-      let levels =
-        Array.init n_levels (fun _ ->
-            let n_guards, pos = Varint.read payload !posr in
-            posr := pos;
-            List.init n_guards (fun _ ->
-                let klen, pos = Varint.read payload !posr in
-                let guard_key = String.sub payload pos klen in
-                let pos = pos + klen in
-                let n_frags, pos = Varint.read payload pos in
-                posr := pos;
-                let fids =
-                  List.init n_frags (fun _ ->
-                      let fid, pos = Varint.read payload !posr in
-                      posr := pos;
-                      fid)
-                in
-                (guard_key, fids)))
-      in
-      (next_fid, wal_gen, seq, levels)
-    with
-    | m -> Some m
-    | exception Invalid_argument _ -> manifest_corrupt env "malformed payload"
-  end
+    (guards, !pos)
 
-(* ------------------------------------------------------------------ *)
-(* Fragment building                                                   *)
-
-let open_fragment env fid =
-  let reader = Sstable.Reader.open_ env (sst_name fid) in
-  {
-    fid;
-    reader;
-    smallest = Option.value ~default:"" (Sstable.Reader.first_key reader);
-    largest = Option.value ~default:"" (Sstable.Reader.last_key reader);
-    bytes = (try Env.size env (sst_name fid) with Not_found -> 0);
-    refs = Atomic.make 0;
-  }
-
-let build_fragment t entries =
-  Obs.Trace.with_span (Obs.trace t.obs) ~name:"fragment_append"
-    ~attrs:[ ("entries", List.length entries) ]
-    (fun sp ->
-      let fid = Atomic.fetch_and_add t.next_fid 1 in
-      let builder =
-        Sstable.Builder.create t.env ~block_size:t.cfg.sstable_block_bytes
-          ~bloom_bits_per_key:t.cfg.bloom_bits_per_key ~with_bloom:true ~name:(sst_name fid)
-          ~min_key:"" ()
-      in
-      (try
-         List.iter (Sstable.Builder.add builder) entries;
-         Sstable.Builder.finish builder
-       with exn ->
-         Sstable.Builder.abort builder;
-         raise exn);
-      let frag = open_fragment t.env fid in
-      Obs.Trace.add_attr sp "bytes" frag.bytes;
-      frag)
-
-(* [built] collects fragments created during one structural change so
-   that, if it fails partway, every file it wrote can be removed. *)
-let build_fragment_tracked t built entries =
-  let f = build_fragment t entries in
-  built := f :: !built;
-  f
-
-let discard_built t built =
-  List.iter (fun f -> try Env.delete t.env (sst_name f.fid) with _ -> ()) !built
-
-let entry_bytes (e : K.entry) =
-  String.length e.key + (match e.value with Some v -> String.length v | None -> 0) + 16
-
-(* Split an entry list into groups of <= guard_bytes at distinct-key
-   boundaries; each group beyond the first becomes a new guard. *)
-let split_into_groups t entries =
-  let groups = ref [] and current = ref [] and bytes = ref 0 and last = ref None in
-  List.iter
-    (fun (e : K.entry) ->
-      (match !last with
-      | Some k when !bytes >= t.cfg.guard_bytes && not (String.equal k e.key) ->
-        groups := List.rev !current :: !groups;
-        current := [];
-        bytes := 0
-      | _ -> ());
-      current := e :: !current;
-      bytes := !bytes + entry_bytes e;
-      last := Some e.key)
-    entries;
-  if !current <> [] then groups := List.rev !current :: !groups;
-  List.rev !groups
-
-(* ------------------------------------------------------------------ *)
-(* Snapshots                                                           *)
-
-let register_snapshot t seqno =
-  Mutex.lock t.snap_mutex;
-  let ticket = t.next_ticket in
-  t.next_ticket <- ticket + 1;
-  Hashtbl.replace t.snapshots ticket seqno;
-  Mutex.unlock t.snap_mutex;
-  ticket
-
-let unregister_snapshot t ticket =
-  Mutex.lock t.snap_mutex;
-  Hashtbl.remove t.snapshots ticket;
-  Mutex.unlock t.snap_mutex
-
-let min_snapshot t ~default =
-  Mutex.lock t.snap_mutex;
-  let m = Hashtbl.fold (fun _ s acc -> min s acc) t.snapshots default in
-  Mutex.unlock t.snap_mutex;
-  m
-
-(* ------------------------------------------------------------------ *)
-(* Flush & guard compaction                                            *)
-
-(* Insert merged output of a parent guard into [child_guards]
-   (sorted). Each child guard that overlaps gets one new fragment;
-   oversized partitions spawn new guards. Returns the updated child
-   guard list. *)
-let distribute_to_children t ~built child_guards entries =
-  match entries with
-  | [] -> child_guards
-  | _ ->
-    (* Partition entries by child guard boundaries. *)
-    let rec partition guards entries acc =
-      match guards with
-      | [] -> List.rev acc
-      | [ g ] -> List.rev ((g, entries) :: acc)
-      | g :: (g2 :: _ as rest) ->
-        let mine, theirs =
-          List.partition (fun (e : K.entry) -> String.compare e.key g2.guard_key < 0) entries
-        in
-        partition rest theirs ((g, mine) :: acc)
+  (* Fragments never span below their guard's key, but fragments created
+     before a guard split may extend past the next guard's key — so every
+     guard with guard_key <= key must be examined, each fragment gated by
+     its own range (and bloom). Within a level the newest hit wins:
+     fragments come from different compactions and may hold different
+     versions (the read penalty FLSM trades for its write savings). *)
+  let search guards key =
+    let best = ref None in
+    let rec scan = function
+      | g :: rest when String.compare g.guard_key key <= 0 ->
+        List.iter
+          (fun f ->
+            if may_hold f key then
+              match (Sstable.Reader.get f.reader key, !best) with
+              | None, _ -> ()
+              | Some e, Some b when K.entry_newer b e -> ()
+              | Some e, _ -> best := Some e)
+          g.fragments;
+        scan rest
+      | _ -> ()
     in
-    let parts = partition child_guards entries [] in
+    scan guards;
+    !best
+end
+
+include Make (Policy)
+
+(* New fragments under guard [g]: the first joins [g], each further one
+   opens a new guard at its first key. *)
+let add_fragments g = function
+  | [] -> [ g ]
+  | first :: extras ->
+    { g with fragments = first :: g.fragments }
+    :: List.map (fun f -> { guard_key = f.smallest; fragments = [ f ] }) extras
+
+(* Insert merged output of a parent guard into [child_guards] (sorted).
+   Each child guard that overlaps gets one new fragment; oversized
+   partitions spawn new guards. *)
+let distribute_to_children ~build child_guards entries =
+  let rec go guards entries =
+    match guards with
+    | [] -> []
+    | [ g ] -> [ (g, entries) ]
+    | g :: (g2 :: _ as rest) ->
+      let mine, theirs =
+        List.partition (fun (e : K.entry) -> String.compare e.key g2.guard_key < 0) entries
+      in
+      (g, mine) :: go rest theirs
+  in
+  if entries = [] then child_guards
+  else
     List.concat_map
-      (fun (g, part) ->
-        match part with
-        | [] -> [ g ]
-        | _ -> (
-          match split_into_groups t part with
-          | [] -> [ g ]
-          | first :: extras ->
-            let g' =
-              { g with fragments = build_fragment_tracked t built first :: g.fragments }
-            in
-            g'
-            :: List.map
-                 (fun group ->
-                   let gk = (List.hd group : K.entry).key in
-                   { guard_key = gk; fragments = [ build_fragment_tracked t built group ] })
-                 extras))
-      parts
+      (fun (g, part) -> if part = [] then [ g ] else add_fragments g (build part))
+      (go child_guards entries)
 
 (* Merge all fragments of a guard into one sorted entry list. *)
 let merge_guard t guard ~drop_tombstones =
   Obs.Trace.with_span (Obs.trace t.obs) ~name:"guard_merge"
-    ~attrs:
-      [
-        ("fragments", List.length guard.fragments);
-        ("bytes", List.fold_left (fun acc f -> acc + f.bytes) 0 guard.fragments);
-      ]
+    ~attrs:[ ("fragments", List.length guard.fragments); ("bytes", total_bytes guard.fragments) ]
     (fun sp ->
-      let floor = min_snapshot t ~default:(Atomic.get t.seq) in
       let merged =
         K.to_list
-          (K.compact ~min_retained_version:floor ~drop_tombstones
+          (K.compact ~min_retained_version:(min_snapshot t) ~drop_tombstones
              (K.merge (List.map (fun f -> Sstable.Reader.iter f.reader) guard.fragments)))
       in
       Obs.Trace.add_attr sp "entries" (List.length merged);
       merged)
 
+(* Tombstones of a bottom guard may only be dropped if no *other* bottom
+   fragment (a wide pre-split sibling) overlaps the guard's data — it
+   could hold an older value the tombstone still masks. *)
+let sibling_overlap guards g =
+  let first = List.hd g.fragments in
+  let low = List.fold_left (fun acc f -> min acc f.smallest) first.smallest g.fragments
+  and high = List.fold_left (fun acc f -> max acc f.largest) first.largest g.fragments in
+  List.exists
+    (fun g' -> g'.guard_key <> g.guard_key && List.exists (overlaps ~low ~high) g'.fragments)
+    guards
+
 (* Compact the whole of level [i] into level [i+1]: each guard's
-   fragments are merged and the output appended under the child
-   guards; level [i] is left with empty guards. Moving the entire
-   level preserves the cross-level version ordering (a partially-moved
-   level could leave older sibling fragments above newer data). At the
-   bottom level guards are merged in place instead. Caller holds the
-   writer mutex. *)
+   fragments are merged and the output appended under the child guards;
+   level [i] is left with empty guards. Moving the entire level
+   preserves the cross-level version ordering (a partially-moved level
+   could leave older sibling fragments above newer data). At the bottom
+   level guards are merged in place instead. Caller holds the writer
+   mutex. *)
 let compact_level t i =
-  let s = Atomic.get t.state in
-  let levels = Array.copy s.levels in
+  let levels = Array.copy (Atomic.get t.state).levels in
   let bottom = i = Array.length levels - 1 in
-  let built = ref [] in
   (* Bytes read out of level i as compaction input: every fragment for a
      level move, only multi-fragment guards for a bottom in-place merge.
      Counted only after a successful publish (failure atomicity). *)
   let input_bytes =
     List.fold_left
       (fun acc g ->
-        if bottom && List.length g.fragments <= 1 then acc
-        else List.fold_left (fun acc f -> acc + f.bytes) acc g.fragments)
+        if bottom && List.length g.fragments <= 1 then acc else acc + total_bytes g.fragments)
       0 levels.(i)
   in
-  try
-    if bottom then
-    levels.(i) <-
-      List.concat_map
-        (fun g ->
-          if List.length g.fragments <= 1 then [ g ]
-          else begin
-            (* Tombstones may only be dropped if no *other* bottom
-               fragment (a wide pre-split sibling) overlaps this
-               guard's data — it could hold an older value the
-               tombstone still masks. *)
-            let g_lo =
-              List.fold_left (fun acc f -> min acc f.smallest) (List.hd g.fragments).smallest
-                g.fragments
-            and g_hi =
-              List.fold_left (fun acc f -> max acc f.largest) (List.hd g.fragments).largest
-                g.fragments
-            in
-            let sibling_overlap =
-              List.exists
-                (fun g' ->
-                  g'.guard_key <> g.guard_key
-                  && List.exists
-                       (fun f ->
-                         String.compare f.smallest g_hi <= 0
-                         && String.compare g_lo f.largest <= 0)
-                       g'.fragments)
-                levels.(i)
-            in
-            let merged = merge_guard t g ~drop_tombstones:(not sibling_overlap) in
-            match split_into_groups t merged with
-            | [] -> [ { g with fragments = [] } ]
-            | first :: extras ->
-              { g with fragments = [ build_fragment_tracked t built first ] }
-              :: List.map
-                   (fun group ->
-                     {
-                       guard_key = (List.hd group : K.entry).key;
-                       fragments = [ build_fragment_tracked t built group ];
-                     })
-                   extras
-          end)
-        levels.(i)
-    else begin
-      let children = ref levels.(i + 1) in
-      List.iter
-        (fun g ->
-          if g.fragments <> [] then begin
-            let merged = merge_guard t g ~drop_tombstones:false in
-            children := distribute_to_children t ~built !children merged
-          end)
-        levels.(i);
-      levels.(i + 1) <- !children;
-      levels.(i) <- List.map (fun g -> { g with fragments = [] }) levels.(i)
-    end;
-    (* Manifest before publish: publishing retires the old state, whose
-       refcount release deletes the input fragments — the on-disk
-       manifest must already reference the outputs by then. *)
-    store_manifest t levels;
-    publish t (fresh_state ~mem:(Atomic.get t.state).mem ~imm:(Atomic.get t.state).imm ~levels);
-    Obs.Counter.add t.lvl_compacted.(i) input_bytes;
-    let out_bytes = List.fold_left (fun acc f -> acc + f.bytes) 0 !built in
-    Obs.Counter.add t.lvl_written.(if bottom then i else i + 1) out_bytes
-  with exn ->
-    (* Nothing was published: remove every fragment this compaction
-       wrote and leave the engine on the old state. *)
-    discard_built t built;
-    raise exn
+  (* Every fragment this compaction writes, so a failure removes them. *)
+  let built = ref [] in
+  let build entries =
+    let frags = build_files t ~target:t.cfg.guard_bytes entries in
+    built := frags @ !built;
+    frags
+  in
+  (try
+     if bottom then
+       levels.(i) <-
+         List.concat_map
+           (fun g ->
+             if List.length g.fragments <= 1 then [ g ]
+             else
+               let drop_tombstones = not (sibling_overlap levels.(i) g) in
+               add_fragments { g with fragments = [] } (build (merge_guard t g ~drop_tombstones)))
+           levels.(i)
+     else begin
+       levels.(i + 1) <-
+         List.fold_left
+           (fun children g ->
+             if g.fragments = [] then children
+             else distribute_to_children ~build children (merge_guard t g ~drop_tombstones:false))
+           levels.(i + 1) levels.(i);
+       levels.(i) <- List.map (fun g -> { g with fragments = [] }) levels.(i)
+     end
+   with exn ->
+     List.iter (discard t) !built;
+     raise exn);
+  commit t levels ~built:!built;
+  Obs.Counter.add t.lvl_compacted.(i) input_bytes;
+  Obs.Counter.add t.lvl_written.(if bottom then i else i + 1) (total_bytes !built)
 
 let rec compact t =
-  let s = Atomic.get t.state in
-  let l0_frags = List.concat_map (fun g -> g.fragments) s.levels.(0) in
-  if List.length l0_frags >= t.cfg.l0_compaction_trigger then begin
-    compact_level t 0;
+  let levels = (Atomic.get t.state).levels in
+  (* A level with an overfull guard moves down wholesale. *)
+  let rec overfull i =
+    if i >= Array.length levels then None
+    else if
+      List.exists (fun g -> List.length g.fragments > t.cfg.max_fragments_per_guard) levels.(i)
+    then Some i
+    else overfull (i + 1)
+  in
+  let doomed =
+    if List.length (Policy.files levels.(0)) >= l0_compaction_trigger then Some 0 else overfull 1
+  in
+  match doomed with
+  | None -> ()
+  | Some i ->
+    compact_level t i;
     compact t
-  end
-  else begin
-    (* A level with an overfull guard moves down wholesale. *)
-    let doomed = ref None in
-    Array.iteri
-      (fun i guards ->
-        if !doomed = None && i > 0 then
-          if
-            List.exists
-              (fun g -> List.length g.fragments > t.cfg.max_fragments_per_guard)
-              guards
-          then doomed := Some i)
-      s.levels;
-    match !doomed with
-    | None -> ()
-    | Some i ->
-      compact_level t i;
-      compact t
-  end
 
-(* All callers hold the writer mutex, so no put can race a flush.
-
-   Failure atomicity mirrors the LSM baseline: build the L0 fragment
-   and the rotated WAL first, commit through the manifest, then publish
-   and delete the old WAL. A failure before the manifest write leaves
-   the engine exactly as it was. *)
-let flush_memtable t =
-  let s = Atomic.get t.state in
-  if not (Memtable.is_empty s.mem) then
-    Obs.Trace.with_span (Obs.trace t.obs) ~name:"memtable_flush"
-      ~attrs:[ ("bytes", Memtable.byte_size s.mem) ]
-      (fun _sp ->
-        let floor = min_snapshot t ~default:(Atomic.get t.seq) in
-        let entries =
-          K.to_list
-            (K.compact ~min_retained_version:floor ~drop_tombstones:false
-               (Memtable.to_iter s.mem))
-        in
-        let frag = build_fragment t entries in
-        let old_wal_gen = t.wal_gen in
-        let old_wal = t.wal in
-        let new_wal_gen = old_wal_gen + 1 in
-        let new_wal =
-          try Log_file.Writer.create t.env (wal_name new_wal_gen)
-          with exn ->
-            (try Env.delete t.env (sst_name frag.fid) with _ -> ());
-            raise exn
-        in
-        let levels = Array.copy s.levels in
-        (levels.(0) <-
-           match levels.(0) with
-           | [ g ] -> [ { g with fragments = frag :: g.fragments } ]
-           | _ -> assert false);
-        t.wal_gen <- new_wal_gen;
-        t.wal <- new_wal;
-        (try store_manifest t levels
-         with exn ->
-           t.wal_gen <- old_wal_gen;
-           t.wal <- old_wal;
-           Log_file.Writer.close new_wal;
-           (try Env.delete t.env (wal_name new_wal_gen) with _ -> ());
-           (try Env.delete t.env (sst_name frag.fid) with _ -> ());
-           raise exn);
-        publish t (fresh_state ~mem:Memtable.empty ~imm:None ~levels);
-        Obs.Counter.add t.lvl_written.(0) frag.bytes;
-        Log_file.Writer.close old_wal;
-        (try Env.delete t.env (wal_name old_wal_gen) with _ -> ()))
-
-(* ------------------------------------------------------------------ *)
-(* Operations                                                          *)
-
-let put_entry t key value_opt =
-  (* As in Lsm: charge writer-mutex queueing (behind another put's
-     inline flush) to Lock_wait only when the fast try_lock loses. *)
-  if not (Mutex.try_lock t.writer) then
-    Attr.timed Attr.Lock_wait (fun () -> Mutex.lock t.writer);
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.writer)
-    (fun () ->
-      let seq = Atomic.fetch_and_add t.seq 1 + 1 in
-      let entry : K.entry = { key; value = value_opt; version = seq; counter = 0 } in
-      ignore (Log_file.Writer.append t.wal entry);
-      Obs.Counter.incr t.ctr_wal_appends;
-      if t.cfg.sync_writes then Log_file.Writer.fsync t.wal
-      else begin
-        let n = Atomic.fetch_and_add t.put_count 1 + 1 in
-        if t.cfg.wal_fsync_every > 0 && n mod t.cfg.wal_fsync_every = 0 then
-          Log_file.Writer.fsync t.wal
-      end;
-      let s = Atomic.get t.state in
-      Atomic.set t.state { s with mem = Memtable.add s.mem entry };
-      ignore
-        (Atomic.fetch_and_add t.logical_written
-           (String.length key + match value_opt with Some v -> String.length v | None -> 0));
-      if Memtable.byte_size (Atomic.get t.state).mem >= t.cfg.memtable_bytes then begin
-        (* The put itself is already durable and applied; a maintenance
-           I/O failure rolled itself back, so count it and carry on —
-           the next put over the threshold retries. *)
-        Obs.Counter.incr t.ctr_stalls;
-        try
-          Attr.timed Attr.Compaction (fun () ->
-              flush_memtable t;
-              compact t)
-        with Env.Io_error _ | Env.Corruption _ -> Obs.Counter.incr t.ctr_io_errors
-      end)
-
-let put t key value =
-  Attr.with_op t.attr Attr.Put t.tm_put (fun () -> put_entry t key (Some value))
-
-let delete t key = Attr.with_op t.attr Attr.Delete t.tm_delete (fun () -> put_entry t key None)
-
-let guard_for guards key =
-  (* Last guard with guard_key <= key; guards sorted, first is "". *)
-  let rec go best = function
-    | [] -> best
-    | g :: rest -> if String.compare g.guard_key key <= 0 then go (Some g) rest else best
-  in
-  go None guards
-
-let get t key =
-  Attr.with_op t.attr Attr.Get t.tm_get @@ fun () ->
-  let s = pin_state t in
-  Fun.protect
-    ~finally:(fun () -> release_state t s)
-    (fun () ->
-      let from_levels () =
-        let check f =
-          if
-            String.compare f.smallest key <= 0
-            && String.compare key f.largest <= 0
-            && Sstable.Reader.may_contain f.reader key
-          then Sstable.Reader.get f.reader key
-          else None
-        in
-        let rec search_level i =
-          if i >= Array.length s.levels then None
-          else begin
-            (* Fragments never span below their guard's key, but
-               fragments created before a guard split may extend past
-               the next guard's key — so every guard with guard_key <=
-               key must be examined, each fragment gated by its own
-               range (and bloom). Within a level the newest hit wins:
-               fragments come from different compactions and may hold
-               different versions (the read penalty FLSM trades for its
-               write savings). *)
-            let best = ref None in
-            let rec guards = function
-              | g :: rest when String.compare g.guard_key key <= 0 ->
-                List.iter
-                  (fun f ->
-                    match check f with
-                    | Some e -> (
-                      match !best with
-                      | Some b when K.entry_newer b e -> ()
-                      | _ -> best := Some e)
-                    | None -> ())
-                  g.fragments;
-                guards rest
-              | _ -> ()
-            in
-            guards s.levels.(i);
-            match !best with
-            | Some e ->
-              if i < Array.length t.lvl_reads then Obs.Counter.incr t.lvl_reads.(i);
-              Some e
-            | None -> search_level (i + 1)
-          end
-        in
-        search_level 0
-      in
-      let result =
-        match Memtable.find_latest s.mem key with
-        | Some e -> Some e
-        | None -> (
-          match Option.bind s.imm (fun imm -> Memtable.find_latest imm key) with
-          | Some e -> Some e
-          | None ->
-            (* Both memtables missed: fragment reads across guards. *)
-            Attr.timed Attr.Disk_read from_levels)
-      in
-      match result with
-      | Some { K.value = Some v; _ } -> Some v
-      | Some { K.value = None; _ } | None -> None)
-
-let bounded it ~high =
-  let stopped = ref false in
-  fun () ->
-    if !stopped then None
-    else
-      match it () with
-      | Some (e : K.entry) when String.compare e.key high <= 0 -> Some e
-      | _ ->
-        stopped := true;
-        None
-
-let scan t ?limit ~low ~high () =
-  Attr.with_op t.attr Attr.Scan t.tm_scan @@ fun () ->
-  if String.compare low high > 0 then []
-  else begin
-    Mutex.lock t.writer;
-    let s = pin_state t in
-    let snap = Atomic.get t.seq in
-    Mutex.unlock t.writer;
-    let ticket = register_snapshot t snap in
-    Fun.protect
-      ~finally:(fun () ->
-        unregister_snapshot t ticket;
-        release_state t s)
-      (fun () ->
-        let frag_iters =
-          Array.to_list s.levels
-          |> List.concat_map (fun guards ->
-                 List.concat_map
-                   (fun g ->
-                     List.filter_map
-                       (fun f ->
-                         if
-                           String.compare f.smallest high <= 0
-                           && String.compare low f.largest <= 0
-                         then Some (bounded (Sstable.Reader.iter_from f.reader low) ~high)
-                         else None)
-                       g.fragments)
-                   guards)
-        in
-        let iters =
-          Memtable.iter_range s.mem ~low ~high
-          :: (match s.imm with Some imm -> [ Memtable.iter_range imm ~low ~high ] | None -> [])
-          @ frag_iters
-        in
-        let it = K.dedup (K.filter (fun (e : K.entry) -> e.version <= snap) (K.merge iters)) in
-        let max_count = match limit with None -> max_int | Some l -> l in
-        let rec go acc count =
-          if count >= max_count then List.rev acc
-          else
-            match it () with
-            | None -> List.rev acc
-            | Some { K.value = None; _ } -> go acc count
-            | Some { K.key; K.value = Some v; _ } -> go ((key, v) :: acc) (count + 1)
-        in
-        go [] 0)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Open / close                                                        *)
-
-let empty_levels n = Array.init n (fun _ -> [ { guard_key = ""; fragments = [] } ])
-
-let span_names = [ "fragment_append"; "guard_merge"; "memtable_flush"; "recovery" ]
-
-let setup_obs env =
-  let obs = Obs.create () in
-  List.iter (Obs.Trace.declare (Obs.trace obs)) span_names;
-  let st = Env.stats env in
-  List.iter
-    (fun kind ->
-      let kn = Io_stats.kind_name kind in
-      Obs.probe obs
-        (Printf.sprintf "io.%s.bytes_written" kn)
-        (fun () -> (Io_stats.snapshot_kind st kind).Io_stats.bytes_written);
-      Obs.probe obs
-        (Printf.sprintf "io.%s.bytes_read" kn)
-        (fun () -> (Io_stats.snapshot_kind st kind).Io_stats.bytes_read))
-    Io_stats.all_kinds;
-  Obs.probe obs "faults.injected" (fun () -> Env.faults_injected env);
-  Obs.probe obs "io.corruptions" (fun () -> Env.corruptions_detected env);
-  Obs.probe obs "log.resyncs" (fun () -> Env.log_resyncs env);
-  obs
-
-let open_internal config env =
-  let obs = setup_obs env in
-  match load_manifest env with
-  | None ->
-    let t =
-      {
-        env;
-        cfg = config;
-        state =
-          Atomic.make
-            {
-              mem = Memtable.empty;
-              imm = None;
-              levels = empty_levels config.max_levels;
-              pins = Atomic.make 1;
-              state_retired = Atomic.make false;
-            };
-        writer = Mutex.create ();
-        seq = Atomic.make 0;
-        wal = Log_file.Writer.create env (wal_name 0);
-        wal_gen = 0;
-        next_fid = Atomic.make 0;
-        snap_mutex = Mutex.create ();
-        snapshots = Hashtbl.create 16;
-        next_ticket = 0;
-        logical_written = Atomic.make 0;
-        put_count = Atomic.make 0;
-        closed = Atomic.make false;
-        obs;
-        attr = Attr.create ~enabled:config.attr_enabled obs;
-        tm_put = Obs.timer obs "db.put";
-        tm_get = Obs.timer obs "db.get";
-        tm_delete = Obs.timer obs "db.delete";
-        tm_scan = Obs.timer obs "db.scan";
-        ctr_stalls = Obs.counter obs "flsm.stalls";
-        ctr_wal_appends = Obs.counter obs "wal.appends";
-        ctr_io_errors = Obs.counter obs "io.errors";
-        lvl_written = level_counters obs ~max_levels:config.max_levels "bytes_written";
-        lvl_compacted = level_counters obs ~max_levels:config.max_levels "bytes_compacted";
-        lvl_reads = level_counters obs ~max_levels:config.max_levels "read_hits";
-      }
-    in
-    store_manifest t (empty_levels config.max_levels);
-    t
-  | Some (next_fid, wal_gen, seq, level_guards) ->
-    Obs.Trace.with_span (Obs.trace obs) ~name:"recovery" (fun recovery_sp ->
-    let levels =
-      Array.map
-        (fun guards ->
-          List.map
-            (fun (guard_key, fids) ->
-              { guard_key; fragments = List.map (open_fragment env) fids })
-            guards)
-        level_guards
-    in
-    Array.iter
-      (fun guards ->
-        List.iter
-          (fun g -> List.iter (fun f -> ignore (Atomic.fetch_and_add f.refs 1)) g.fragments)
-          guards)
-      levels;
-    (* Sweep orphans: fragments a crashed build left outside the
-       manifest, WALs of generations other than the live one, and
-       leftover manifest tmp files. *)
-    let live_fids =
-      List.concat_map (fun guards -> List.concat_map snd guards) (Array.to_list level_guards)
-    in
-    List.iter
-      (fun name ->
-        let orphan_sst =
-          match Scanf.sscanf_opt name "flsm_%d.sst" (fun fid -> fid) with
-          | Some fid -> not (List.mem fid live_fids)
-          | None -> false
-        and stale_wal =
-          match Scanf.sscanf_opt name "flsm_wal_%d.log" (fun gen -> gen) with
-          | Some gen -> gen <> wal_gen
-          | None -> false
-        in
-        if
-          (orphan_sst || stale_wal || name = manifest_name ^ ".tmp")
-          && not (Env.is_quarantined name)
-        then
-          try Env.delete env name with _ -> ())
-      (Env.list_files env);
-    let mem = ref Memtable.empty in
-    let max_seq = ref seq in
-    let replayed = ref 0 in
-    List.iter
-      (fun (_off, e) ->
-        mem := Memtable.add !mem e;
-        incr replayed;
-        if e.K.version > !max_seq then max_seq := e.K.version)
-      (Log_file.Reader.entries env (wal_name wal_gen));
-    Obs.Trace.add_attr recovery_sp "entries" !replayed;
-    {
-      env;
-      cfg = config;
-      state =
-        Atomic.make
-          {
-            mem = !mem;
-            imm = None;
-            levels;
-            pins = Atomic.make 1;
-            state_retired = Atomic.make false;
-          };
-      writer = Mutex.create ();
-      seq = Atomic.make !max_seq;
-      wal = Log_file.Writer.open_append env (wal_name wal_gen);
-      wal_gen;
-      next_fid = Atomic.make next_fid;
-      snap_mutex = Mutex.create ();
-      snapshots = Hashtbl.create 16;
-      next_ticket = 0;
-      logical_written = Atomic.make 0;
-      put_count = Atomic.make 0;
-      closed = Atomic.make false;
-      obs;
-      attr = Attr.create ~enabled:config.attr_enabled obs;
-      tm_put = Obs.timer obs "db.put";
-      tm_get = Obs.timer obs "db.get";
-      tm_delete = Obs.timer obs "db.delete";
-      tm_scan = Obs.timer obs "db.scan";
-      ctr_stalls = Obs.counter obs "flsm.stalls";
-      ctr_wal_appends = Obs.counter obs "wal.appends";
-      ctr_io_errors = Obs.counter obs "io.errors";
-      lvl_written = level_counters obs ~max_levels:(Array.length levels) "bytes_written";
-      lvl_compacted = level_counters obs ~max_levels:(Array.length levels) "bytes_compacted";
-      lvl_reads = level_counters obs ~max_levels:(Array.length levels) "read_hits";
-    })
-
-(* Probes of the current shape: total fragment bytes and fragment count
-   per level (comparable to the LSM baseline's level<i>.bytes/files). *)
-let register_block_cache_probes t =
-  let with_bc f =
-    match Env.block_cache t.env with
-    | Some bc -> f bc
-    | None -> 0
-  in
-  let module B = Evendb_cache.Block_cache in
-  Obs.probe t.obs "blockcache.hits" (fun () -> with_bc B.hits);
-  Obs.probe t.obs "blockcache.misses" (fun () -> with_bc B.misses);
-  Obs.probe t.obs "blockcache.fills" (fun () -> with_bc B.fills);
-  Obs.probe t.obs "blockcache.evictions" (fun () -> with_bc B.evictions);
-  Obs.probe t.obs "blockcache.bytes" (fun () -> with_bc B.resident_bytes)
-
-let register_level_probes t =
-  Array.iteri
-    (fun i _ ->
-      Obs.probe t.obs
-        (Printf.sprintf "level%d.bytes" i)
-        (fun () ->
-          let s = Atomic.get t.state in
-          if i >= Array.length s.levels then 0
-          else
-            List.fold_left
-              (fun acc g -> List.fold_left (fun acc f -> acc + f.bytes) acc g.fragments)
-              0 s.levels.(i));
-      Obs.probe t.obs
-        (Printf.sprintf "level%d.files" i)
-        (fun () ->
-          let s = Atomic.get t.state in
-          if i >= Array.length s.levels then 0
-          else List.fold_left (fun acc g -> acc + List.length g.fragments) 0 s.levels.(i)))
-    (Atomic.get t.state).levels
-
-let open_ ?(config = Config.default) env =
-  (* Level/fragment reads flow through [Sstable.Reader], which consults
-     the env's shared block cache; installing here unifies the budget
-     with any other engine opened over the same env. *)
-  Env.install_block_cache env ~capacity_bytes:config.Config.block_cache_bytes;
-  let t = open_internal config env in
-  register_level_probes t;
-  register_block_cache_probes t;
-  t
-
-let compact_now t =
-  Mutex.lock t.writer;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.writer)
-    (fun () ->
-      flush_memtable t;
-      compact t)
-
-let close t =
-  if Atomic.compare_and_set t.closed false true then begin
-    Log_file.Writer.fsync t.wal;
-    Env.fsync_all t.env;
-    Log_file.Writer.close t.wal
-  end
-
-let fragment_counts t =
-  Array.to_list
-    (Array.map
-       (fun guards -> List.fold_left (fun acc g -> acc + List.length g.fragments) 0 guards)
-       (Atomic.get t.state).levels)
-
-let guard_counts t =
-  Array.to_list (Array.map List.length (Atomic.get t.state).levels)
-
-let debug_locate t key =
-  let s = Atomic.get t.state in
-  let buf = Buffer.create 256 in
-  Array.iteri
-    (fun i guards ->
-      List.iter
-        (fun g ->
-          List.iter
-            (fun f ->
-              match Sstable.Reader.get f.reader key with
-              | Some e ->
-                Buffer.add_string buf
-                  (Printf.sprintf
-                     "L%d guard=%S frag=%d range=[%S,%S] version=%d bloom=%b in_range=%b; " i
-                     g.guard_key f.fid f.smallest f.largest e.K.version
-                     (Sstable.Reader.may_contain f.reader key)
-                     (String.compare f.smallest key <= 0 && String.compare key f.largest <= 0))
-              | None -> ())
-            g.fragments)
-        guards)
-    s.levels;
-  (match guard_for s.levels.(1) key with
-  | Some g -> Buffer.add_string buf (Printf.sprintf "L1 guard_for=%S; " g.guard_key)
-  | None -> Buffer.add_string buf "L1 guard_for=NONE; ");
-  (match guard_for s.levels.(2) key with
-  | Some g -> Buffer.add_string buf (Printf.sprintf "L2 guard_for=%S" g.guard_key)
-  | None -> Buffer.add_string buf "L2 guard_for=NONE");
-  Buffer.contents buf
+let open_ ?(config = Config.default) env = open_ ~compact config env
+let fragment_counts = level_file_counts
+let guard_counts t = Array.to_list (Array.map List.length (Atomic.get t.state).levels)

@@ -14,31 +14,32 @@
     given data volume). The bottom level merges guards in place when
     they accumulate too many fragments.
 
-    Reuses the LSM baseline's memtable and runs on the same
-    instrumented storage environment. *)
+    The engine is {!Evendb_lsm.Lsm_tree.Make} applied to the guarded
+    layout — the same WAL, memtable, manifest, recovery and metrics as
+    the LSM baseline — and runs on the same instrumented storage
+    environment. Only the level search and the guard compaction live
+    here. *)
 
 open Evendb_storage
 
 module Config : sig
   type t = {
-    memtable_bytes : int;
-    l0_compaction_trigger : int;
+    memtable_bytes : int;  (** Flush trigger. *)
     max_fragments_per_guard : int;
         (** Fragment count that triggers compaction of a guard. *)
     guard_bytes : int;
         (** Target data volume per guard; compaction outputs larger
             than this create new child guards. *)
-    bloom_bits_per_key : int;
-    sstable_block_bytes : int;
-    sync_writes : bool;
-    wal_fsync_every : int;
-    max_levels : int;
+    sync_writes : bool;  (** fsync the WAL on every put. *)
+    wal_fsync_every : int;  (** Async mode: fsync WAL every N puts (0 = only at close). *)
     attr_enabled : bool;  (** Per-op tail-latency cause attribution. *)
     block_cache_bytes : int;
         (** Shared sstable block cache installed on the env at open
             (default 32MiB; 0 disables — no-op if the env already
             carries one). *)
   }
+  (** Fixed for every store: 5 levels, an L0 compaction at 4 L0
+      fragments, 10 bloom bits per key and 4 KiB sstable blocks. *)
 
   val default : t
   val scaled : ?factor:int -> unit -> t
@@ -64,9 +65,6 @@ val fragment_counts : t -> int list
 (** Total fragments per level. *)
 
 val guard_counts : t -> int list
-
-val debug_locate : t -> string -> string
-(** Diagnostic: brute-force description of where a key's versions live. *)
 
 (** {2 Observability} *)
 

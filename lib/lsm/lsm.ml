@@ -1,23 +1,15 @@
 open Evendb_util
-open Evendb_storage
 open Evendb_sstable
-open Evendb_log
 open Evendb_obs
-
-module K = Kv_iter
+open Lsm_tree
 
 module Config = struct
   type t = {
     memtable_bytes : int;
-    l0_compaction_trigger : int;
     level_base_bytes : int;
-    level_size_multiplier : int;
     target_file_bytes : int;
-    bloom_bits_per_key : int;
-    sstable_block_bytes : int;
     sync_writes : bool;
     wal_fsync_every : int;
-    max_levels : int;
     attr_enabled : bool;
     block_cache_bytes : int;
   }
@@ -27,15 +19,10 @@ module Config = struct
   let default =
     {
       memtable_bytes = 4 * mib;
-      l0_compaction_trigger = 4;
       level_base_bytes = 16 * mib;
-      level_size_multiplier = 10;
       target_file_bytes = 4 * mib;
-      bloom_bits_per_key = 10;
-      sstable_block_bytes = 4096;
       sync_writes = false;
       wal_fsync_every = 32768;
-      max_levels = 7;
       attr_enabled = true;
       block_cache_bytes = 32 * mib;
     }
@@ -53,791 +40,131 @@ module Config = struct
     }
 end
 
-type file_meta = {
-  fid : int;
-  reader : Sstable.Reader.t;
-  smallest : string;
-  largest : string;
-  bytes : int;
-  refs : int Atomic.t; (* one per state referencing the file *)
-}
+(* Leveled layout: L0 holds flushed memtables newest first and may
+   overlap; each deeper level is sorted by smallest key and disjoint. *)
+module Policy = struct
+  type config = Config.t
+  type 'f level = 'f list
 
-type state = {
-  mem : Memtable.t;
-  imm : Memtable.t option; (* memtable being flushed *)
-  levels : file_meta list array; (* 0 = L0 newest first; others by smallest *)
-  pins : int Atomic.t; (* 1 for being current + one per active reader *)
-  state_retired : bool Atomic.t;
-}
+  let name = "lsm"
+  let max_levels = 7
+  let span_names = [ "memtable_flush"; "compaction"; "recovery" ]
+  let file_span = None
 
-type t = {
-  env : Env.t;
-  cfg : Config.t;
-  state : state Atomic.t;
-  writer : Mutex.t; (* serializes puts and structural changes *)
-  seq : int Atomic.t; (* last assigned sequence number *)
-  mutable wal : Log_file.Writer.t;
-  mutable wal_gen : int;
-  next_fid : int Atomic.t;
-  snap_mutex : Mutex.t;
-  snapshots : (int, int) Hashtbl.t; (* ticket -> seqno of active scans *)
-  mutable next_ticket : int;
-  logical_written : int Atomic.t;
-  put_count : int Atomic.t;
-  closed : bool Atomic.t;
-  obs : Obs.t;
-  attr : Attr.t; (* per-op tail-latency cause attribution *)
-  tm_put : Obs.Timer.t;
-  tm_get : Obs.Timer.t;
-  tm_delete : Obs.Timer.t;
-  tm_scan : Obs.Timer.t;
-  ctr_stalls : Obs.Counter.t; (* puts that paid an inline flush/compaction *)
-  ctr_wal_appends : Obs.Counter.t;
-  ctr_io_errors : Obs.Counter.t; (* Io_errors observed by maintenance paths *)
-  (* Per-level shape counters (comparable across the three engines):
-     bytes landing in level i (flush/compaction outputs), bytes read
-     out of level i as compaction input, and gets served by level i. *)
-  lvl_written : Obs.Counter.t array;
-  lvl_compacted : Obs.Counter.t array;
-  lvl_reads : Obs.Counter.t array;
-}
+  let settings (c : Config.t) =
+    {
+      memtable_bytes = c.memtable_bytes;
+      sync_writes = c.sync_writes;
+      wal_fsync_every = c.wal_fsync_every;
+      attr_enabled = c.attr_enabled;
+      block_cache_bytes = c.block_cache_bytes;
+    }
 
-let level_counters obs ~max_levels name =
-  Array.init max_levels (fun i -> Obs.counter obs (Printf.sprintf "level%d.%s" i name))
+  let empty_level = []
+  let map = List.map
+  let files level = level
+  let add_l0 file level = file :: level
 
-let sst_name fid = Printf.sprintf "lsm_%08d.sst" fid
-let wal_name gen = Printf.sprintf "lsm_wal_%08d.log" gen
-let manifest_name = "LSM_MANIFEST"
+  let encode buf fids =
+    Varint.write buf (List.length fids);
+    List.iter (Varint.write buf) fids
 
-let env t = t.env
-let logical_bytes_written t = Atomic.get t.logical_written
-let obs t = t.obs
-let attr t = t.attr
-
-let metrics_dump t = function
-  | `Json -> Obs.to_json t.obs
-  | `Prometheus -> Obs.to_prometheus t.obs
-
-let write_amplification t =
-  let written = (Io_stats.snapshot (Env.stats t.env)).Io_stats.bytes_written in
-  let logical = logical_bytes_written t in
-  if logical = 0 then 0.0 else float_of_int written /. float_of_int logical
-
-(* ------------------------------------------------------------------ *)
-(* File and state lifecycle                                            *)
-
-let delete_file t fm =
-  Env.delete t.env (sst_name fm.fid)
-
-let file_release t fm =
-  if Atomic.fetch_and_add fm.refs (-1) = 1 then delete_file t fm
-
-let state_files s = Array.to_list s.levels |> List.concat
-
-let release_state t s =
-  if Atomic.fetch_and_add s.pins (-1) = 1 && Atomic.get s.state_retired then
-    List.iter (file_release t) (state_files s)
-
-let rec pin_state t =
-  let s = Atomic.get t.state in
-  ignore (Atomic.fetch_and_add s.pins 1);
-  if Atomic.get s.state_retired then begin
-    release_state t s;
-    Domain.cpu_relax ();
-    pin_state t
-  end
-  else s
-
-(* Publish [s'] as current. Caller holds the writer mutex and must have
-   bumped refs of every file included in [s']. *)
-let publish t s' =
-  let old = Atomic.get t.state in
-  Atomic.set t.state s';
-  Atomic.set old.state_retired true;
-  release_state t old
-
-let fresh_state ~mem ~imm ~levels =
-  Array.iter (fun files -> List.iter (fun fm -> ignore (Atomic.fetch_and_add fm.refs 1)) files) levels;
-  { mem; imm; levels; pins = Atomic.make 1; state_retired = Atomic.make false }
-
-(* ------------------------------------------------------------------ *)
-(* Manifest                                                            *)
-
-let store_manifest t levels =
-  let buf = Buffer.create 256 in
-  Varint.write buf (Atomic.get t.next_fid);
-  Varint.write buf t.wal_gen;
-  Varint.write buf (Atomic.get t.seq);
-  Varint.write buf (Array.length levels);
-  Array.iter
-    (fun files ->
-      Varint.write buf (List.length files);
-      List.iter (fun fm -> Varint.write buf fm.fid) files)
-    levels;
-  let payload = Buffer.contents buf in
-  let crc = Crc32c.string payload in
-  let tmp = manifest_name ^ ".tmp" in
-  let file = Env.create t.env tmp in
-  (* Write-tmp-then-rename: a failure leaves the old manifest intact. *)
-  try
-    Env.append file payload;
-    Env.append file
-      (String.init 4 (fun i ->
-           Char.chr (Int32.to_int (Int32.shift_right_logical crc (8 * i)) land 0xff)));
-    Env.fsync file;
-    Env.close_file file;
-    Env.rename t.env ~old_name:tmp ~new_name:manifest_name
-  with exn ->
-    Env.close_file file;
-    (try Env.delete t.env tmp with _ -> ());
-    raise exn
-
-let manifest_corrupt env detail =
-  Env.note_corruption env;
-  Io_error.raise_corruption ~file:manifest_name ~detail
-
-let load_manifest env =
-  if not (Env.exists env manifest_name) then None
-  else begin
-    let data = Env.read_all env manifest_name in
-    if String.length data < 4 then manifest_corrupt env "truncated";
-    let payload = String.sub data 0 (String.length data - 4) in
-    let stored =
-      let b i = Int32.of_int (Char.code data.[String.length data - 4 + i]) in
-      Int32.logor (b 0)
-        (Int32.logor
-           (Int32.shift_left (b 1) 8)
-           (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
+  let decode payload pos =
+    let n, pos = Varint.read payload pos in
+    let pos = ref pos in
+    let fids =
+      List.init n (fun _ ->
+          let fid, p = Varint.read payload !pos in
+          pos := p;
+          fid)
     in
-    if Crc32c.string payload <> stored then manifest_corrupt env "bad checksum";
-    match
-      let next_fid, pos = Varint.read payload 0 in
-      let wal_gen, pos = Varint.read payload pos in
-      let seq, pos = Varint.read payload pos in
-      let n_levels, pos = Varint.read payload pos in
-      let posr = ref pos in
-      let levels =
-        Array.init n_levels (fun _ ->
-            let n, pos = Varint.read payload !posr in
-            posr := pos;
-            List.init n (fun _ ->
-                let fid, pos = Varint.read payload !posr in
-                posr := pos;
-                fid))
-      in
-      (next_fid, wal_gen, seq, levels)
-    with
-    | m -> Some m
-    | exception Invalid_argument _ -> manifest_corrupt env "malformed payload"
-  end
+    (fids, !pos)
 
-(* ------------------------------------------------------------------ *)
-(* Building SSTables                                                   *)
+  (* L0 newest first, and at most one candidate file deeper down: the
+     first hit is the newest. *)
+  let search files key =
+    List.find_map
+      (fun fm -> if may_hold fm key then Sstable.Reader.get fm.reader key else None)
+      files
+end
 
-let open_file_meta env fid =
-  let reader = Sstable.Reader.open_ env (sst_name fid) in
-  let smallest = Option.value ~default:"" (Sstable.Reader.first_key reader) in
-  let largest = Option.value ~default:"" (Sstable.Reader.last_key reader) in
-  let bytes = try Env.size env (sst_name fid) with Not_found -> 0 in
-  { fid; reader; smallest; largest; bytes; refs = Atomic.make 0 }
+include Make (Policy)
 
-let build_file t it =
-  let fid = Atomic.fetch_and_add t.next_fid 1 in
-  let builder =
-    Sstable.Builder.create t.env ~block_size:t.cfg.sstable_block_bytes
-      ~bloom_bits_per_key:t.cfg.bloom_bits_per_key ~with_bloom:true ~name:(sst_name fid)
-      ~min_key:"" ()
+let level_size_multiplier = 10 (* each level below L1 holds this many times the one above *)
+
+let level_limit t i =
+  t.cfg.level_base_bytes
+  * int_of_float (float_of_int level_size_multiplier ** float_of_int (i - 1))
+
+(* Merge [inputs] (newest first, the priority order for merge ties) into
+   new files of the target size. *)
+let merge_files t inputs ~drop_tombstones =
+  let merged =
+    K.compact ~min_retained_version:(min_snapshot t) ~drop_tombstones
+      (K.merge (List.map (fun fm -> Sstable.Reader.iter fm.reader) inputs))
   in
-  (try
-     let rec drain () =
-       match it () with
-       | None -> ()
-       | Some e ->
-         Sstable.Builder.add builder e;
-         drain ()
-     in
-     drain ();
-     Sstable.Builder.finish builder
-   with exn ->
-     Sstable.Builder.abort builder;
-     raise exn);
-  open_file_meta t.env fid
+  build_files t ~target:t.cfg.target_file_bytes (K.to_list merged)
 
-(* Split a sorted entry stream into files of ~target bytes, breaking
-   only between distinct keys. *)
-let build_files t it =
-  let files = ref [] in
-  let current = ref [] in
-  let bytes = ref 0 in
-  let last_key = ref None in
-  let entry_bytes (e : K.entry) =
-    String.length e.key + (match e.value with Some v -> String.length v | None -> 0) + 16
-  in
-  let flush_current () =
-    if !current <> [] then begin
-      files := build_file t (K.of_list (List.rev !current)) :: !files;
-      current := [];
-      bytes := 0
-    end
-  in
-  let rec go () =
-    match it () with
-    | None -> ()
-    | Some e ->
-      (match !last_key with
-      | Some k when !bytes >= t.cfg.target_file_bytes && not (String.equal k e.K.key) ->
-        flush_current ()
-      | _ -> ());
-      current := e :: !current;
-      bytes := !bytes + entry_bytes e;
-      last_key := Some e.K.key;
-      go ()
-  in
-  (try
-     go ();
-     flush_current ()
-   with exn ->
-     (* No partial output survives a failed multi-file build. *)
-     List.iter (delete_file t) !files;
-     raise exn);
-  List.rev !files
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot registry (atomic scans)                                    *)
-
-let register_snapshot t seqno =
-  Mutex.lock t.snap_mutex;
-  let ticket = t.next_ticket in
-  t.next_ticket <- ticket + 1;
-  Hashtbl.replace t.snapshots ticket seqno;
-  Mutex.unlock t.snap_mutex;
-  ticket
-
-let unregister_snapshot t ticket =
-  Mutex.lock t.snap_mutex;
-  Hashtbl.remove t.snapshots ticket;
-  Mutex.unlock t.snap_mutex
-
-let min_snapshot t ~default =
-  Mutex.lock t.snap_mutex;
-  let m = Hashtbl.fold (fun _ s acc -> min s acc) t.snapshots default in
-  Mutex.unlock t.snap_mutex;
-  m
-
-(* ------------------------------------------------------------------ *)
-(* Flush and compaction (inline on the write path)                     *)
-
-let overlaps fm ~low ~high =
-  String.compare fm.smallest high <= 0 && String.compare low fm.largest <= 0
-
-let level_total files = List.fold_left (fun acc fm -> acc + fm.bytes) 0 files
-
-let level_limit t i = t.cfg.level_base_bytes * int_of_float (float_of_int t.cfg.level_size_multiplier ** float_of_int (i - 1))
-
-(* All callers hold the writer mutex, so no put can race a flush: the
-   memtable and WAL are frozen for the duration.
-
-   Failure atomicity: build the L0 file and the rotated WAL first, then
-   commit through the manifest, and only then publish the new state and
-   delete the old WAL. An I/O failure before the manifest write leaves
-   the engine exactly as it was (old WAL, old manifest, memtable
-   intact) with any partial files removed; a crash after the manifest
-   write recovers the new state. *)
-let flush_memtable t =
-  let s = Atomic.get t.state in
-  if not (Memtable.is_empty s.mem) then
-    Obs.Trace.with_span (Obs.trace t.obs) ~name:"memtable_flush"
-      ~attrs:[ ("bytes", Memtable.byte_size s.mem) ]
-      (fun _sp ->
-        (* Build the L0 file; mild compaction bounded by active
-           snapshots. Readers keep seeing the old state (which still
-           holds the memtable) until publication. *)
-        let floor = min_snapshot t ~default:(Atomic.get t.seq) in
-        let file =
-          build_file t
-            (K.compact ~min_retained_version:floor ~drop_tombstones:false
-               (Memtable.to_iter s.mem))
-        in
-        let old_wal_gen = t.wal_gen in
-        let old_wal = t.wal in
-        let new_wal_gen = old_wal_gen + 1 in
-        let new_wal =
-          try Log_file.Writer.create t.env (wal_name new_wal_gen)
-          with exn ->
-            delete_file t file;
-            raise exn
-        in
-        let levels = Array.copy s.levels in
-        levels.(0) <- file :: levels.(0);
-        t.wal_gen <- new_wal_gen;
-        t.wal <- new_wal;
-        (try store_manifest t levels
-         with exn ->
-           t.wal_gen <- old_wal_gen;
-           t.wal <- old_wal;
-           Log_file.Writer.close new_wal;
-           (try Env.delete t.env (wal_name new_wal_gen) with _ -> ());
-           delete_file t file;
-           raise exn);
-        publish t (fresh_state ~mem:Memtable.empty ~imm:None ~levels);
-        Obs.Counter.add t.lvl_written.(0) file.bytes;
-        Log_file.Writer.close old_wal;
-        (try Env.delete t.env (wal_name old_wal_gen) with _ -> ()))
+let by_smallest files = List.sort (fun a b -> String.compare a.smallest b.smallest) files
 
 let rec compact t =
-  let s = Atomic.get t.state in
-  let levels = s.levels in
-  if List.length levels.(0) >= t.cfg.l0_compaction_trigger then begin
-    Obs.Trace.with_span (Obs.trace t.obs) ~name:"compaction" ~attrs:[ ("level", 0) ]
-      (fun sp ->
-    (* L0 -> L1: merge every L0 file with all overlapping L1 files. *)
-    let l0 = levels.(0) in
-    Obs.Trace.add_attr sp "bytes" (level_total l0);
-    let low = List.fold_left (fun acc fm -> min acc fm.smallest) (List.hd l0).smallest l0 in
-    let high = List.fold_left (fun acc fm -> max acc fm.largest) (List.hd l0).largest l0 in
-    let l1_in, l1_out = List.partition (fun fm -> overlaps fm ~low ~high) levels.(1) in
-    let floor = min_snapshot t ~default:(Atomic.get t.seq) in
-    let deeper_data =
-      Array.exists (fun files -> files <> []) (Array.sub levels 2 (Array.length levels - 2))
-      || l1_out <> []
-    in
-    let inputs =
-      (* L0 newest-first already; keep that priority order for merge
-         ties, then L1. *)
-      List.map (fun fm -> Sstable.Reader.iter fm.reader) l0
-      @ List.map (fun fm -> Sstable.Reader.iter fm.reader) l1_in
-    in
-    let merged =
-      K.compact ~min_retained_version:floor ~drop_tombstones:(not deeper_data) (K.merge inputs)
-    in
-    let new_files = build_files t merged in
-    let new_l1 =
-      List.sort (fun a b -> String.compare a.smallest b.smallest) (new_files @ l1_out)
-    in
-    let levels' = Array.copy levels in
-    levels'.(0) <- [];
-    levels'.(1) <- new_l1;
-    (* Manifest before publish: publishing retires the old state, whose
-       refcount release deletes the input files — the on-disk manifest
-       must already reference the outputs by then. *)
-    (try store_manifest t levels'
-     with exn ->
-       List.iter (delete_file t) new_files;
-       raise exn);
-    publish t (fresh_state ~mem:s.mem ~imm:s.imm ~levels:levels');
-    Obs.Counter.add t.lvl_compacted.(0) (level_total l0);
-    Obs.Counter.add t.lvl_compacted.(1) (level_total l1_in);
-    Obs.Counter.add t.lvl_written.(1) (level_total new_files));
+  let levels = (Atomic.get t.state).levels in
+  let n = Array.length levels in
+  let has_data_below i = Array.exists (fun files -> files <> []) (Array.sub levels i (n - i)) in
+  if List.length levels.(0) >= l0_compaction_trigger then begin
+    Obs.Trace.with_span (Obs.trace t.obs) ~name:"compaction" ~attrs:[ ("level", 0) ] (fun sp ->
+        (* L0 -> L1: merge every L0 file with all overlapping L1 files. *)
+        let l0 = levels.(0) in
+        Obs.Trace.add_attr sp "bytes" (total_bytes l0);
+        let low = List.fold_left (fun acc fm -> min acc fm.smallest) (List.hd l0).smallest l0 in
+        let high = List.fold_left (fun acc fm -> max acc fm.largest) (List.hd l0).largest l0 in
+        let l1_in, l1_out = List.partition (fun fm -> overlaps fm ~low ~high) levels.(1) in
+        let new_files =
+          merge_files t (l0 @ l1_in) ~drop_tombstones:(not (has_data_below 2 || l1_out <> []))
+        in
+        let levels' = Array.copy levels in
+        levels'.(0) <- [];
+        levels'.(1) <- by_smallest (new_files @ l1_out);
+        commit t levels' ~built:new_files;
+        Obs.Counter.add t.lvl_compacted.(0) (total_bytes l0);
+        Obs.Counter.add t.lvl_compacted.(1) (total_bytes l1_in);
+        Obs.Counter.add t.lvl_written.(1) (total_bytes new_files));
     compact t
   end
   else begin
-    (* Leveled compaction for L1.. *)
-    let n = Array.length levels in
-    let overfull = ref None in
-    for i = 1 to n - 2 do
-      if !overfull = None && level_total levels.(i) > level_limit t i then overfull := Some i
-    done;
-    match !overfull with
+    (* Leveled compaction for L1..: push the first file of the first
+       overfull level into the level below. *)
+    let rec overfull i =
+      if i > n - 2 then None
+      else if total_bytes levels.(i) > level_limit t i then Some i
+      else overfull (i + 1)
+    in
+    match overfull 1 with
     | None -> ()
-    | Some i ->
-      (match levels.(i) with
+    | Some i -> (
+      match levels.(i) with
       | [] -> ()
-      | victim :: _ ->
+      | victim :: rest ->
         Obs.Trace.with_span (Obs.trace t.obs) ~name:"compaction"
           ~attrs:[ ("level", i); ("bytes", victim.bytes) ]
           (fun _sp ->
-        let child_in, child_out =
-          List.partition
-            (fun fm -> overlaps fm ~low:victim.smallest ~high:victim.largest)
-            levels.(i + 1)
-        in
-        let floor = min_snapshot t ~default:(Atomic.get t.seq) in
-        let deeper_data =
-          i + 2 < n && Array.exists (fun files -> files <> []) (Array.sub levels (i + 2) (n - i - 2))
-        in
-        let inputs =
-          Sstable.Reader.iter victim.reader
-          :: List.map (fun fm -> Sstable.Reader.iter fm.reader) child_in
-        in
-        let merged =
-          K.compact ~min_retained_version:floor
-            ~drop_tombstones:((not deeper_data) && child_out = [])
-            (K.merge inputs)
-        in
-        let new_files = build_files t merged in
-        let new_child =
-          List.sort (fun a b -> String.compare a.smallest b.smallest) (new_files @ child_out)
-        in
-        let levels' = Array.copy levels in
-        levels'.(i) <- List.tl levels.(i);
-        levels'.(i + 1) <- new_child;
-        (try store_manifest t levels'
-         with exn ->
-           List.iter (delete_file t) new_files;
-           raise exn);
-        publish t
-          (fresh_state ~mem:(Atomic.get t.state).mem ~imm:(Atomic.get t.state).imm
-             ~levels:levels');
-        Obs.Counter.add t.lvl_compacted.(i) victim.bytes;
-        Obs.Counter.add t.lvl_compacted.(i + 1) (level_total child_in);
-        Obs.Counter.add t.lvl_written.(i + 1) (level_total new_files));
+            let child_in, child_out =
+              List.partition
+                (fun fm -> overlaps fm ~low:victim.smallest ~high:victim.largest)
+                levels.(i + 1)
+            in
+            let new_files =
+              merge_files t (victim :: child_in)
+                ~drop_tombstones:((not (has_data_below (i + 2))) && child_out = [])
+            in
+            let levels' = Array.copy levels in
+            levels'.(i) <- rest;
+            levels'.(i + 1) <- by_smallest (new_files @ child_out);
+            commit t levels' ~built:new_files;
+            Obs.Counter.add t.lvl_compacted.(i) victim.bytes;
+            Obs.Counter.add t.lvl_compacted.(i + 1) (total_bytes child_in);
+            Obs.Counter.add t.lvl_written.(i + 1) (total_bytes new_files));
         compact t)
   end
 
-(* ------------------------------------------------------------------ *)
-(* Operations                                                          *)
-
-let put_entry t key value_opt =
-  (* Writer-mutex queueing behind another put's inline flush is where
-     LSM write stalls spread; charge the blocking wait to Lock_wait
-     only when the fast try_lock loses. *)
-  if not (Mutex.try_lock t.writer) then
-    Attr.timed Attr.Lock_wait (fun () -> Mutex.lock t.writer);
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.writer)
-    (fun () ->
-      let seq = Atomic.fetch_and_add t.seq 1 + 1 in
-      let entry : K.entry = { key; value = value_opt; version = seq; counter = 0 } in
-      ignore (Log_file.Writer.append t.wal entry);
-      Obs.Counter.incr t.ctr_wal_appends;
-      if t.cfg.sync_writes then Log_file.Writer.fsync t.wal
-      else begin
-        let n = Atomic.fetch_and_add t.put_count 1 + 1 in
-        if t.cfg.wal_fsync_every > 0 && n mod t.cfg.wal_fsync_every = 0 then
-          Log_file.Writer.fsync t.wal
-      end;
-      let s = Atomic.get t.state in
-      let mem' = Memtable.add s.mem entry in
-      (* Memtable-only change: levels and their refcounts are shared
-         with the previous state. *)
-      Atomic.set t.state
-        { s with mem = mem' }
-        (* note: same pins/retired cell — readers pinning either record
-           guard the same files *);
-      ignore
-        (Atomic.fetch_and_add t.logical_written
-           (String.length key + match value_opt with Some v -> String.length v | None -> 0));
-      if Memtable.byte_size mem' >= t.cfg.memtable_bytes then begin
-        (* This put pays for the flush (and any cascading compaction)
-           inline — the paper's write stall. The put itself is already
-           durable and applied; if maintenance hits an I/O failure it
-           rolled itself back, so count the fault and carry on — the
-           next put over the threshold retries. *)
-        Obs.Counter.incr t.ctr_stalls;
-        try
-          Attr.timed Attr.Compaction (fun () ->
-              flush_memtable t;
-              compact t)
-        with Env.Io_error _ | Env.Corruption _ -> Obs.Counter.incr t.ctr_io_errors
-      end)
-
-let put t key value =
-  Attr.with_op t.attr Attr.Put t.tm_put (fun () -> put_entry t key (Some value))
-
-let delete t key = Attr.with_op t.attr Attr.Delete t.tm_delete (fun () -> put_entry t key None)
-
-let find_in_levels ?on_hit s ~max_version key =
-  (* L0 newest-first, then deeper levels; the first hit is the newest
-     because levels are age-ordered. *)
-  let check fm =
-    if
-      String.compare fm.smallest key <= 0
-      && String.compare key fm.largest <= 0
-      && Sstable.Reader.may_contain fm.reader key
-    then Sstable.Reader.get fm.reader ~max_version key
-    else None
-  in
-  let rec search_files = function
-    | [] -> None
-    | fm :: rest -> ( match check fm with Some e -> Some e | None -> search_files rest)
-  in
-  let rec search_levels i =
-    if i >= Array.length s.levels then None
-    else
-      match search_files s.levels.(i) with
-      | Some e ->
-        (match on_hit with Some f -> f i | None -> ());
-        Some e
-      | None -> search_levels (i + 1)
-  in
-  search_levels 0
-
-let get t key =
-  Attr.with_op t.attr Attr.Get t.tm_get @@ fun () ->
-  let s = pin_state t in
-  Fun.protect
-    ~finally:(fun () -> release_state t s)
-    (fun () ->
-      let on_hit i = if i < Array.length t.lvl_reads then Obs.Counter.incr t.lvl_reads.(i) in
-      let result =
-        match Memtable.find_latest s.mem key with
-        | Some e -> Some e
-        | None -> (
-          match Option.bind s.imm (fun imm -> Memtable.find_latest imm key) with
-          | Some e -> Some e
-          | None ->
-            (* Both memtables missed: the rest is SSTable reads. *)
-            Attr.timed Attr.Disk_read (fun () ->
-                find_in_levels ~on_hit s ~max_version:max_int key))
-      in
-      match result with
-      | Some { K.value = Some v; _ } -> Some v
-      | Some { K.value = None; _ } | None -> None)
-
-let bounded it ~high =
-  let stopped = ref false in
-  fun () ->
-    if !stopped then None
-    else
-      match it () with
-      | Some (e : K.entry) when String.compare e.key high <= 0 -> Some e
-      | _ ->
-        stopped := true;
-        None
-
-let scan t ?limit ~low ~high () =
-  Attr.with_op t.attr Attr.Scan t.tm_scan @@ fun () ->
-  if String.compare low high > 0 then []
-  else begin
-    (* Take the writer mutex briefly so (state, seq) are consistent:
-       every put with a smaller seqno has already published. *)
-    Mutex.lock t.writer;
-    let s = pin_state t in
-    let snap = Atomic.get t.seq in
-    Mutex.unlock t.writer;
-    let ticket = register_snapshot t snap in
-    Fun.protect
-      ~finally:(fun () ->
-        unregister_snapshot t ticket;
-        release_state t s)
-      (fun () ->
-        let iters =
-          Memtable.iter_range s.mem ~low ~high
-          :: (match s.imm with Some imm -> [ Memtable.iter_range imm ~low ~high ] | None -> [])
-          @ (Array.to_list s.levels
-            |> List.concat_map (fun files ->
-                   List.filter_map
-                     (fun fm ->
-                       if overlaps fm ~low ~high then
-                         Some (bounded (Sstable.Reader.iter_from fm.reader low) ~high)
-                       else None)
-                     files))
-        in
-        let it =
-          K.dedup (K.filter (fun (e : K.entry) -> e.version <= snap) (K.merge iters))
-        in
-        let max_count = match limit with None -> max_int | Some l -> l in
-        let rec go acc count =
-          if count >= max_count then List.rev acc
-          else
-            match it () with
-            | None -> List.rev acc
-            | Some { K.value = None; _ } -> go acc count
-            | Some { K.key; K.value = Some v; _ } -> go ((key, v) :: acc) (count + 1)
-        in
-        go [] 0)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Open / close                                                        *)
-
-let span_names = [ "memtable_flush"; "compaction"; "recovery" ]
-
-let setup_obs env =
-  let obs = Obs.create () in
-  List.iter (Obs.Trace.declare (Obs.trace obs)) span_names;
-  let st = Env.stats env in
-  List.iter
-    (fun kind ->
-      let kn = Io_stats.kind_name kind in
-      Obs.probe obs
-        (Printf.sprintf "io.%s.bytes_written" kn)
-        (fun () -> (Io_stats.snapshot_kind st kind).Io_stats.bytes_written);
-      Obs.probe obs
-        (Printf.sprintf "io.%s.bytes_read" kn)
-        (fun () -> (Io_stats.snapshot_kind st kind).Io_stats.bytes_read))
-    Io_stats.all_kinds;
-  Obs.probe obs "faults.injected" (fun () -> Env.faults_injected env);
-  Obs.probe obs "io.corruptions" (fun () -> Env.corruptions_detected env);
-  Obs.probe obs "log.resyncs" (fun () -> Env.log_resyncs env);
-  obs
-
-let open_internal config env =
-  let obs = setup_obs env in
-  match load_manifest env with
-  | None ->
-    let t =
-      {
-        env;
-        cfg = config;
-        state =
-          Atomic.make
-            {
-              mem = Memtable.empty;
-              imm = None;
-              levels = Array.make config.max_levels [];
-              pins = Atomic.make 1;
-              state_retired = Atomic.make false;
-            };
-        writer = Mutex.create ();
-        seq = Atomic.make 0;
-        wal = Log_file.Writer.create env (wal_name 0);
-        wal_gen = 0;
-        next_fid = Atomic.make 0;
-        snap_mutex = Mutex.create ();
-        snapshots = Hashtbl.create 16;
-        next_ticket = 0;
-        logical_written = Atomic.make 0;
-        put_count = Atomic.make 0;
-        closed = Atomic.make false;
-        obs;
-        attr = Attr.create ~enabled:config.attr_enabled obs;
-        tm_put = Obs.timer obs "db.put";
-        tm_get = Obs.timer obs "db.get";
-        tm_delete = Obs.timer obs "db.delete";
-        tm_scan = Obs.timer obs "db.scan";
-        ctr_stalls = Obs.counter obs "lsm.stalls";
-        ctr_wal_appends = Obs.counter obs "wal.appends";
-        ctr_io_errors = Obs.counter obs "io.errors";
-        lvl_written = level_counters obs ~max_levels:config.max_levels "bytes_written";
-        lvl_compacted = level_counters obs ~max_levels:config.max_levels "bytes_compacted";
-        lvl_reads = level_counters obs ~max_levels:config.max_levels "read_hits";
-      }
-    in
-    store_manifest t (Array.make config.max_levels []);
-    t
-  | Some (next_fid, wal_gen, seq, level_fids) ->
-    Obs.Trace.with_span (Obs.trace obs) ~name:"recovery" (fun recovery_sp ->
-    let levels =
-      Array.map (List.map (fun fid -> open_file_meta env fid)) level_fids
-    in
-    let levels =
-      if Array.length levels < config.max_levels then
-        Array.append levels (Array.make (config.max_levels - Array.length levels) [])
-      else levels
-    in
-    Array.iter (fun files -> List.iter (fun fm -> ignore (Atomic.fetch_and_add fm.refs 1)) files) levels;
-    (* Sweep orphans: sstables a crashed build left outside the
-       manifest, WALs of generations other than the live one, and
-       leftover manifest tmp files. *)
-    let live_fids = List.concat (Array.to_list level_fids) in
-    List.iter
-      (fun name ->
-        let orphan_sst =
-          match Scanf.sscanf_opt name "lsm_%d.sst" (fun fid -> fid) with
-          | Some fid -> not (List.mem fid live_fids)
-          | None -> false
-        and stale_wal =
-          match Scanf.sscanf_opt name "lsm_wal_%d.log" (fun gen -> gen) with
-          | Some gen -> gen <> wal_gen
-          | None -> false
-        in
-        if
-          (orphan_sst || stale_wal || name = manifest_name ^ ".tmp")
-          && not (Env.is_quarantined name)
-        then
-          try Env.delete env name with _ -> ())
-      (Env.list_files env);
-    (* Replay the WAL (an LSM must; contrast §3.5). *)
-    let mem = ref Memtable.empty in
-    let max_seq = ref seq in
-    let replayed = ref 0 in
-    List.iter
-      (fun (_off, e) ->
-        mem := Memtable.add !mem e;
-        incr replayed;
-        if e.K.version > !max_seq then max_seq := e.K.version)
-      (Log_file.Reader.entries env (wal_name wal_gen));
-    Obs.Trace.add_attr recovery_sp "entries" !replayed;
-    {
-      env;
-      cfg = config;
-      state =
-        Atomic.make
-          {
-            mem = !mem;
-            imm = None;
-            levels;
-            pins = Atomic.make 1;
-            state_retired = Atomic.make false;
-          };
-      writer = Mutex.create ();
-      seq = Atomic.make !max_seq;
-      wal = Log_file.Writer.open_append env (wal_name wal_gen);
-      wal_gen;
-      next_fid = Atomic.make next_fid;
-      snap_mutex = Mutex.create ();
-      snapshots = Hashtbl.create 16;
-      next_ticket = 0;
-      logical_written = Atomic.make 0;
-      put_count = Atomic.make 0;
-      closed = Atomic.make false;
-      obs;
-      attr = Attr.create ~enabled:config.attr_enabled obs;
-      tm_put = Obs.timer obs "db.put";
-      tm_get = Obs.timer obs "db.get";
-      tm_delete = Obs.timer obs "db.delete";
-      tm_scan = Obs.timer obs "db.scan";
-      ctr_stalls = Obs.counter obs "lsm.stalls";
-      ctr_wal_appends = Obs.counter obs "wal.appends";
-      ctr_io_errors = Obs.counter obs "io.errors";
-      lvl_written = level_counters obs ~max_levels:config.max_levels "bytes_written";
-      lvl_compacted = level_counters obs ~max_levels:config.max_levels "bytes_compacted";
-      lvl_reads = level_counters obs ~max_levels:config.max_levels "read_hits";
-    })
-
-(* Snapshot-time level shape, next to the byte-flow counters above. *)
-let register_block_cache_probes t =
-  let with_bc f =
-    match Env.block_cache t.env with
-    | Some bc -> f bc
-    | None -> 0
-  in
-  let module B = Evendb_cache.Block_cache in
-  Obs.probe t.obs "blockcache.hits" (fun () -> with_bc B.hits);
-  Obs.probe t.obs "blockcache.misses" (fun () -> with_bc B.misses);
-  Obs.probe t.obs "blockcache.fills" (fun () -> with_bc B.fills);
-  Obs.probe t.obs "blockcache.evictions" (fun () -> with_bc B.evictions);
-  Obs.probe t.obs "blockcache.bytes" (fun () -> with_bc B.resident_bytes)
-
-let register_level_probes t =
-  for i = 0 to t.cfg.max_levels - 1 do
-    Obs.probe t.obs
-      (Printf.sprintf "level%d.bytes" i)
-      (fun () -> level_total (Atomic.get t.state).levels.(i));
-    Obs.probe t.obs
-      (Printf.sprintf "level%d.files" i)
-      (fun () -> List.length (Atomic.get t.state).levels.(i))
-  done
-
-let open_ ?(config = Config.default) env =
-  (* Level/fragment reads flow through [Sstable.Reader], which consults
-     the env's shared block cache; installing here unifies the budget
-     with any other engine opened over the same env. *)
-  Env.install_block_cache env ~capacity_bytes:config.Config.block_cache_bytes;
-  let t = open_internal config env in
-  register_level_probes t;
-  register_block_cache_probes t;
-  t
-
-let compact_now t =
-  Mutex.lock t.writer;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.writer)
-    (fun () ->
-      flush_memtable t;
-      compact t)
-
-let flush_wal t = Log_file.Writer.fsync t.wal
-
-let close t =
-  if Atomic.compare_and_set t.closed false true then begin
-    Log_file.Writer.fsync t.wal;
-    Env.fsync_all t.env;
-    Log_file.Writer.close t.wal
-  end
-
-let level_file_counts t =
-  Array.to_list (Array.map List.length (Atomic.get t.state).levels)
-
-let level_bytes t = Array.to_list (Array.map level_total (Atomic.get t.state).levels)
+let open_ ?(config = Config.default) env = open_ ~compact config env

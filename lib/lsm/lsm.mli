@@ -3,11 +3,14 @@
 
     Classic design: a global write-ahead log, an in-memory memtable,
     and levels of immutable SSTables. L0 files are flushed memtables
-    (overlapping); L1+ files are non-overlapping and each level is
-    [level_size_multiplier] times larger than the previous. Background
-    work is performed inline on the write path (flushes when the
-    memtable fills, compactions when a level overflows), which
-    reproduces the paper's observed compaction stalls.
+    (overlapping); L1+ files are non-overlapping and each level is ten
+    times larger than the previous. Background work is performed
+    inline on the write path (flushes when the memtable fills,
+    compactions when a level overflows), which reproduces the paper's
+    observed compaction stalls.
+
+    The engine is {!Lsm_tree.Make} applied to the leveled layout; only
+    the level search and the compaction picker live here.
 
     Runs on the same instrumented {!Evendb_storage.Env} as EvenDB, so
     throughput and write-amplification comparisons are
@@ -20,21 +23,19 @@ open Evendb_storage
 module Config : sig
   type t = {
     memtable_bytes : int;  (** Flush trigger. *)
-    l0_compaction_trigger : int;  (** #L0 files that triggers L0→L1. *)
-    level_base_bytes : int;  (** L1 capacity; Li = base * mult^(i-1). *)
-    level_size_multiplier : int;
+    level_base_bytes : int;  (** L1 capacity; Li = base * 10^(i-1). *)
     target_file_bytes : int;  (** Output file size during compaction. *)
-    bloom_bits_per_key : int;
-    sstable_block_bytes : int;
     sync_writes : bool;  (** fsync the WAL on every put. *)
     wal_fsync_every : int;  (** Async mode: fsync WAL every N puts (0 = only at close). *)
-    max_levels : int;
     attr_enabled : bool;  (** Per-op tail-latency cause attribution. *)
     block_cache_bytes : int;
         (** Shared sstable block cache installed on the env at open
             (default 32MiB; 0 disables — no-op if the env already
             carries one). *)
   }
+  (** Fixed for every store: 7 levels, an L0→L1 compaction at 4 L0
+      files, a level size multiplier of 10, 10 bloom bits per key and
+      4 KiB sstable blocks. *)
 
   val default : t
 

@@ -104,50 +104,15 @@ module Follower = struct
   (* Watermark file: varint LSN + CRC32C LE trailer, tmp+fsync+rename.
      Persisted only after the record it covers is durably applied, so a
      crash can only lose watermark progress — never claim it. *)
-  let u32_le_string (crc : int32) =
-    String.init 4 (fun i ->
-        Char.chr (Int32.to_int (Int32.shift_right_logical crc (8 * i)) land 0xff))
-
-  let u32_le_of_string s pos =
-    let b i = Int32.of_int (Char.code s.[pos + i]) in
-    Int32.logor (b 0)
-      (Int32.logor
-         (Int32.shift_left (b 1) 8)
-         (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-
   let store_watermark env lsn =
     let buf = Buffer.create 16 in
     Evendb_util.Varint.write buf lsn;
-    let payload = Buffer.contents buf in
-    let tmp = watermark_file ^ ".tmp" in
-    let f = Env.create env tmp in
-    (try
-       Env.append f payload;
-       Env.append f (u32_le_string (Evendb_util.Crc32c.string payload));
-       Env.fsync f;
-       Env.close_file f;
-       Env.rename env ~old_name:tmp ~new_name:watermark_file
-     with exn ->
-       Env.close_file f;
-       (try Env.delete env tmp with _ -> ());
-       raise exn)
+    Meta_file.store env ~name:watermark_file (Buffer.contents buf)
 
   let load_watermark env =
-    if not (Env.exists env watermark_file) then 0
-    else begin
-      let data = Env.read_all env watermark_file in
-      let corrupt detail =
-        Env.note_corruption env;
-        Io_error.raise_corruption ~file:watermark_file ~detail
-      in
-      if String.length data < 5 then corrupt "truncated";
-      let payload = String.sub data 0 (String.length data - 4) in
-      if Evendb_util.Crc32c.string payload <> u32_le_of_string data (String.length data - 4)
-      then corrupt "bad checksum";
-      match Evendb_util.Varint.read payload 0 with
-      | lsn, _ -> lsn
-      | exception Invalid_argument _ -> corrupt "malformed payload"
-    end
+    Option.value ~default:0
+      (Meta_file.decode env ~name:watermark_file (fun payload ->
+           fst (Evendb_util.Varint.read payload 0)))
 
   let open_ ?(config = Config.default) env =
     (* The standby must ack nothing it could lose: force Sync. *)

@@ -47,16 +47,6 @@ let shard_prefix i = Printf.sprintf "s%02d." i
 
 (* --- SHARDS metadata: varint count + length-prefixed keys + CRC --- *)
 
-let u32_le_string (crc : int32) =
-  String.init 4 (fun i -> Char.chr (Int32.to_int (Int32.shift_right_logical crc (8 * i)) land 0xff))
-
-let u32_le_of_string s pos =
-  let b i = Int32.of_int (Char.code s.[pos + i]) in
-  Int32.logor (b 0)
-    (Int32.logor
-       (Int32.shift_left (b 1) 8)
-       (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-
 let store_boundaries env boundaries =
   let buf = Buffer.create 64 in
   Evendb_util.Varint.write buf (Array.length boundaries);
@@ -65,33 +55,10 @@ let store_boundaries env boundaries =
       Evendb_util.Varint.write buf (String.length k);
       Buffer.add_string buf k)
     boundaries;
-  let payload = Buffer.contents buf in
-  let tmp = shards_file ^ ".tmp" in
-  let file = Env.create env tmp in
-  try
-    Env.append file payload;
-    Env.append file (u32_le_string (Evendb_util.Crc32c.string payload));
-    Env.fsync file;
-    Env.close_file file;
-    Env.rename env ~old_name:tmp ~new_name:shards_file
-  with exn ->
-    Env.close_file file;
-    (try Env.delete env tmp with _ -> ());
-    raise exn
-
-let corrupt env detail =
-  Env.note_corruption env;
-  Evendb_storage.Io_error.raise_corruption ~file:shards_file ~detail
+  Meta_file.store env ~name:shards_file (Buffer.contents buf)
 
 let load_boundaries env =
-  if not (Env.exists env shards_file) then None
-  else begin
-    let data = Env.read_all env shards_file in
-    if String.length data < 4 then corrupt env "truncated";
-    let payload = String.sub data 0 (String.length data - 4) in
-    if Evendb_util.Crc32c.string payload <> u32_le_of_string data (String.length data - 4) then
-      corrupt env "bad checksum";
-    match
+  Meta_file.decode env ~name:shards_file (fun payload ->
       let n, pos = Evendb_util.Varint.read payload 0 in
       let keys = Array.make n "" in
       let pos = ref pos in
@@ -101,11 +68,7 @@ let load_boundaries env =
         keys.(i) <- String.sub payload p len;
         pos := p + len
       done;
-      keys
-    with
-    | keys -> Some keys
-    | exception Invalid_argument _ -> corrupt env "malformed payload"
-  end
+      keys)
 
 let check_boundaries boundaries =
   let n = Array.length boundaries + 1 in

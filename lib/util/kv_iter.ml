@@ -184,3 +184,14 @@ let map_list f it =
     match it () with
     | None -> None
     | Some e -> Some (f e)
+
+let upto ~high it =
+  let stopped = ref false in
+  fun () ->
+    if !stopped then None
+    else
+      match it () with
+      | Some e when String.compare e.key high <= 0 -> Some e
+      | _ ->
+        stopped := true;
+        None

@@ -1,6 +1,7 @@
 (* FLSM (PebblesDB-like) baseline tests: guard-partitioned levels,
    fragment appends without child rewrites, and correctness under the
-   same model checks as the other engines. *)
+   same model checks as the other engines, plus the LSM baseline's
+   shared cases run on this engine. *)
 
 open Evendb_storage
 open Evendb_flsm
@@ -14,6 +15,16 @@ let tiny_config =
     guard_bytes = 8 * 1024;
     max_fragments_per_guard = 3;
   }
+
+module Flsm_engine = struct
+  include Flsm
+
+  let open_ ?wal_fsync_every env =
+    let wal_fsync_every = Option.value wal_fsync_every ~default:tiny_config.wal_fsync_every in
+    Flsm.open_ ~config:{ tiny_config with wal_fsync_every } env
+
+  let level_file_counts = Flsm.fragment_counts
+end
 
 let with_db ?(config = tiny_config) f =
   let env = Env.memory () in
@@ -168,5 +179,6 @@ let suite =
         Alcotest.test_case "recovery" `Quick wal_recovery;
         Alcotest.test_case "write amp <= leveled LSM" `Quick lower_write_amp_than_lsm;
         qtest model_random;
-      ] );
+      ]
+      @ Test_lsm.shared_cases (module Flsm_engine) );
   ]

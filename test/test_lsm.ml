@@ -1,10 +1,29 @@
 (* LSM baseline tests: correctness of the leveled engine so that the
-   paper's comparisons measure performance, not bugs. *)
+   paper's comparisons measure performance, not bugs. The cases that
+   only use the scaffold's surface take the engine as an input;
+   test_flsm.ml runs them on the FLSM baseline too. *)
 
 open Evendb_storage
 open Evendb_lsm
 
 let qtest = QCheck_alcotest.to_alcotest
+
+module type ENGINE = sig
+  type t
+
+  val open_ : ?wal_fsync_every:int -> Env.t -> t
+  (** Opens with a tiny config, so a few thousand puts flush and
+      compact several times. *)
+
+  val close : t -> unit
+  val put : t -> string -> string -> unit
+  val get : t -> string -> string option
+  val delete : t -> string -> unit
+  val scan : t -> ?limit:int -> low:string -> high:string -> unit -> (string * string) list
+  val compact_now : t -> unit
+  val level_file_counts : t -> int list
+  val write_amplification : t -> float
+end
 
 let tiny_config =
   {
@@ -14,15 +33,23 @@ let tiny_config =
     target_file_bytes = 4 * 1024;
   }
 
-let with_db ?(config = tiny_config) f =
+module Lsm_engine = struct
+  include Lsm
+
+  let open_ ?wal_fsync_every env =
+    let wal_fsync_every = Option.value wal_fsync_every ~default:tiny_config.wal_fsync_every in
+    Lsm.open_ ~config:{ tiny_config with wal_fsync_every } env
+end
+
+let with_db (type db) (module E : ENGINE with type t = db) f =
   let env = Env.memory () in
-  let db = Lsm.open_ ~config env in
-  Fun.protect ~finally:(fun () -> Lsm.close db) (fun () -> f env db)
+  let db = E.open_ env in
+  Fun.protect ~finally:(fun () -> E.close db) (fun () -> f env db)
 
 let key i = Printf.sprintf "key%06d" i
 
 let put_get_delete () =
-  with_db (fun _ db ->
+  with_db (module Lsm_engine) (fun _ db ->
       Lsm.put db "k" "v";
       Alcotest.(check (option string)) "get" (Some "v") (Lsm.get db "k");
       Lsm.put db "k" "v2";
@@ -31,51 +58,50 @@ let put_get_delete () =
       Alcotest.(check (option string)) "delete" None (Lsm.get db "k");
       Alcotest.(check (option string)) "absent" None (Lsm.get db "nope"))
 
-let survives_flush_and_compaction () =
-  with_db (fun _ db ->
+let survives_flush_and_compaction (module E : ENGINE) () =
+  with_db (module E) (fun _ db ->
       let n = 3000 in
       for i = 0 to n - 1 do
-        Lsm.put db (key (i * 17 mod n)) (Printf.sprintf "v%d" i)
+        E.put db (key (i * 17 mod n)) (Printf.sprintf "v%d" i)
       done;
-      Lsm.compact_now db;
-      let counts = Lsm.level_file_counts db in
+      E.compact_now db;
+      let counts = E.level_file_counts db in
       Alcotest.(check bool) "deep levels populated" true (List.nth counts 1 + List.nth counts 2 > 0);
       for i = 0 to n - 1 do
-        if Lsm.get db (key i) = None then Alcotest.failf "lost %s" (key i)
+        if E.get db (key i) = None then Alcotest.failf "lost %s" (key i)
       done)
 
-let deletes_across_levels () =
-  with_db (fun _ db ->
+let deletes_across_levels (module E : ENGINE) () =
+  with_db (module E) (fun _ db ->
       for i = 0 to 499 do
-        Lsm.put db (key i) "v"
+        E.put db (key i) "v"
       done;
-      Lsm.compact_now db;
+      E.compact_now db;
       (* Tombstones land above the values, then compaction merges. *)
       for i = 0 to 99 do
-        Lsm.delete db (key i)
+        E.delete db (key i)
       done;
-      Lsm.compact_now db;
+      E.compact_now db;
       for i = 0 to 99 do
-        Alcotest.(check (option string)) "deleted stays deleted" None (Lsm.get db (key i))
+        Alcotest.(check (option string)) "deleted stays deleted" None (E.get db (key i))
       done;
-      Alcotest.(check (option string)) "survivor intact" (Some "v") (Lsm.get db (key 100));
-      Alcotest.(check int) "scan count" 400
-        (List.length (Lsm.scan db ~low:"" ~high:"zzzz" ())))
+      Alcotest.(check (option string)) "survivor intact" (Some "v") (E.get db (key 100));
+      Alcotest.(check int) "scan count" 400 (List.length (E.scan db ~low:"" ~high:"zzzz" ())))
 
-let scan_semantics () =
-  with_db (fun _ db ->
+let scan_semantics (module E : ENGINE) () =
+  with_db (module E) (fun _ db ->
       for i = 0 to 99 do
-        Lsm.put db (key i) (string_of_int i)
+        E.put db (key i) (string_of_int i)
       done;
-      Lsm.compact_now db;
+      E.compact_now db;
       for i = 100 to 149 do
-        Lsm.put db (key i) (string_of_int i)
+        E.put db (key i) (string_of_int i)
       done;
       (* Scan spanning SSTables and the memtable. *)
-      let r = Lsm.scan db ~low:(key 90) ~high:(key 110) () in
+      let r = E.scan db ~low:(key 90) ~high:(key 110) () in
       Alcotest.(check int) "range size" 21 (List.length r);
       Alcotest.(check bool) "sorted" true (List.sort compare r = r);
-      Alcotest.(check int) "limit" 5 (List.length (Lsm.scan db ~limit:5 ~low:"" ~high:"zzzz" ())))
+      Alcotest.(check int) "limit" 5 (List.length (E.scan db ~limit:5 ~low:"" ~high:"zzzz" ())))
 
 let wal_recovery () =
   let env = Env.memory () in
@@ -91,19 +117,19 @@ let wal_recovery () =
   done;
   Lsm.close db
 
-let crash_loses_unsynced_wal () =
+let crash_loses_unsynced_wal (module E : ENGINE) () =
   let env = Env.memory () in
-  let db = Lsm.open_ ~config:{ tiny_config with Lsm.Config.wal_fsync_every = 0 } env in
-  Lsm.put db "k" "v";
+  let db = E.open_ ~wal_fsync_every:0 env in
+  E.put db "k" "v";
   Env.crash env;
-  let db = Lsm.open_ ~config:tiny_config env in
-  Alcotest.(check (option string)) "unsynced put lost" None (Lsm.get db "k");
-  Lsm.close db
+  let db = E.open_ env in
+  Alcotest.(check (option string)) "unsynced put lost" None (E.get db "k");
+  E.close db
 
-let concurrent_readers_writer () =
-  with_db (fun _ db ->
+let concurrent_readers_writer (module E : ENGINE) () =
+  with_db (module E) (fun _ db ->
       for i = 0 to 99 do
-        Lsm.put db (key i) "init"
+        E.put db (key i) "init"
       done;
       let stop = Atomic.make false in
       let misses = Atomic.make 0 in
@@ -112,29 +138,29 @@ let concurrent_readers_writer () =
             Domain.spawn (fun () ->
                 while not (Atomic.get stop) do
                   for i = 0 to 99 do
-                    if Lsm.get db (key i) = None then Atomic.incr misses
+                    if E.get db (key i) = None then Atomic.incr misses
                   done
                 done))
       in
       for round = 0 to 10 do
         for i = 0 to 99 do
-          Lsm.put db (key i) (Printf.sprintf "r%d" round)
+          E.put db (key i) (Printf.sprintf "r%d" round)
         done
       done;
       Atomic.set stop true;
       List.iter Domain.join readers;
       Alcotest.(check int) "no reads lost during compactions" 0 (Atomic.get misses))
 
-let scan_snapshot_invariant () =
-  with_db (fun _ db ->
-      Lsm.put db "aaa" "0";
-      Lsm.put db "bbb" "0";
+let scan_snapshot_invariant (module E : ENGINE) () =
+  with_db (module E) (fun _ db ->
+      E.put db "aaa" "0";
+      E.put db "bbb" "0";
       let stop = Atomic.make false in
       let violations = Atomic.make 0 in
       let scanner =
         Domain.spawn (fun () ->
             while not (Atomic.get stop) do
-              let r = Lsm.scan db ~low:"aaa" ~high:"bbb" () in
+              let r = E.scan db ~low:"aaa" ~high:"bbb" () in
               match (List.assoc_opt "aaa" r, List.assoc_opt "bbb" r) with
               | Some a, Some b ->
                 if int_of_string b > int_of_string a then Atomic.incr violations
@@ -142,8 +168,8 @@ let scan_snapshot_invariant () =
             done)
       in
       for i = 1 to 2000 do
-        Lsm.put db "aaa" (string_of_int i);
-        Lsm.put db "bbb" (string_of_int i)
+        E.put db "aaa" (string_of_int i);
+        E.put db "bbb" (string_of_int i)
       done;
       Atomic.set stop true;
       Domain.join scanner;
@@ -170,26 +196,28 @@ let model_random =
       Lsm.close db;
       ok)
 
-let write_amp_reported () =
-  with_db (fun _ db ->
+let write_amp_reported (module E : ENGINE) () =
+  with_db (module E) (fun _ db ->
       for i = 0 to 999 do
-        Lsm.put db (key i) (String.make 100 'v')
+        E.put db (key i) (String.make 100 'v')
       done;
-      Alcotest.(check bool) "wa > 1 (wal + flush)" true (Lsm.write_amplification db > 1.0))
+      Alcotest.(check bool) "wa > 1 (wal + flush)" true (E.write_amplification db > 1.0))
+
+(* The cases every baseline built on the scaffold must pass. *)
+let shared_cases engine =
+  [
+    Alcotest.test_case "flush and compaction" `Quick (survives_flush_and_compaction engine);
+    Alcotest.test_case "deletes across levels" `Quick (deletes_across_levels engine);
+    Alcotest.test_case "scan semantics" `Quick (scan_semantics engine);
+    Alcotest.test_case "unsynced WAL lost on crash" `Quick (crash_loses_unsynced_wal engine);
+    Alcotest.test_case "readers during compactions" `Quick (concurrent_readers_writer engine);
+    Alcotest.test_case "scan snapshot invariant" `Quick (scan_snapshot_invariant engine);
+    Alcotest.test_case "write amplification reported" `Quick (write_amp_reported engine);
+  ]
 
 let suite =
   [
     ( "lsm",
-      [
-        Alcotest.test_case "put/get/delete" `Quick put_get_delete;
-        Alcotest.test_case "flush and compaction" `Quick survives_flush_and_compaction;
-        Alcotest.test_case "deletes across levels" `Quick deletes_across_levels;
-        Alcotest.test_case "scan semantics" `Quick scan_semantics;
-        Alcotest.test_case "WAL recovery" `Quick wal_recovery;
-        Alcotest.test_case "unsynced WAL lost on crash" `Quick crash_loses_unsynced_wal;
-        Alcotest.test_case "readers during compactions" `Quick concurrent_readers_writer;
-        Alcotest.test_case "scan snapshot invariant" `Quick scan_snapshot_invariant;
-        Alcotest.test_case "write amplification reported" `Quick write_amp_reported;
-        qtest model_random;
-      ] );
+      (Alcotest.test_case "put/get/delete" `Quick put_get_delete :: shared_cases (module Lsm_engine))
+      @ [ Alcotest.test_case "WAL recovery" `Quick wal_recovery; qtest model_random ] );
   ]

@@ -24,6 +24,7 @@ let () =
          Test_shard.suite;
          Test_lsm.suite;
          Test_flsm.suite;
+         Test_baseline_format.suite;
          Test_faults.suite;
          Test_scrub.suite;
          Test_snapshot.suite;

@@ -197,6 +197,25 @@ let recovery_table_roundtrip () =
   Alcotest.(check bool) "unknown epoch invisible" false
     (Recovery_table.is_visible rt' ~current_epoch:5 (Evendb_core.Version.pack ~epoch:3 ~seq:1))
 
+(* A store that fails midway (here: every append faults) must leave the
+   previous table loadable and no tmp file behind. *)
+let recovery_table_failed_store () =
+  let plan = Fault.plan ~seed:3 ~rate:1.0 ~torn_fraction:0.0 () in
+  Fault.set_armed plan false;
+  let env = Env.memory ~faults:plan () in
+  let rt = Recovery_table.(add empty ~epoch:0 ~last_seq:41) in
+  Recovery_table.store env rt;
+  Fault.set_armed plan true;
+  (match Recovery_table.store env (Recovery_table.add rt ~epoch:1 ~last_seq:7) with
+  | () -> Alcotest.fail "expected the faulted store to raise"
+  | exception Env.Io_error _ -> ());
+  Fault.set_armed plan false;
+  let rt' = Recovery_table.load env in
+  Alcotest.(check (option int)) "previous row" (Some 41) (Recovery_table.last_seq rt' ~epoch:0);
+  Alcotest.(check (option int)) "failed row absent" None (Recovery_table.last_seq rt' ~epoch:1);
+  Alcotest.(check bool) "no tmp left" false
+    (Env.exists env (Recovery_table.file_name ^ ".tmp"))
+
 let version_packing () =
   let v = Version.pack ~epoch:7 ~seq:123456 in
   Alcotest.(check int) "epoch" 7 (Version.epoch v);
@@ -244,6 +263,8 @@ let suite =
     ( "recovery_metadata",
       [
         Alcotest.test_case "recovery table (Table 1)" `Quick recovery_table_roundtrip;
+        Alcotest.test_case "recovery table store fails cleanly" `Quick
+          recovery_table_failed_store;
         Alcotest.test_case "version packing" `Quick version_packing;
         Alcotest.test_case "checkpoint file" `Quick checkpoint_file_roundtrip;
       ] );
