@@ -11,12 +11,14 @@
 
 open Evendb_ycsb
 module Db = Evendb_core.Db
+module Live = Evendb_telemetry.Live
 
 let segments = 5
 
 (* The harness's stock engines never start a sampler (telemetry is
-   opt-in at the Db layer), so the on-arm wraps a directly-opened Db. *)
-let mk_engine ~name db env =
+   opt-in), so the on-arm wraps a directly-opened Db and stops its
+   telemetry before closing it. *)
+let mk_engine ~name ?live db env =
   {
     Engine.name;
     put = Db.put db;
@@ -24,7 +26,10 @@ let mk_engine ~name db env =
     delete = Db.delete db;
     scan = (fun ~low ~high ~limit -> Db.scan db ~limit ~low ~high ());
     maintain = (fun () -> Db.maintain db);
-    close = (fun () -> Db.close db);
+    close =
+      (fun () ->
+        Option.iter Live.stop live;
+        Db.close db);
     env;
     logical_bytes = (fun () -> Db.logical_bytes_written db);
     metrics = (fun () -> Db.metrics_dump db `Json);
@@ -39,16 +44,19 @@ let run (h : Harness.t) =
   let ops = max 1_000 h.Harness.ops in
   let mk telem_on =
     let h = { h with Harness.on_disk = false } in
-    let config =
-      {
-        (Harness.evendb_config h) with
-        Evendb_core.Config.telemetry_interval_ns = 10_000_000 (* 100 Hz *);
-      }
-    in
     let env = Evendb_storage.Env.memory () in
-    let db = Db.open_ ~config env in
-    let port = if telem_on then Some (Db.serve_telemetry ~port:0 db) else None in
-    let e = mk_engine ~name:(if telem_on then "EvenDB+telemetry" else "EvenDB") db env in
+    let db = Db.open_ ~config:(Harness.evendb_config h) env in
+    let live =
+      if telem_on then
+        Some
+          (Live.start ~interval_ns:10_000_000 (* 100 Hz *) ~env ~obs:(Db.obs db)
+             ~attr:(Db.attr db)
+             ~extra:(fun () -> Db.sampler_gauges db)
+             ())
+      else None
+    in
+    let port = Option.map (fun l -> Live.serve ~port:0 l) live in
+    let e = mk_engine ~name:(if telem_on then "EvenDB+telemetry" else "EvenDB") ?live db env in
     let shared =
       Workload.create_shared ~value_bytes:h.Harness.value_bytes (Workload.Zipf_composite 0.99)
         ~items ~seed:4242
@@ -57,10 +65,10 @@ let run (h : Harness.t) =
     (* One discarded segment warms caches and branch predictors:
        cold-start noise otherwise dwarfs the ~1-2% signal. *)
     ignore (Runner.run e shared Runner.workload_a ~ops ~threads:1);
-    (db, e, shared, port)
+    (e, shared, port)
   in
-  let db_on, e_on, sh_on, port_on = mk true in
-  let _db_off, e_off, sh_off, _ = mk false in
+  let e_on, sh_on, port_on = mk true in
+  let e_off, sh_off, _ = mk false in
   Fun.protect
     ~finally:(fun () ->
       e_on.Engine.close ();
@@ -100,7 +108,6 @@ let run (h : Harness.t) =
         | _ -> ()
         | exception _ -> ())
       | None -> ());
-      Db.stop_telemetry db_on;
       let overhead_pct =
         if !best_off > 0.0 then (!best_off -. !best_on) /. !best_off *. 100.0 else 0.0
       in

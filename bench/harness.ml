@@ -122,8 +122,8 @@ let art_slow : string list ref = ref [] (* JSONL fragments, newest first *)
 
 let art_series : (string * string * string) list ref = ref []
 (* (engine, phase, series-JSON array) — windowed telemetry samples an
-   experiment captured from a live sampler (Db.serve_telemetry's
-   /series endpoint or Sampler.to_json), newest first. *)
+   experiment captured from a live sampler (Live.serve's /series
+   endpoint or Sampler.to_json), newest first. *)
 
 let artifacts_on () = !artifact_dir <> None
 

@@ -279,7 +279,7 @@ let stat_cmd =
       & info [ "reset-check" ]
           ~doc:
             "After reporting, reset every resettable metric (registry counters/timers/spans, \
-             per-chunk stats, hot-prefix sketch, flight recorder) and verify they all read \
+             per-chunk stats, hot-prefix sketch) and verify they all read \
              zero; lists any residue and exits 4 — a regression guard for reset coverage of \
              newly added tables.")
   in
@@ -356,27 +356,12 @@ let stat_cmd =
      from the op timers, so they cover exactly what the latency table
      below reports. *)
   let ops_rates ~uptime_ns snaps =
-    let up_s = float_of_int uptime_ns /. 1e9 in
-    Printf.printf "uptime:              %.1fs\n" up_s;
-    let count name =
-      List.fold_left
-        (fun acc snap ->
-          List.fold_left
-            (fun acc (n, v) ->
-              match v with
-              | Evendb_obs.Obs.Timer tm when n = name -> acc + tm.Evendb_obs.Obs.t_count
-              | _ -> acc)
-            acc snap.Evendb_obs.Obs.metrics)
-        0 snaps
-    in
+    Printf.printf "uptime:              %.1fs\n" (float_of_int uptime_ns /. 1e9);
     let parts =
       List.filter_map
-        (fun (label, name) ->
-          let c = count name in
-          if c > 0 then
-            Some (Printf.sprintf "%s %d (%.1f/s)" label c (float_of_int c /. Float.max up_s 1e-9))
-          else None)
-        [ ("put", "db.put"); ("get", "db.get"); ("del", "db.delete"); ("scan", "db.scan") ]
+        (fun (op, c, per_s) ->
+          if c > 0 then Some (Printf.sprintf "%s %d (%.1f/s)" op c per_s) else None)
+        (Tel.Live.op_rates ~uptime_ns snaps)
     in
     if parts <> [] then Printf.printf "ops:                 %s\n" (String.concat "  " parts)
   in
@@ -543,7 +528,7 @@ let heat_cmd =
         for _ = 1 to ops do
           ignore (Db.get db (W.sample_key w))
         done;
-        let prefix_len = (Db.config db).Evendb_core.Config.hot_prefix_len in
+        let prefix_len = Db.hot_prefix_len in
         let expected = W.prefix_weights sh ~prefix_len in
         let distinct = List.length expected in
         let n1 = max 1 (distinct / 100) in
@@ -996,6 +981,16 @@ let promote_cmd =
           watermark, and checkpoint. The store then accepts direct writes.")
     Term.(const run $ dir_arg $ from_arg)
 
+(* Telemetry for a CLI-opened store: 1 Hz sampling, stopped before the
+   store closes. *)
+let with_live db f =
+  let live =
+    Tel.Live.start ~interval_ns:1_000_000_000 ~env:(Db.env db) ~obs:(Db.obs db) ~attr:(Db.attr db)
+      ~extra:(fun () -> Db.sampler_gauges db)
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Tel.Live.stop live) (fun () -> f live)
+
 let serve_telemetry_cmd =
   let port_arg =
     Arg.(
@@ -1021,8 +1016,9 @@ let serve_telemetry_cmd =
              while serving, so the endpoint and evendb top have live traffic to show.")
   in
   let run fault_profile dir port host duration_s drive =
-    with_db ?fault_profile dir (fun db ->
-        let port = Db.serve_telemetry ~host ~port db in
+    with_db ?fault_profile dir @@ fun db ->
+    with_live db (fun live ->
+        let port = Tel.Live.serve ~host ~port live in
         Printf.printf "serving telemetry on http://%s:%d/\n" host port;
         print_string "endpoints: /metrics /stat.json /series?last=N /trace /slow\n";
         flush stdout;
@@ -1108,11 +1104,11 @@ let top_cmd =
         prerr_endline "evendb top: a store DIR or --url URL is required";
         exit 2
       | Some dir ->
-        with_db ?fault_profile dir (fun db ->
-            let sampler = Db.start_sampler db in
+        with_db ?fault_profile dir @@ fun db ->
+        with_live db (fun live ->
             for _ = 1 to frames do
               Unix.sleepf interval_s;
-              render (Tel.Sampler.samples ~last:8 sampler)
+              render (Tel.Sampler.samples ~last:8 (Tel.Live.sampler live))
             done))
   in
   let dir_opt = Arg.(value & pos 0 (some string) None & info [] ~docv:"DIR") in

@@ -389,12 +389,7 @@ let regen_view env name ~id =
     "quarantined; SSTable unreadable — the view rebuilds at the next eviction"
 
 let rewrite_mode env =
-  let tmp = "MODE.tmp" in
-  let f = Env.create env tmp in
-  Env.append f "async";
-  Env.fsync f;
-  Env.close_file f;
-  Env.rename env ~old_name:tmp ~new_name:"MODE";
+  Meta_file.publish env ~name:"MODE" "async";
   "reset to \"async\" (conservative: only checkpointed data is trusted)"
 
 (* Rebuild the manifest from the funk files actually present (run after

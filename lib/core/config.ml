@@ -9,22 +9,14 @@ type t = {
   bloom_split_factor : int;
   bloom_bits_per_key : int;
   munk_cache_capacity : int;
-  row_cache_tables : int;
   row_cache_capacity_per_table : int;
-  po_slots : int;
   persistence : persistence;
   checkpoint_every_puts : int;
   sstable_block_bytes : int;
   collect_read_stats : bool;
   background_maintenance : bool;
-  hot_prefix_len : int;
   topk_capacity : int;
-  heat_half_life_ns : int;
   attr_enabled : bool;
-  attr_slow_threshold_ns : int;
-  attr_slow_ring : int;
-  attr_watchdog_share_ppm : int;
-  attr_watchdog_cooldown_ops : int;
   group_commit_max_batch : int;
   group_commit_max_wait_ns : int;
   block_cache_bytes : int;
@@ -32,10 +24,6 @@ type t = {
   snapshot_max_retained : int;
   repl_window : int;
   repl_retry_backoff_ns : int;
-  telemetry_interval_ns : int;
-  telemetry_ring : int;
-  telemetry_journal_segment_bytes : int;
-  telemetry_journal_segments : int;
 }
 
 let mib = 1024 * 1024
@@ -50,22 +38,14 @@ let default =
     bloom_split_factor = 16;
     bloom_bits_per_key = 10;
     munk_cache_capacity = 64;
-    row_cache_tables = 3;
     row_cache_capacity_per_table = 4096;
-    po_slots = 128;
     persistence = Async;
     checkpoint_every_puts = 32768;
     sstable_block_bytes = 4096;
     collect_read_stats = false;
     background_maintenance = false;
-    hot_prefix_len = 8;
     topk_capacity = 512;
-    heat_half_life_ns = 10_000_000_000;
     attr_enabled = true;
-    attr_slow_threshold_ns = 1_000_000;
-    attr_slow_ring = 256;
-    attr_watchdog_share_ppm = 500_000;
-    attr_watchdog_cooldown_ops = 4096;
     group_commit_max_batch = 64;
     group_commit_max_wait_ns = 400_000;
     block_cache_bytes = 32 * mib;
@@ -73,33 +53,21 @@ let default =
     snapshot_max_retained = 0;
     repl_window = 64;
     repl_retry_backoff_ns = 1_000_000;
-    telemetry_interval_ns = 1_000_000_000;
-    telemetry_ring = 512;
-    telemetry_journal_segment_bytes = 256 * 1024;
-    telemetry_journal_segments = 4;
   }
 
-(* Reject knob combinations that would silently misbehave — a ring of
-   capacity 0 drops every slow op, a watchdog share above 100% never
-   trips, a batch of 0 would deadlock the committer. Raised before any
-   file is touched, so a bad config can't half-open a store. *)
+(* Reject knob combinations that would silently misbehave — a munk
+   cache of 0 holds nothing, a batch of 0 would deadlock the committer.
+   Raised before any file is touched, so a bad config can't half-open a
+   store. *)
 let validate t =
   let fail fmt = Printf.ksprintf invalid_arg ("Config.validate: " ^^ fmt) in
   if t.max_chunk_bytes <= 0 then fail "max_chunk_bytes = %d (must be positive)" t.max_chunk_bytes;
-  if t.po_slots < 1 then fail "po_slots = %d (must be >= 1)" t.po_slots;
   if t.munk_cache_capacity < 1 then
     fail "munk_cache_capacity = %d (must be >= 1)" t.munk_cache_capacity;
   if t.group_commit_max_batch < 1 then
     fail "group_commit_max_batch = %d (must be >= 1; 1 = per-op fsync)" t.group_commit_max_batch;
   if t.group_commit_max_wait_ns < 1 then
     fail "group_commit_max_wait_ns = %d (must be >= 1ns)" t.group_commit_max_wait_ns;
-  if t.attr_slow_ring < 1 then fail "attr_slow_ring = %d (must be >= 1)" t.attr_slow_ring;
-  if t.attr_slow_threshold_ns < 0 then
-    fail "attr_slow_threshold_ns = %d (must be >= 0)" t.attr_slow_threshold_ns;
-  if t.attr_watchdog_share_ppm < 0 || t.attr_watchdog_share_ppm > 1_000_000 then
-    fail "attr_watchdog_share_ppm = %d (must be in [0, 1_000_000])" t.attr_watchdog_share_ppm;
-  if t.attr_watchdog_cooldown_ops < 0 then
-    fail "attr_watchdog_cooldown_ops = %d (must be >= 0)" t.attr_watchdog_cooldown_ops;
   if t.checkpoint_every_puts < 0 then
     fail "checkpoint_every_puts = %d (must be >= 0; 0 = explicit only)" t.checkpoint_every_puts;
   if t.block_cache_bytes < 0 then
@@ -109,15 +77,7 @@ let validate t =
   if t.repl_window < 1 then
     fail "repl_window = %d (must be >= 1; 1 = one record in flight)" t.repl_window;
   if t.repl_retry_backoff_ns < 0 then
-    fail "repl_retry_backoff_ns = %d (must be >= 0; 0 = immediate retry)" t.repl_retry_backoff_ns;
-  if t.telemetry_interval_ns < 1 then
-    fail "telemetry_interval_ns = %d (must be >= 1ns)" t.telemetry_interval_ns;
-  if t.telemetry_ring < 1 then fail "telemetry_ring = %d (must be >= 1)" t.telemetry_ring;
-  if t.telemetry_journal_segment_bytes < 64 then
-    fail "telemetry_journal_segment_bytes = %d (must be >= 64)" t.telemetry_journal_segment_bytes;
-  if t.telemetry_journal_segments < 0 then
-    fail "telemetry_journal_segments = %d (must be >= 0; 0 = in-memory ring only)"
-      t.telemetry_journal_segments
+    fail "repl_retry_backoff_ns = %d (must be >= 0; 0 = immediate retry)" t.repl_retry_backoff_ns
 
 let scaled ?(factor = 64) () =
   if factor <= 0 then invalid_arg "Config.scaled: factor <= 0";

@@ -25,9 +25,7 @@ type t = {
   bloom_split_factor : int;  (** Log bloom partitions (paper: 16). *)
   bloom_bits_per_key : int;
   munk_cache_capacity : int;  (** Max resident munks (LFU w/ decay). *)
-  row_cache_tables : int;  (** Paper: 3 hash tables. *)
   row_cache_capacity_per_table : int;
-  po_slots : int;
   persistence : persistence;
   checkpoint_every_puts : int;
       (** Take a checkpoint after this many puts (0 = only explicit
@@ -40,30 +38,13 @@ type t = {
       (** Run rebalances/splits on a dedicated maintenance domain (the
           paper's background threads) instead of inline on the put
           path. Default [false]: deterministic, good for tests. *)
-  hot_prefix_len : int;
-      (** Key-prefix length fed to the hot-prefix sketch on every
-          get/put (default 8 — ["user" + 4 digits] under the YCSB key
-          scheme, i.e. 10^6-key blocks). *)
   topk_capacity : int;
       (** Monitored-key capacity of the hot-prefix Space-Saving sketch
           (default 512); the sketch's error bound is [N/capacity] after
           [N] observations. *)
-  heat_half_life_ns : int;
-      (** Half-life of the per-chunk heat score's exponential decay
-          (default 10s): heat halves after this much idle time. *)
   attr_enabled : bool;
       (** Per-op tail-latency cause attribution ({!Evendb_obs.Attr}).
           Default [true]; the overhead is a few clock reads per op. *)
-  attr_slow_threshold_ns : int;
-      (** Ops at least this slow are captured in the slow-op ring with
-          their full cause breakdown (default 1ms). *)
-  attr_slow_ring : int;  (** Slow-op ring capacity (default 256). *)
-  attr_watchdog_share_ppm : int;
-      (** Stall-watchdog trip point: a single cause exceeding this
-          share (ppm) of recent op time fires a flight-recorder event
-          (default 500_000 = 50%). 0 disables the watchdog. *)
-  attr_watchdog_cooldown_ops : int;
-      (** Minimum ops between two trips on the same cause. *)
   group_commit_max_batch : int;
       (** Max sync puts coalesced into one fsync by the group committer
           (default 64). [1] degenerates to one fsync per put — exactly
@@ -98,31 +79,14 @@ type t = {
   repl_retry_backoff_ns : int;
       (** Pause before retrying a failed change-stream send
           (default 1ms; 0 = immediate retry). *)
-  telemetry_interval_ns : int;
-      (** Tick period of the continuous-telemetry sampler started by
-          {!Db.serve_telemetry}/{!Db.start_sampler} (default 1s). Each
-          tick cuts one windowed sample: counter deltas, gauge values
-          and per-timer windowed p50/p95/p99 from histogram-bucket
-          deltas. *)
-  telemetry_ring : int;
-      (** In-memory sample ring capacity (default 512 — ~8.5 minutes of
-          history at the default interval), served by [/series]. *)
-  telemetry_journal_segment_bytes : int;
-      (** Rotation threshold of one on-disk metrics-journal segment
-          under [telemetry/] (default 256KiB). *)
-  telemetry_journal_segments : int;
-      (** Segments retained on disk; the oldest is deleted when a
-          rotation would exceed this (default 4). 0 disables the
-          journal entirely (the in-memory ring still runs). *)
 }
 
 val default : t
 
 val validate : t -> unit
 (** Reject nonsensical knob values with [Invalid_argument] — e.g. a
-    group-commit batch or formation wait below 1, an
-    [attr_slow_ring] of 0, or a watchdog share above 1e6 ppm. Called by
-    {!Db.open_} before touching storage. *)
+    group-commit batch or formation wait below 1, or an empty munk
+    cache. Called by {!Db.open_} before touching storage. *)
 
 val scaled : ?factor:int -> unit -> t
 (** [scaled ~factor ()] divides all size thresholds by [factor]

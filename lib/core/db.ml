@@ -20,17 +20,16 @@ type maintainer = {
   mutable m_domain : unit Domain.t option;
 }
 
-module Tel = Evendb_telemetry
-
-(* Continuous telemetry attached to a live instance: the windowed
-   sampler, its optional on-disk journal, and the HTTP endpoint. All
-   opt-in ([start_sampler]/[serve_telemetry]) — tests open hundreds of
-   stores and must not pay a domain each. *)
-type telemetry = {
-  tel_sampler : Tel.Sampler.t;
-  tel_journal : Tel.Journal.t option;
-  mutable tel_http : Tel.Http.t option;
-}
+(* Fixed sizing of the auxiliary structures; no workload has needed
+   to tune them. *)
+let po_slots = 128 (* pending-op slots: far above any writer-domain count *)
+let row_cache_tables = 3 (* the paper's three row-cache hash tables *)
+let hot_prefix_len = 8 (* "user" + 4 digits under the YCSB keys: 10^6-key blocks *)
+let heat_half_life_ns = 10_000_000_000 (* chunk heat halves after 10 s idle *)
+let attr_slow_threshold_ns = 1_000_000 (* 1 ms: well above a cached op *)
+let attr_slow_ring = 256 (* slow ops kept with their full breakdown *)
+let attr_watchdog_share_ppm = 500_000 (* a cause owning half of recent op time is a stall *)
+let attr_watchdog_cooldown_ops = 4096 (* one trip per cause per 4096 ops *)
 
 type t = {
   env : Env.t;
@@ -52,7 +51,6 @@ type t = {
   rstats : Read_stats.t;
   cstats : Chunk_stats.t;
   topk : Topk.t; (* hot key prefixes, fed from gets and puts *)
-  recorder : Obs.Recorder.t;
   logical_written : int Atomic.t;
   put_count : int Atomic.t;
   closed : bool Atomic.t;
@@ -79,8 +77,6 @@ type t = {
   ctr_view_scans : Obs.Counter.t;
   ctr_view_fallbacks : Obs.Counter.t;
   opened_at_ns : int;
-  tel_mutex : Mutex.t; (* guards [telemetry]; leaf lock *)
-  mutable telemetry : telemetry option;
 }
 
 exception Fenced
@@ -365,9 +361,8 @@ let now_ns = Obs.now_ns
 let entry_to_value (e : K.entry) = e.value
 
 (* Hot-prefix sketch key: the leading [hot_prefix_len] bytes. *)
-let prefix_of db key =
-  let n = db.cfg.hot_prefix_len in
-  if String.length key <= n then key else String.sub key 0 n
+let prefix_of key =
+  if String.length key <= hot_prefix_len then key else String.sub key 0 hot_prefix_len
 
 let rec get_resolved db key =
   let detailed = db.cfg.collect_read_stats in
@@ -451,7 +446,7 @@ let rec get_resolved db key =
       with Funk.Stale -> get_resolved db key))
 
 let get db key =
-  Topk.observe db.topk (prefix_of db key);
+  Topk.observe db.topk (prefix_of key);
   Attr.with_op db.attr Attr.Get db.tm_get (fun () -> get_resolved db key)
 
 (* ------------------------------------------------------------------ *)
@@ -922,7 +917,7 @@ let rec put_entry db key value_opt =
   end
 
 and put_entry_and_maintain db key value_opt =
-  Topk.observe db.topk (prefix_of db key);
+  Topk.observe db.topk (prefix_of key);
   let c =
     (* Tracked so a batch leader's fill-aware formation wait can tell
        whether this writer is mid-append and worth waiting for. *)
@@ -952,10 +947,6 @@ and put_entry_and_maintain db key value_opt =
       Mutex.unlock m.m_mutex
     end);
   let n = Atomic.fetch_and_add db.put_count 1 + 1 in
-  (* Flight-recorder cadence: one frame every 4096 puts — cheap enough
-     to stay always-on, frequent enough that the 64-frame ring covers
-     the last ~256k puts. *)
-  if n land 4095 = 0 then ignore (Obs.Recorder.tick db.recorder);
   if
     db.cfg.persistence = Config.Async
     && db.cfg.checkpoint_every_puts > 0
@@ -1139,12 +1130,8 @@ let scan db ?limit ~low ~high () =
 let mode_file = "MODE"
 
 let store_mode env (mode : Config.persistence) =
-  let tmp = mode_file ^ ".tmp" in
-  let f = Env.create env tmp in
-  Env.append f (match mode with Config.Sync -> "sync" | Config.Async -> "async");
-  Env.fsync f;
-  Env.close_file f;
-  Env.rename env ~old_name:tmp ~new_name:mode_file
+  Meta_file.publish env ~name:mode_file
+    (match mode with Config.Sync -> "sync" | Config.Async -> "async")
 
 let load_mode env : Config.persistence =
   if not (Env.exists env mode_file) then Config.Async
@@ -1154,14 +1141,6 @@ let load_mode env : Config.persistence =
 (* Failover fencing: the marker survives restarts, so a deposed primary
    stays read-only until an operator removes it. *)
 let fence_marker = "FENCED"
-
-let write_fence_marker env =
-  let tmp = fence_marker ^ ".tmp" in
-  let f = Env.create env tmp in
-  Env.append f "fenced";
-  Env.fsync f;
-  Env.close_file f;
-  Env.rename env ~old_name:tmp ~new_name:fence_marker
 
 let parse_funk_file name =
   (* funk_NNNNNNNN.sst / .log / .view *)
@@ -1246,9 +1225,9 @@ let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoin
     head = Atomic.make head;
     index = Atomic.make (Chunk_index.build chunks);
     gv = Atomic.make gv;
-    po = Pending_ops.create ~slots:cfg.Config.po_slots ();
+    po = Pending_ops.create ~slots:po_slots ();
     row_cache =
-      Row_cache.create ~tables:cfg.Config.row_cache_tables
+      Row_cache.create ~tables:row_cache_tables
         ~capacity_per_table:cfg.Config.row_cache_capacity_per_table ();
     lfu;
     rt;
@@ -1260,9 +1239,8 @@ let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoin
     structural = Mutex.create ();
     checkpoint_mutex = Mutex.create ();
     rstats = Read_stats.create ~detailed:cfg.Config.collect_read_stats;
-    cstats = Chunk_stats.create ~half_life_ns:cfg.Config.heat_half_life_ns ();
+    cstats = Chunk_stats.create ~half_life_ns:heat_half_life_ns ();
     topk = Topk.create ~capacity:cfg.Config.topk_capacity ();
-    recorder = Obs.recorder obs;
     logical_written = Atomic.make 0;
     put_count = Atomic.make 0;
     closed = Atomic.make false;
@@ -1294,10 +1272,9 @@ let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoin
        else None);
     obs;
     attr =
-      Attr.create ~enabled:cfg.Config.attr_enabled
-        ~threshold_ns:cfg.Config.attr_slow_threshold_ns ~ring:cfg.Config.attr_slow_ring
-        ~watchdog_share_ppm:cfg.Config.attr_watchdog_share_ppm
-        ~watchdog_cooldown_ops:cfg.Config.attr_watchdog_cooldown_ops obs;
+      Attr.create ~enabled:cfg.Config.attr_enabled ~threshold_ns:attr_slow_threshold_ns
+        ~ring:attr_slow_ring ~watchdog_share_ppm:attr_watchdog_share_ppm
+        ~watchdog_cooldown_ops:attr_watchdog_cooldown_ops obs;
     tm_put = Obs.timer obs "db.put";
     tm_get = Obs.timer obs "db.get";
     tm_delete = Obs.timer obs "db.delete";
@@ -1311,8 +1288,6 @@ let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoin
     ctr_view_scans = Obs.counter obs "sorted_view.scans";
     ctr_view_fallbacks = Obs.counter obs "sorted_view.stale_fallbacks";
     opened_at_ns = Obs.now_ns ();
-    tel_mutex = Mutex.create ();
-    telemetry = None;
   }
   in
   (* Eager-register the snapshot/backup counter families so a full
@@ -1322,9 +1297,6 @@ let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoin
     (fun n -> ignore (Obs.counter obs n))
     [ "snapshot.created"; "snapshot.dropped"; "backup.funks_shipped"; "backup.bytes" ];
   register_probes db;
-  (* A watchdog trip cuts a flight-recorder frame, so the stall's
-     counter deltas are pinned in the ring even if nobody is polling. *)
-  Attr.set_trip_hook db.attr (fun _cause -> ignore (Obs.Recorder.tick db.recorder));
   db
 
 let maintainer_loop db m =
@@ -1517,7 +1489,7 @@ let all_chunks db = Chunk_index.chunks (Atomic.get db.index)
 (* Fencing and snapshots                                               *)
 
 let fence db =
-  write_fence_marker db.env;
+  Meta_file.publish db.env ~name:fence_marker "fenced";
   Atomic.set db.fenced true
 
 let fenced db = Atomic.get db.fenced
@@ -1650,10 +1622,7 @@ let snapshot db ~id =
           (* MODE is pinned to async regardless of the source's mode: a
              store restored from these files must clip visibility at the
              snapshot checkpoint, never trust whole logs. *)
-          let mf = Env.create db.env (Snapshot.member ~id mode_file) in
-          Env.append mf "async";
-          Env.fsync mf;
-          Env.close_file mf;
+          Meta_file.publish db.env ~name:(Snapshot.member ~id mode_file) "async";
           let info = { Snapshot.id; version = v; next_id; funks = members } in
           Snapshot.store_complete db.env info;
           Obs.Counter.incr (Obs.counter db.obs "snapshot.created");
@@ -1716,16 +1685,13 @@ let chunk_stats db =
 
 let hot_prefixes db = (Topk.entries db.topk, Topk.total db.topk)
 let dump_trace db = Obs.to_chrome_trace ~extra:(Attr.chrome_events db.attr) db.obs
-let recorder db = db.recorder
-
-(* {2 Continuous telemetry} *)
 
 let uptime_ns db = now_ns () - db.opened_at_ns
 
-(* Extra per-tick gauges the registry doesn't carry: uptime and the
-   hottest key prefixes from the Space-Saving sketch (lower-bound
-   counts, hottest first). *)
-let sampler_extra db () =
+(* Per-tick gauges the registry doesn't carry: uptime and the hottest
+   key prefixes from the Space-Saving sketch (lower-bound counts,
+   hottest first). *)
+let sampler_gauges db =
   let entries, _total = hot_prefixes db in
   let hot =
     entries
@@ -1734,108 +1700,12 @@ let sampler_extra db () =
   in
   ("db.uptime_ns", uptime_ns db) :: hot
 
-let start_sampler db =
-  Mutex.protect db.tel_mutex (fun () ->
-      match db.telemetry with
-      | Some tel -> tel.tel_sampler
-      | None ->
-        let journal =
-          if db.cfg.Config.telemetry_journal_segments > 0 then
-            Some
-              (Tel.Journal.create db.env
-                 ~segment_bytes:db.cfg.Config.telemetry_journal_segment_bytes
-                 ~max_segments:db.cfg.Config.telemetry_journal_segments)
-          else None
-        in
-        let sampler =
-          Tel.Sampler.create ~ring:db.cfg.Config.telemetry_ring ?journal
-            ~extra:(sampler_extra db)
-            ~sources:[ ("", db.obs) ]
-            ()
-        in
-        Tel.Sampler.start sampler ~interval_ns:db.cfg.Config.telemetry_interval_ns;
-        db.telemetry <- Some { tel_sampler = sampler; tel_journal = journal; tel_http = None };
-        sampler)
-
-let telemetry_sampler db =
-  Mutex.protect db.tel_mutex (fun () ->
-      Option.map (fun tel -> tel.tel_sampler) db.telemetry)
-
-let stat_json db =
-  let b = Buffer.create 4096 in
-  let up = uptime_ns db in
-  Printf.bprintf b "{\"uptime_ns\":%d,\"ops\":{" up;
-  let up_s = float_of_int up /. 1e9 in
-  List.iteri
-    (fun i (name, tm) ->
-      if i > 0 then Buffer.add_char b ',';
-      let count = Obs.Timer.count tm in
-      let per_s = if up_s > 0. then float_of_int count /. up_s else 0. in
-      Printf.bprintf b "\"%s\":{\"count\":%d,\"per_s\":%.2f}" name count per_s)
-    [ ("put", db.tm_put); ("get", db.tm_get); ("delete", db.tm_delete); ("scan", db.tm_scan) ];
-  Buffer.add_string b "},\"metrics\":";
-  Buffer.add_string b (Obs.to_json db.obs);
-  Buffer.add_string b ",\"attr\":";
-  Buffer.add_string b (Attr.to_json db.attr);
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-let telemetry_index =
-  "evendb telemetry\n\
-   /metrics    Prometheus text exposition\n\
-   /stat.json  uptime, op rates, full metrics + attribution JSON\n\
-   /series     windowed samples (ring), ?last=N for the newest N\n\
-   /trace      Chrome trace-event JSON (chrome://tracing, Perfetto)\n\
-   /slow       slow-op ring as JSONL\n"
-
-let serve_telemetry ?host ?(port = 0) db =
-  let sampler = start_sampler db in
-  Mutex.protect db.tel_mutex (fun () ->
-      let tel = Option.get db.telemetry in
-      match tel.tel_http with
-      | Some h -> Tel.Http.port h
-      | None ->
-        let handler ~path ~query =
-          match path with
-          | "/" | "/index" -> Some (Tel.Http.text telemetry_index)
-          | "/metrics" -> Some (Tel.Http.text (Obs.to_prometheus db.obs))
-          | "/stat.json" -> Some (Tel.Http.json (stat_json db))
-          | "/series" ->
-            let last =
-              match List.assoc_opt "last" query with
-              | Some v -> int_of_string_opt v
-              | None -> None
-            in
-            Some (Tel.Http.json (Tel.Sampler.to_json ?last sampler))
-          | "/trace" -> Some (Tel.Http.json (dump_trace db))
-          | "/slow" -> Some (Tel.Http.text (Attr.slow_ops_jsonl db.attr))
-          | _ -> None
-        in
-        let h = Tel.Http.start ?host ~port handler in
-        tel.tel_http <- Some h;
-        Tel.Http.port h)
-
-let stop_telemetry db =
-  let tel =
-    Mutex.protect db.tel_mutex (fun () ->
-        let tel = db.telemetry in
-        db.telemetry <- None;
-        tel)
-  in
-  match tel with
-  | None -> ()
-  | Some tel ->
-    (match tel.tel_http with Some h -> Tel.Http.stop h | None -> ());
-    Tel.Sampler.stop tel.tel_sampler;
-    (match tel.tel_journal with Some j -> Tel.Journal.close j | None -> ())
-
 let reset_metrics db =
   Obs.reset db.obs;
   Attr.reset db.attr;
   Read_stats.reset db.rstats;
   Chunk_stats.reset db.cstats ~now:(now_ns ());
-  Topk.reset db.topk;
-  Obs.Recorder.reset db.recorder
+  Topk.reset db.topk
 
 (* Non-zero resettable metrics — anything here right after
    [reset_metrics] on a quiescent store is a bug. Gauges and probes are
@@ -1912,7 +1782,6 @@ let evict_munk db key =
 
 let close db =
   if Atomic.compare_and_set db.closed false true then begin
-    stop_telemetry db;
     stop_maintainer db;
     (* An I/O failure in the final checkpoint/fsync propagates (the
        caller learns the shutdown was not clean), but the log writers

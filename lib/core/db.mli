@@ -161,10 +161,10 @@ val attr : t -> Evendb_obs.Attr.t
 (** Per-op tail-latency cause attribution (see {!Evendb_obs.Attr}):
     every put/get/delete/scan decomposes its wall time into lock-wait,
     log-append, fsync, disk-read, rebalance and compaction stalls; ops
-    over [attr_slow_threshold_ns] land in a slow-op ring with their
-    breakdown, and the stall watchdog ticks the flight recorder when a
-    single cause dominates recent op time. Configured by the [attr_*]
-    fields of {!Config.t}. *)
+    of 1 ms or more land in a 256-entry slow-op ring with their
+    breakdown, and the stall watchdog records a [stall_watchdog] span
+    when a single cause owns half of recent op time. Switched by
+    [Config.attr_enabled]. *)
 
 val metrics_dump : t -> [ `Json | `Prometheus ] -> string
 (** Render the registry with the corresponding {!Evendb_obs.Obs}
@@ -189,9 +189,13 @@ val chunk_stats : t -> chunk_stat list
     split, maintenance counts, and the exponentially-decayed heat score
     (see {!Chunk_stats}), joined with residency info. *)
 
+val hot_prefix_len : int
+(** Bytes of each get/put key fed to the hot-prefix sketch (8: ["user"]
+    plus 4 digits under the YCSB key scheme, i.e. 10^6-key blocks). *)
+
 val hot_prefixes : t -> (string * int * int) list * int
 (** The hot-prefix Space-Saving sketch, fed the leading
-    [Config.hot_prefix_len] bytes of every get/put key:
+    {!hot_prefix_len} bytes of every get/put key:
     [(entries, total)] where entries are [(prefix, count_lo, count_hi)]
     sorted hottest-first (see {!Evendb_obs.Topk.entries}) and [total]
     is the number of observations. *)
@@ -201,55 +205,25 @@ val dump_trace : t -> string
     ([chrome://tracing]/Perfetto-loadable); see
     {!Evendb_obs.Obs.to_chrome_trace}. *)
 
-val recorder : t -> Evendb_obs.Obs.Recorder.t
-(** The instance's flight recorder: one frame of metric deltas is cut
-    automatically every 4096 puts; tick it explicitly for finer
-    resolution. *)
-
 (** {2 Continuous telemetry}
 
-    Opt-in (nothing is spawned by {!open_}): {!start_sampler} runs the
-    windowed {!Evendb_telemetry.Sampler} on a background domain at
-    [Config.telemetry_interval_ns], journaling each sample under the
-    environment's [telemetry/] namespace (unless
-    [Config.telemetry_journal_segments = 0]); {!serve_telemetry}
-    additionally serves the live store over loopback HTTP. {!close}
-    tears both down. *)
+    The sampler, journal and HTTP endpoint live in
+    [Evendb_telemetry.Live], which works over any engine's registry;
+    the store contributes only these. *)
 
 val uptime_ns : t -> int
 (** Monotonic nanoseconds since this handle was opened. *)
 
-val start_sampler : t -> Evendb_telemetry.Sampler.t
-(** Start (or return the already-running) continuous sampler for this
-    instance. Its per-tick gauges include [db.uptime_ns] and the
-    hottest key prefixes as [hot.<prefix>]. *)
-
-val telemetry_sampler : t -> Evendb_telemetry.Sampler.t option
-(** The running sampler, if {!start_sampler}/{!serve_telemetry} was
-    called. *)
-
-val serve_telemetry : ?host:string -> ?port:int -> t -> int
-(** Start the sampler and an HTTP endpoint (default: ephemeral port on
-    [127.0.0.1]; returns the bound port) serving [/metrics]
-    (Prometheus), [/stat.json], [/series?last=N] (windowed samples),
-    [/trace] (Chrome trace events) and [/slow] (slow-op JSONL).
-    Idempotent: a second call returns the existing port. *)
-
-val stop_telemetry : t -> unit
-(** Stop the endpoint and sampler and close the journal. Idempotent;
-    also run by {!close}. *)
-
-val stat_json : t -> string
-(** One JSON document for [evendb stat]/[/stat.json]: [uptime_ns],
-    per-op lifetime [count] and derived [per_s] rates, the full
-    metrics registry ({!Evendb_obs.Obs.to_json}) and the attribution
-    state ({!Evendb_obs.Attr.to_json}). *)
+val sampler_gauges : t -> (string * int) list
+(** Per-tick gauges the registry does not carry — [db.uptime_ns] and
+    the 16 hottest key prefixes as [hot.<prefix>] — for
+    [Live.start ~extra]. *)
 
 val reset_metrics : t -> unit
 (** Zero every resettable statistic in one shot: the {!obs} registry
     (counters/timers/trace — probes stay registered), read stats, the
-    per-chunk stats table, the hot-prefix sketch, and the flight
-    recorder. Structural state (chunks, munks, caches) is untouched. *)
+    per-chunk stats table and the hot-prefix sketch. Structural state
+    (chunks, munks, caches) is untouched. *)
 
 val metrics_residue : t -> string list
 (** Names of resettable metrics that are currently non-zero (counters,

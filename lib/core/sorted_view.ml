@@ -145,20 +145,7 @@ let build env ~sst ~log_name ~view_name =
   (* Atomic publication: the view either exists whole or not at all.
      The ".tmp" suffix puts interrupted builds under the scrubber's
      existing leftover-tmp sweep. *)
-  let tmp = view_name ^ ".tmp" in
-  try
-    let f = Env.create env tmp in
-    (try
-       Env.append f data;
-       Env.fsync f;
-       Env.close_file f
-     with exn ->
-       (try Env.close_file f with _ -> ());
-       raise exn);
-    Env.rename env ~old_name:tmp ~new_name:view_name
-  with exn ->
-    (try Env.delete env tmp with _ -> ());
-    raise exn
+  Meta_file.publish env ~name:view_name data
 
 (* ------------------------------------------------------------------ *)
 (* Load                                                                *)

@@ -95,7 +95,6 @@ type t = {
   a_ring : slow_op option array;
   mutable a_head : int;
   mutable a_slow_seen : int;
-  mutable a_hook : (cause -> unit) option;
 }
 
 (* The domain-local op frame. fr_depth > 0 while inside a [timed]
@@ -142,7 +141,6 @@ let create ?(enabled = true) ?(threshold_ns = 1_000_000) ?(ring = 256)
       a_ring = Array.make ring None;
       a_head = 0;
       a_slow_seen = 0;
-      a_hook = None;
     }
   in
   let locked f =
@@ -176,11 +174,6 @@ let create ?(enabled = true) ?(threshold_ns = 1_000_000) ?(ring = 256)
 
 let enabled t = t.a_enabled
 let threshold_ns t = t.a_threshold_ns
-
-let set_trip_hook t f =
-  Mutex.lock t.a_mutex;
-  t.a_hook <- Some f;
-  Mutex.unlock t.a_mutex
 
 let watchdog_trips t = Obs.Counter.get t.a_trips
 
@@ -232,9 +225,7 @@ let decay_window_locked t =
   end
 
 (* Watchdog decision, under the lock; returns the cause to fire on (if
-   any) so the side effects can run outside the lock — the trip hook
-   ticks the flight recorder, whose snapshot reads our probes, which
-   retake a_mutex. *)
+   any) so the counter bump and the trace event run outside the lock. *)
 let watchdog_locked t =
   if t.a_share_ppm <= 0 || t.a_total_ops land 63 <> 0 || t.a_win_total < 1_000_000 then None
   else begin
@@ -300,7 +291,6 @@ let close_op t fr ~t0 ~t1 ~tid =
     t.a_slow_seen <- t.a_slow_seen + 1
   end;
   let trip = watchdog_locked t in
-  let hook = t.a_hook in
   Mutex.unlock t.a_mutex;
   match trip with
   | None -> ()
@@ -308,8 +298,7 @@ let close_op t fr ~t0 ~t1 ~tid =
     Obs.Counter.incr t.a_trips;
     Obs.Trace.with_span t.a_trace ~name:watchdog_span
       ~attrs:[ ("cause_" ^ cause_name cause, 1); ("frac_ppm", frac) ]
-      (fun _ -> ());
-    (match hook with Some f -> (try f cause with _ -> ()) | None -> ())
+      (fun _ -> ())
 
 let with_op t kind timer f =
   if not t.a_enabled then Obs.Timer.time timer f

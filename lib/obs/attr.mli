@@ -27,9 +27,9 @@
 
     A {!t} also drives the {e stall watchdog}: when any single cause
     exceeds a configured share of recent op time, it bumps the
-    [attr.watchdog.trips] counter, drops a zero-duration
-    ["stall_watchdog"] span into the trace ring, and calls the trip
-    hook (the store wires it to a flight-recorder tick). *)
+    [attr.watchdog.trips] counter and drops a zero-duration
+    ["stall_watchdog"] span into the trace ring whose [cause_<name>]
+    attribute names the dominant cause. *)
 
 type cause =
   | Lock_wait  (** blocked acquiring a rebalance/writer lock, or a scan
@@ -106,10 +106,6 @@ val set_threshold_ns : t -> int -> unit
 (** Re-arm slow-op capture at a new threshold: clears the slow-op ring
     (records taken under the old threshold are not comparable) — the
     calibrate-then-measure idiom of the sync-durability bench. *)
-
-val set_trip_hook : t -> (cause -> unit) -> unit
-(** Called (outside all attribution locks) each time the watchdog
-    trips; at most one hook is retained. *)
 
 val watchdog_trips : t -> int
 

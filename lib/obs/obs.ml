@@ -653,122 +653,3 @@ let to_chrome_trace ?(process_name = "evendb") ?(extra = []) t =
     events;
   Buffer.add_string buf "]}";
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Flight recorder: a ring of periodic snapshot deltas                  *)
-
-module Recorder = struct
-  type frame = {
-    fr_seq : int;
-    fr_at_ns : int;
-    fr_wall_ns : int;
-    fr_dur_ns : int;
-    fr_deltas : (string * int) list;
-    fr_gauges : (string * int) list;
-  }
-
-  type r = {
-    r_mutex : Mutex.t;
-    r_obs : t;
-    r_ring : frame option array;
-    mutable r_head : int;
-    mutable r_seq : int;
-    mutable r_last : (string * int) list; (* previous absolute counter values *)
-    mutable r_last_at_ns : int;
-  }
-
-  type t = r
-
-  (* Monotone series worth differencing: counters and timer op counts. *)
-  let absolutes s =
-    List.filter_map
-      (function
-        | n, Counter v -> Some (n, v)
-        | n, Timer tm -> Some (n ^ ".count", tm.t_count)
-        | _, Gauge _ -> None)
-      s.metrics
-
-  let create ?(capacity = 64) obs =
-    if capacity <= 0 then invalid_arg "Obs.Recorder.create: capacity <= 0";
-    {
-      r_mutex = Mutex.create ();
-      r_obs = obs;
-      r_ring = Array.make capacity None;
-      r_head = 0;
-      r_seq = 0;
-      r_last = absolutes (snapshot obs);
-      r_last_at_ns = now_ns ();
-    }
-
-  let tick r =
-    let s = snapshot r.r_obs in
-    let at = now_ns () in
-    let cur = absolutes s in
-    Mutex.lock r.r_mutex;
-    let deltas =
-      List.filter_map
-        (fun (n, v) ->
-          let prev = Option.value ~default:0 (List.assoc_opt n r.r_last) in
-          if v <> prev then Some (n, v - prev) else None)
-        cur
-    in
-    let gauges = List.filter_map (function n, Gauge v -> Some (n, v) | _ -> None) s.metrics in
-    let frame =
-      {
-        fr_seq = r.r_seq;
-        fr_at_ns = at;
-        fr_wall_ns = to_wall_ns at;
-        fr_dur_ns = at - r.r_last_at_ns;
-        fr_deltas = deltas;
-        fr_gauges = gauges;
-      }
-    in
-    r.r_ring.(r.r_head) <- Some frame;
-    r.r_head <- (r.r_head + 1) mod Array.length r.r_ring;
-    r.r_seq <- r.r_seq + 1;
-    r.r_last <- cur;
-    r.r_last_at_ns <- at;
-    Mutex.unlock r.r_mutex;
-    frame
-
-  let frames r =
-    Mutex.lock r.r_mutex;
-    let n = Array.length r.r_ring in
-    let acc = ref [] in
-    for i = 0 to n - 1 do
-      match r.r_ring.((r.r_head + i) mod n) with
-      | Some f -> acc := f :: !acc
-      | None -> ()
-    done;
-    Mutex.unlock r.r_mutex;
-    List.rev !acc
-
-  let reset r =
-    Mutex.lock r.r_mutex;
-    Array.fill r.r_ring 0 (Array.length r.r_ring) None;
-    r.r_head <- 0;
-    r.r_seq <- 0;
-    r.r_last <- absolutes (snapshot r.r_obs);
-    r.r_last_at_ns <- now_ns ();
-    Mutex.unlock r.r_mutex
-
-  let to_json r =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\"frames\":[";
-    List.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_char buf ',';
-        add_json_obj buf
-          [
-            ("seq", jint f.fr_seq);
-            ("wall_ns", jint f.fr_wall_ns);
-            ("dur_ns", jint f.fr_dur_ns);
-            ("deltas", fun buf -> add_json_obj buf (List.map (fun (k, v) -> (k, jint v)) f.fr_deltas));
-            ("gauges", fun buf -> add_json_obj buf (List.map (fun (k, v) -> (k, jint v)) f.fr_gauges));
-          ])
-      (frames r);
-    Buffer.add_string buf "]}";
-    Buffer.contents buf
-end
-
-let recorder ?capacity obs = Recorder.create ?capacity obs

@@ -189,46 +189,3 @@ val to_prometheus_many : ?label:string -> (string * t) list -> string
     {!to_prometheus} outputs would be invalid — followed by one sample
     per registry labelled [<label>="<value>"] (default label
     ["shard"]). *)
-
-(** {2 Flight recorder}
-
-    A ring of periodic snapshot {e deltas}: each {!Recorder.tick}
-    snapshots the registry, differences every monotone series (counters
-    and timer op counts) against the previous tick, and stores one
-    frame. The ring keeps the last [capacity] frames, giving a bounded
-    always-on record of "what changed lately" that survives until
-    overwritten — the metrics analogue of the span ring buffer. *)
-
-module Recorder : sig
-  type frame = {
-    fr_seq : int;  (** tick number since creation/reset *)
-    fr_at_ns : int;  (** monotonic timestamp of the tick *)
-    fr_wall_ns : int;  (** wall-clock timestamp, for export *)
-    fr_dur_ns : int;  (** time covered: since the previous tick *)
-    fr_deltas : (string * int) list;
-        (** counter (and [<timer>.count]) increments over the frame;
-            zero-change series are omitted *)
-    fr_gauges : (string * int) list;  (** gauge/probe values at the tick *)
-  }
-
-  type t
-
-  val tick : t -> frame
-  (** Cut a frame now and append it to the ring. *)
-
-  val frames : t -> frame list
-  (** Retained frames, oldest first. *)
-
-  val reset : t -> unit
-  (** Drop all frames and re-baseline against the current registry
-      state. *)
-
-  val to_json : t -> string
-  (** [{"frames":[{"seq","wall_ns","dur_ns","deltas":{..},
-      "gauges":{..}},..]}], oldest first. *)
-end
-
-val recorder : ?capacity:int -> t -> Recorder.t
-(** Create a flight recorder over this registry holding the last
-    [capacity] (default 64) frames. The baseline is the registry state
-    at creation time. *)

@@ -10,19 +10,20 @@ let crc_of_string s pos =
        (Int32.shift_left (b 1) 8)
        (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
 
-let store env ~name payload =
+let publish env ~name data =
   let tmp = name ^ ".tmp" in
   let file = Env.create env tmp in
   try
-    Env.append file payload;
-    Env.append file (crc_to_string (Crc32c.string payload));
+    Env.append file data;
     Env.fsync file;
     Env.close_file file;
     Env.rename env ~old_name:tmp ~new_name:name
   with exn ->
-    Env.close_file file;
+    (try Env.close_file file with _ -> ());
     (try Env.delete env tmp with _ -> ());
     raise exn
+
+let store env ~name payload = publish env ~name (payload ^ crc_to_string (Crc32c.string payload))
 
 let corrupt env ~name detail =
   Env.note_corruption env;

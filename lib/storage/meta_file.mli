@@ -8,6 +8,13 @@
     removes the tmp file. A load verifies the length and the checksum
     and raises a typed {!Env.Corruption} naming the file. *)
 
+val publish : Env.t -> name:string -> string -> unit
+(** Atomically replace [name] with exactly [data] (no frame): write
+    [name ^ ".tmp"], fsync, close, rename. On any failure the tmp file
+    is removed, the previous [name] is left intact and the underlying
+    {!Env.Io_error} is re-raised. Unframed markers (MODE, FENCED) and
+    sorted views publish through it. *)
+
 val store : Env.t -> name:string -> string -> unit
 (** Frame and publish [payload] as [name]; raises the underlying
     {!Env.Io_error} after cleaning up. *)

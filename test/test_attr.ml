@@ -8,7 +8,14 @@ open Evendb_storage
 open Evendb_core
 module Obs = Evendb_obs.Obs
 module Attr = Evendb_obs.Attr
-module Json = Test_telemetry.Json
+module Json = Evendb_telemetry.Tiny_json
+
+(* Raising accessors: a malformed export fails at the offending lookup. *)
+let req what = function Some v -> v | None -> raise (Json.Bad what)
+let get k j = req ("missing key " ^ k) (Json.member k j)
+let has k j = Option.is_some (Json.member k j)
+let str j = req "not a string" (Json.to_string j)
+let num j = req "not a number" (Json.to_float j)
 
 let small_config () = Config.scaled ~factor:64 ()
 
@@ -39,25 +46,25 @@ let cause_sums_bounded () =
       ignore (Db.scan db ~low:"key" ~high:"kez" ~limit:200 ());
       let attr = Db.attr db in
       let j = Json.parse (Attr.to_json attr) in
-      let ops = Json.get "ops" j in
+      let ops = get "ops" j in
       List.iter
         (fun kind ->
           match ops with
           | Json.Obj kvs when List.mem_assoc kind kvs ->
             let o = List.assoc kind kvs in
-            let total = int_of_float (Json.to_num (Json.get "total_ns" o)) in
-            let count = int_of_float (Json.to_num (Json.get "count" o)) in
+            let total = int_of_float (num (get "total_ns" o)) in
+            let count = int_of_float (num (get "count" o)) in
             let causes =
-              match Json.get "causes" o with
+              match get "causes" o with
               | Json.Obj cs -> cs
               | _ -> Alcotest.fail "causes not an object"
             in
             let attributed =
-              List.fold_left (fun a (_, v) -> a + int_of_float (Json.to_num v)) 0 causes
+              List.fold_left (fun a (_, v) -> a + int_of_float (num v)) 0 causes
             in
             List.iter
               (fun (name, v) ->
-                if Json.to_num v < 0.0 then Alcotest.failf "negative cause %s.%s" kind name)
+                if num v < 0.0 then Alcotest.failf "negative cause %s.%s" kind name)
               causes;
             (* One clock-granularity tick of slack per op. *)
             if attributed > total + (count * 1_000) then
@@ -127,22 +134,22 @@ let jsonl_roundtrip () =
     (fun line ->
       let j = Json.parse line in
       Alcotest.(check string) "engine tag survives escaping" "test\"engine"
-        (Json.to_str (Json.get "engine" j));
-      Alcotest.(check string) "phase tag" "p1" (Json.to_str (Json.get "phase" j));
-      let dur = int_of_float (Json.to_num (Json.get "dur_ns" j)) in
-      let attributed = int_of_float (Json.to_num (Json.get "attributed_ns" j)) in
+        (str (get "engine" j));
+      Alcotest.(check string) "phase tag" "p1" (str (get "phase" j));
+      let dur = int_of_float (num (get "dur_ns" j)) in
+      let attributed = int_of_float (num (get "attributed_ns" j)) in
       let causes =
-        match Json.get "causes" j with
+        match get "causes" j with
         | Json.Obj cs -> cs
         | _ -> Alcotest.fail "causes not an object"
       in
-      let sum = List.fold_left (fun a (_, v) -> a + int_of_float (Json.to_num v)) 0 causes in
+      let sum = List.fold_left (fun a (_, v) -> a + int_of_float (num v)) 0 causes in
       Alcotest.(check int) "attributed_ns = sum(causes)" sum attributed;
       Alcotest.(check bool) "attributed <= dur (+jitter)" true (attributed <= dur + 1_000);
       Alcotest.(check bool) "disk_read recorded" true (List.mem_assoc "disk_read" causes);
-      Alcotest.(check bool) "kind present" true (Json.mem "kind" j);
-      Alcotest.(check bool) "tid present" true (Json.mem "tid" j);
-      Alcotest.(check bool) "threshold present" true (Json.mem "threshold_ns" j))
+      Alcotest.(check bool) "kind present" true (has "kind" j);
+      Alcotest.(check bool) "tid present" true (has "tid" j);
+      Alcotest.(check bool) "threshold present" true (has "threshold_ns" j))
     lines
 
 (* ------------------------------------------------------------------ *)
@@ -208,7 +215,7 @@ let fsync_dominates_sync_tail () =
 
 (* ------------------------------------------------------------------ *)
 (* Stall watchdog: a cause holding a dominant share of the recent
-   window trips the counter, fires the hook, and drops a trace event. *)
+   window trips the counter and drops a trace event naming it. *)
 
 let watchdog_trips () =
   let obs = Obs.create () in
@@ -216,19 +223,20 @@ let watchdog_trips () =
     Attr.create ~threshold_ns:max_int ~watchdog_share_ppm:100_000 ~watchdog_cooldown_ops:1 obs
   in
   let tm = Obs.timer obs "op" in
-  let tripped = ref [] in
-  Attr.set_trip_hook attr (fun c -> tripped := c :: !tripped);
   for _ = 1 to 192 do
     Attr.with_op attr Attr.Put tm (fun () -> Attr.timed Attr.Fsync (fun () -> busy_ns 30_000))
   done;
   Alcotest.(check bool) "watchdog tripped" true (Attr.watchdog_trips attr >= 1);
-  Alcotest.(check bool) "hook fired" true (!tripped <> []);
+  let trips =
+    List.filter
+      (fun e -> e.Obs.Trace.ev_name = "stall_watchdog")
+      (Obs.Trace.recent (Obs.trace obs))
+  in
+  Alcotest.(check bool) "stall_watchdog event in trace" true (trips <> []);
   List.iter
-    (fun c -> Alcotest.(check string) "fsync blamed" "fsync" (Attr.cause_name c))
-    !tripped;
-  let events = Obs.Trace.recent (Obs.trace obs) in
-  Alcotest.(check bool) "stall_watchdog event in trace" true
-    (List.exists (fun e -> e.Obs.Trace.ev_name = "stall_watchdog") events);
+    (fun e ->
+      Alcotest.(check bool) "fsync blamed" true (List.mem_assoc "cause_fsync" e.Obs.Trace.ev_attrs))
+    trips;
   (* Dominant-cause fraction is visible in the decayed gauges. *)
   Alcotest.(check bool) "fsync frac_ppm dominant" true (Attr.frac_ppm attr Attr.Fsync > 100_000);
   Attr.reset attr;
@@ -247,10 +255,10 @@ let timer_min_max_exact () =
   Alcotest.(check int) "summary min" 137 mn;
   Alcotest.(check int) "summary max" 7_777_777 mx;
   let j = Json.parse (Obs.to_json obs) in
-  let t = Json.get "lat" (Json.get "timers" j) in
-  Alcotest.(check int) "json min_ns" 137 (int_of_float (Json.to_num (Json.get "min_ns" t)));
+  let t = get "lat" (get "timers" j) in
+  Alcotest.(check int) "json min_ns" 137 (int_of_float (num (get "min_ns" t)));
   Alcotest.(check int) "json max_ns" 7_777_777
-    (int_of_float (Json.to_num (Json.get "max_ns" t)));
+    (int_of_float (num (get "max_ns" t)));
   match Obs.snapshot obs with
   | { Obs.metrics; _ } -> (
     match List.assoc "lat" metrics with

@@ -1,8 +1,7 @@
 (* Config.validate: the open-time front door rejects nonsense knobs
    with a telling message instead of letting them wedge the store
    (a zero group-commit batch would deadlock every sync put; an empty
-   slow-op ring would make attribution divide by zero; a watchdog
-   share above 100% can never trip). *)
+   munk cache could never admit a chunk). *)
 
 open Evendb_core
 open Evendb_storage
@@ -41,17 +40,7 @@ let suite =
           { Config.default with group_commit_max_wait_ns = 0 };
         rejects "negative group-commit wait"
           { Config.default with group_commit_max_wait_ns = -1 };
-        rejects "empty slow-op ring" { Config.default with attr_slow_ring = 0 };
-        rejects "negative slow threshold"
-          { Config.default with attr_slow_threshold_ns = -1 };
-        rejects "watchdog share above 100%"
-          { Config.default with attr_watchdog_share_ppm = 1_000_001 };
-        rejects "negative watchdog share"
-          { Config.default with attr_watchdog_share_ppm = -1 };
-        rejects "negative watchdog cooldown"
-          { Config.default with attr_watchdog_cooldown_ops = -1 };
         rejects "zero chunk size" { Config.default with max_chunk_bytes = 0 };
-        rejects "zero po slots" { Config.default with po_slots = 0 };
         rejects "zero munk cache" { Config.default with munk_cache_capacity = 0 };
         rejects "negative checkpoint interval"
           { Config.default with checkpoint_every_puts = -1 };

@@ -216,6 +216,23 @@ let recovery_table_failed_store () =
   Alcotest.(check bool) "no tmp left" false
     (Env.exists env (Recovery_table.file_name ^ ".tmp"))
 
+(* The same for the unframed FENCED marker: a fence whose publish
+   faults raises, leaves no tmp file and leaves the store writable. *)
+let fence_failed_store () =
+  let plan = Fault.plan ~seed:3 ~rate:1.0 ~torn_fraction:0.0 () in
+  Fault.set_armed plan false;
+  let env = Env.memory ~faults:plan () in
+  let db = Db.open_ env in
+  Fault.set_armed plan true;
+  (match Db.fence db with
+  | () -> Alcotest.fail "expected the faulted fence to raise"
+  | exception Env.Io_error _ -> ());
+  Fault.set_armed plan false;
+  Alcotest.(check bool) "no tmp left" false (Env.exists env "FENCED.tmp");
+  Alcotest.(check bool) "no marker" false (Env.exists env "FENCED");
+  Alcotest.(check bool) "not fenced" false (Db.fenced db);
+  Db.close db
+
 let version_packing () =
   let v = Version.pack ~epoch:7 ~seq:123456 in
   Alcotest.(check int) "epoch" 7 (Version.epoch v);
@@ -265,6 +282,7 @@ let suite =
         Alcotest.test_case "recovery table (Table 1)" `Quick recovery_table_roundtrip;
         Alcotest.test_case "recovery table store fails cleanly" `Quick
           recovery_table_failed_store;
+        Alcotest.test_case "fence store fails cleanly" `Quick fence_failed_store;
         Alcotest.test_case "version packing" `Quick version_packing;
         Alcotest.test_case "checkpoint file" `Quick checkpoint_file_roundtrip;
       ] );

@@ -10,6 +10,7 @@ module Obs = Evendb_obs.Obs
 module Tel = Evendb_telemetry
 module Sampler = Tel.Sampler
 module Journal = Tel.Journal
+module Live = Tel.Live
 module Scrub = Evendb_check.Scrub
 
 let with_disk_env f =
@@ -275,20 +276,28 @@ let multi_domain_hammer () =
 (* ------------------------------------------------------------------ *)
 (* HTTP endpoint, over a live store. *)
 
+let live_db ~interval_ns db =
+  Live.start ~interval_ns ~env:(Db.env db) ~obs:(Db.obs db) ~attr:(Db.attr db)
+    ~extra:(fun () -> Db.sampler_gauges db)
+    ()
+
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let http_endpoint_smoke () =
-  let config =
-    {
-      (Config.scaled ~factor:64 ()) with
-      Config.telemetry_interval_ns = 20_000_000 (* 20ms: several ticks in the test *);
-    }
-  in
-  let db = Db.open_ ~config (Env.memory ()) in
+  let db = Db.open_ ~config:(Config.scaled ~factor:64 ()) (Env.memory ()) in
+  (* 20ms: several ticks in the test. *)
+  let live = live_db ~interval_ns:20_000_000 db in
   Fun.protect
-    ~finally:(fun () -> Db.close db)
+    ~finally:(fun () ->
+      Live.stop live;
+      Db.close db)
     (fun () ->
-      let port = Db.serve_telemetry db in
+      let port = Live.serve live in
       Alcotest.(check bool) "ephemeral port bound" true (port > 0);
-      Alcotest.(check int) "idempotent serve returns same port" port (Db.serve_telemetry db);
+      Alcotest.(check int) "idempotent serve returns same port" port (Live.serve live);
       for i = 1 to 500 do
         Db.put db (Printf.sprintf "user%04d" (i mod 40)) "v";
         ignore (Db.get db (Printf.sprintf "user%04d" (i mod 40)))
@@ -296,11 +305,6 @@ let http_endpoint_smoke () =
       Unix.sleepf 0.1;
       let status, metrics = Tel.Http.get ~port "/metrics" in
       Alcotest.(check int) "/metrics 200" 200 status;
-      let contains hay needle =
-        let nl = String.length needle and hl = String.length hay in
-        let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool) "summary family present" true
         (contains metrics "# TYPE evendb_db_put_ns summary");
       Alcotest.(check bool) "_sum sample present" true (contains metrics "evendb_db_put_ns_sum");
@@ -334,12 +338,44 @@ let http_endpoint_smoke () =
       Alcotest.(check int) "/slow 200" 200 status;
       let status, _ = Tel.Http.get ~port "/no-such-endpoint" in
       Alcotest.(check int) "404 on unknown path" 404 status;
-      Db.stop_telemetry db;
+      Live.stop live;
       Alcotest.(check bool) "endpoint down after stop" true
         (match Tel.Http.get ~port "/metrics" with
         | exception _ -> true
         | 200, _ -> false
         | _ -> true))
+
+(* Live needs only a registry and an attribution state, so a baseline
+   engine serves the same endpoint. *)
+let live_over_lsm () =
+  let env = Env.memory () in
+  let lsm = Evendb_lsm.Lsm.open_ env in
+  let live =
+    Live.start ~interval_ns:20_000_000 ~env ~obs:(Evendb_lsm.Lsm.obs lsm)
+      ~attr:(Evendb_lsm.Lsm.attr lsm)
+      ~extra:(fun () -> [])
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Live.stop live;
+      Evendb_lsm.Lsm.close lsm)
+    (fun () ->
+      let port = Live.serve live in
+      for i = 1 to 200 do
+        Evendb_lsm.Lsm.put lsm (Printf.sprintf "user%04d" i) "v"
+      done;
+      let status, metrics = Tel.Http.get ~port "/metrics" in
+      Alcotest.(check int) "/metrics 200" 200 status;
+      Alcotest.(check bool) "put summary family present" true
+        (contains metrics "# TYPE evendb_db_put_ns summary");
+      let status, body = Tel.Http.get ~port "/stat.json" in
+      Alcotest.(check int) "/stat.json 200" 200 status;
+      let j = Tel.Tiny_json.parse body in
+      Alcotest.(check (option int)) "stat counts the lsm's puts" (Some 200)
+        (Option.bind
+           (Option.bind (Tel.Tiny_json.member "ops" j) (Tel.Tiny_json.member "put"))
+           (fun v -> Option.bind (Tel.Tiny_json.member "count" v) Tel.Tiny_json.to_int)))
 
 (* ------------------------------------------------------------------ *)
 (* fsck: a corrupt old journal segment is an error and gets
@@ -404,15 +440,15 @@ let scrub_warns_on_torn_tail () =
    reopening the same directory must neither sweep nor choke on it. *)
 let open_preserves_journal () =
   with_disk_env (fun _dir env ->
-      let config =
-        { (Config.scaled ~factor:64 ()) with Config.telemetry_interval_ns = 5_000_000 }
-      in
+      let config = Config.scaled ~factor:64 () in
       let db = Db.open_ ~config env in
-      ignore (Db.serve_telemetry db);
+      let live = live_db ~interval_ns:5_000_000 db in
+      ignore (Live.serve live);
       for i = 1 to 100 do
         Db.put db (Printf.sprintf "k%03d" i) "v"
       done;
       Unix.sleepf 0.05;
+      Live.stop live;
       Db.close db;
       let before = Journal.replay env in
       Alcotest.(check bool) "journal has samples from the first run" true (before <> []);
@@ -448,7 +484,10 @@ let suite =
         Alcotest.test_case "torn tail tolerated" `Quick journal_torn_tail_tolerated;
       ] );
     ( "telemetry endpoint",
-      [ Alcotest.test_case "http smoke over loopback" `Quick http_endpoint_smoke ] );
+      [
+        Alcotest.test_case "http smoke over loopback" `Quick http_endpoint_smoke;
+        Alcotest.test_case "serves an lsm engine" `Quick live_over_lsm;
+      ] );
     ( "telemetry fsck",
       [
         Alcotest.test_case "corrupt old segment quarantined" `Quick

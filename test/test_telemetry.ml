@@ -1,6 +1,5 @@
 (* Spatial-locality telemetry (PR 5): per-chunk heat, the hot-prefix
-   Space-Saving sketch, the Chrome trace exporter, the flight recorder,
-   and their wiring through the engine paths. *)
+   Space-Saving sketch, the Chrome trace exporter, and their wiring through the engine paths. *)
 
 open Evendb_util
 open Evendb_storage
@@ -8,168 +7,18 @@ open Evendb_core
 module Obs = Evendb_obs.Obs
 module Topk = Evendb_obs.Topk
 
-(* ------------------------------------------------------------------ *)
-(* A minimal recursive-descent JSON reader — just enough to check the
-   exporters' output is well-formed without adding a dependency. *)
-
+(* Exporter output is checked with the telemetry clients' own reader;
+   these accessors raise on a missing key or a wrongly-typed value so a
+   malformed export fails at the offending lookup. *)
 module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
+  include Evendb_telemetry.Tiny_json
 
-  exception Bad of string
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        incr pos;
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      if !pos < n && s.[!pos] = c then incr pos
-      else fail (Printf.sprintf "expected '%c'" c)
-    in
-    let lit l v =
-      let m = String.length l in
-      if !pos + m <= n && String.sub s !pos m = l then begin
-        pos := !pos + m;
-        v
-      end
-      else fail ("expected " ^ l)
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        match s.[!pos] with
-        | '"' ->
-          incr pos;
-          Buffer.contents b
-        | '\\' ->
-          incr pos;
-          if !pos >= n then fail "bad escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-            if !pos + 4 >= n then fail "bad \\u escape";
-            (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-            | Some c when c < 128 -> Buffer.add_char b (Char.chr c)
-            | Some _ -> Buffer.add_char b '?'
-            | None -> fail "bad \\u escape");
-            pos := !pos + 4
-          | _ -> fail "bad escape");
-          incr pos;
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num s.[!pos] do
-        incr pos
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "bad number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Obj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              incr pos;
-              members ((k, v) :: acc)
-            | Some '}' ->
-              incr pos;
-              Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-      | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Arr []
-        end
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              incr pos;
-              elems (v :: acc)
-            | Some ']' ->
-              incr pos;
-              Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elems []
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> lit "true" (Bool true)
-      | Some 'f' -> lit "false" (Bool false)
-      | Some 'n' -> lit "null" Null
-      | Some _ -> parse_number ()
-      | None -> fail "unexpected end of input"
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let get k = function
-    | Obj kvs -> (
-      match List.assoc_opt k kvs with
-      | Some v -> v
-      | None -> raise (Bad ("missing key " ^ k)))
-    | _ -> raise (Bad ("not an object looking up " ^ k))
-
-  let mem k = function Obj kvs -> List.mem_assoc k kvs | _ -> false
-  let to_list = function Arr l -> l | _ -> raise (Bad "not an array")
-  let to_str = function Str s -> s | _ -> raise (Bad "not a string")
-  let to_num = function Num f -> f | _ -> raise (Bad "not a number")
+  let req what = function Some v -> v | None -> raise (Bad what)
+  let get k j = req ("missing key " ^ k) (member k j)
+  let mem k j = Option.is_some (member k j)
+  let to_list j = req "not an array" (to_list j)
+  let to_str j = req "not a string" (to_string j)
+  let to_num j = req "not a number" (to_float j)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -393,45 +242,6 @@ let monotonic_clock () =
     (wall > 1_500_000_000 * 1_000_000_000 && wall < 4_000_000_000 * 1_000_000_000)
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder *)
-
-let recorder_frames () =
-  let obs = Obs.create () in
-  let c = Obs.counter obs "c" in
-  let tm = Obs.timer obs "t" in
-  let r = Obs.recorder ~capacity:3 obs in
-  Obs.Counter.add c 5;
-  Obs.Timer.record_ns tm 10;
-  let f1 = Obs.Recorder.tick r in
-  Alcotest.(check (option int)) "counter delta" (Some 5) (List.assoc_opt "c" f1.Obs.Recorder.fr_deltas);
-  Alcotest.(check (option int))
-    "timer op-count delta" (Some 1)
-    (List.assoc_opt "t.count" f1.Obs.Recorder.fr_deltas);
-  Obs.Counter.add c 2;
-  let f2 = Obs.Recorder.tick r in
-  Alcotest.(check (option int)) "delta since last tick" (Some 2) (List.assoc_opt "c" f2.Obs.Recorder.fr_deltas);
-  Alcotest.(check (option int))
-    "zero-change series omitted" None
-    (List.assoc_opt "t.count" f2.Obs.Recorder.fr_deltas);
-  ignore (Obs.Recorder.tick r);
-  ignore (Obs.Recorder.tick r);
-  let frames = Obs.Recorder.frames r in
-  Alcotest.(check int) "ring keeps capacity frames" 3 (List.length frames);
-  Alcotest.(check int) "oldest frame dropped" 1 (List.hd frames).Obs.Recorder.fr_seq;
-  let seqs = List.map (fun f -> f.Obs.Recorder.fr_seq) frames in
-  Alcotest.(check (list int)) "frames oldest-first" [ 1; 2; 3 ] seqs;
-  (* to_json parses and has one element per frame. *)
-  let doc = Json.parse (Obs.Recorder.to_json r) in
-  Alcotest.(check int) "json frames" 3 (List.length (Json.to_list (Json.get "frames" doc)));
-  Obs.Recorder.reset r;
-  Alcotest.(check int) "reset drops frames" 0 (List.length (Obs.Recorder.frames r));
-  Obs.Counter.add c 7;
-  let f = Obs.Recorder.tick r in
-  Alcotest.(check (option int))
-    "reset re-baselines deltas" (Some 7)
-    (List.assoc_opt "c" f.Obs.Recorder.fr_deltas)
-
-(* ------------------------------------------------------------------ *)
 (* Per-chunk wiring through the engine *)
 
 let small_config =
@@ -502,7 +312,7 @@ let prefix_share_accuracy () =
   for _ = 1 to ops do
     ignore (Db.get db (Workload.sample_key w))
   done;
-  let prefix_len = (Db.config db).Config.hot_prefix_len in
+  let prefix_len = Db.hot_prefix_len in
   let expected = Workload.prefix_weights sh ~prefix_len in
   let n1 = max 1 (List.length expected / 100) in
   let take n l = List.filteri (fun i _ -> i < n) l in
@@ -552,7 +362,6 @@ let suite =
         Alcotest.test_case "chrome trace well-formed" `Quick chrome_trace_well_formed;
         Alcotest.test_case "timer buckets exported" `Quick timer_buckets_exported;
         Alcotest.test_case "monotonic clock" `Quick monotonic_clock;
-        Alcotest.test_case "flight recorder frames" `Quick recorder_frames;
         Alcotest.test_case "per-chunk wiring" `Quick chunk_wiring;
         Alcotest.test_case "prefix share accuracy" `Quick prefix_share_accuracy;
         Alcotest.test_case "db trace export" `Quick db_dump_trace;
