@@ -13,7 +13,9 @@ type t = {
       (** Split trigger: a munk whose compacted size exceeds this is
           split (paper: 10MB). *)
   munk_rebalance_bytes : int;
-      (** Munk rebalance trigger on raw (uncompacted) size (paper: 7MB). *)
+      (** Munk rebalance trigger on raw (uncompacted) size for a munk
+          built at or below it (paper: 7MB); a munk built above it
+          rebalances, and splits, once it passes [max_chunk_bytes]. *)
   munk_rebalance_appended : int;
       (** Munk rebalance trigger on the unsorted-region length, which
           keeps bypass paths short independently of byte size. *)

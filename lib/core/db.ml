@@ -556,9 +556,18 @@ let munk_appended_limit db m =
   let sorted = Munk.entry_count m - Munk.appended_count m in
   min db.cfg.munk_rebalance_appended (max 128 (sorted / 4))
 
+(* A munk rebalances when it grows past the next threshold above the
+   size it was built at: [munk_rebalance_bytes] if it was built at or
+   below that, else [max_chunk_bytes], where the rebalance splits it —
+   a rebalance neither shrinks a munk built in between below
+   [munk_rebalance_bytes] nor splits it, so firing on its size alone
+   would re-sort it on every put. *)
 let munk_over_threshold db m =
-  Munk.byte_size m > db.cfg.munk_rebalance_bytes
-  || Munk.appended_count m > munk_appended_limit db m
+  let limit =
+    if Munk.built_bytes m <= db.cfg.munk_rebalance_bytes then db.cfg.munk_rebalance_bytes
+    else db.cfg.max_chunk_bytes
+  in
+  Munk.byte_size m > limit || Munk.appended_count m > munk_appended_limit db m
 
 (* Munk rebalance: compact in memory; split if over the size limit.
    [force] bypasses the double-checked trigger — explicit maintenance

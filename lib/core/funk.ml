@@ -185,9 +185,14 @@ let release t =
   let before = Atomic.fetch_and_add t.refs (-1) in
   if before = 1 && Atomic.get t.retired then delete_files t
 
-let acquire t =
-  ignore (Atomic.fetch_and_add t.refs 1);
-  if Atomic.get t.retired then begin
+(* Pin only from a positive count: a funk at zero refs is retired and
+   its files deleted (or being deleted); reviving it would run
+   [delete_files] a second time. *)
+let rec acquire t =
+  let r = Atomic.get t.refs in
+  if r <= 0 then false
+  else if not (Atomic.compare_and_set t.refs r (r + 1)) then acquire t
+  else if Atomic.get t.retired then begin
     release t;
     false
   end

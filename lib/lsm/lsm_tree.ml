@@ -156,15 +156,22 @@ module Make (P : POLICY) = struct
     if Atomic.fetch_and_add s.pins (-1) = 1 && Atomic.get s.state_retired then
       List.iter (file_release t) (state_files s)
 
+  (* Pin only from a positive count: a state whose last pin is gone has
+     had its files released, and reviving it would release them again,
+     deleting files the newer states still hold. *)
   let rec pin_state t =
     let s = Atomic.get t.state in
-    ignore (Atomic.fetch_and_add s.pins 1);
-    if Atomic.get s.state_retired then begin
-      release_state t s;
+    let p = Atomic.get s.pins in
+    if p > 0 && Atomic.compare_and_set s.pins p (p + 1) then
+      if Atomic.get s.state_retired then begin
+        release_state t s;
+        pin_state t
+      end
+      else s
+    else begin
       Domain.cpu_relax ();
       pin_state t
     end
-    else s
 
   (* Publish [s'] as current. Caller holds the writer mutex and must have
      bumped refs of every file included in [s']. *)

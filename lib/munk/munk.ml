@@ -12,6 +12,7 @@ type t = {
   mutable head : int; (* first cell in list order; -1 when empty *)
   mutex : Mutex.t; (* serializes puts; readers never take it *)
   mutable bytes : int;
+  built_bytes : int; (* [bytes] when the sorted prefix was built *)
   mutable appended : int;
   mutable tombs : int; (* live tombstone cells (merge/GC trigger) *)
 }
@@ -45,6 +46,7 @@ let of_sorted entries =
     head = (if n = 0 then -1 else 0);
     mutex = Mutex.create ();
     bytes = !bytes;
+    built_bytes = !bytes;
     appended = 0;
     tombs = List.length (List.filter (fun (e : Kv_iter.entry) -> e.value = None) entries);
   }
@@ -54,6 +56,7 @@ let of_iter it = of_sorted (Kv_iter.to_list it)
 let entry_count t = t.size
 let appended_count t = t.appended
 let byte_size t = t.bytes
+let built_bytes t = t.built_bytes
 let tombstone_count t = t.tombs
 
 (* Last prefix index whose entry is strictly below [e] in canonical

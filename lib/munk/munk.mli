@@ -35,7 +35,13 @@ val appended_count : t -> int
     region whose growth triggers munk rebalance. *)
 
 val byte_size : t -> int
-(** Approximate heap footprint of keys+values (rebalance/split trigger). *)
+(** Approximate heap footprint of keys+values. The rebalance trigger
+    compares it against a limit chosen from {!built_bytes}, so a munk's
+    size alone does not decide whether it rebalances. *)
+
+val built_bytes : t -> int
+(** [byte_size] at the moment the sorted prefix was built ({!of_sorted}
+    or {!rebalance}); fixed for the munk's lifetime. *)
 
 val tombstone_count : t -> int
 (** Live tombstone cells — drives opportunistic compaction and the

@@ -226,6 +226,51 @@ let scan_snapshot_vs_put () =
       Alcotest.(check int) "before" 1 (List.length before);
       Alcotest.(check int) "after" 2 (List.length after))
 
+(* The munk byte trigger fires on growth past the next threshold above
+   the size the munk was built at. A munk compacted into the band
+   between [munk_rebalance_bytes] and [max_chunk_bytes] is neither
+   shrunk nor split by a rebalance, so in-place updates must not re-sort
+   it on every put; growing it past [max_chunk_bytes] still splits. *)
+let munk_trigger_band () =
+  (* A large funk-log limit keeps funk flushes out of the count. *)
+  let config = { tiny_config with Config.funk_log_limit_with_munk = 1 lsl 20 } in
+  with_db ~config (fun _ db ->
+      let v = String.make 100 'v' in
+      let only_chunk () =
+        match Db.chunk_stats db with
+        | [ cs ] -> cs
+        | l -> Alcotest.failf "expected one chunk, got %d" (List.length l)
+      in
+      let i = ref 0 in
+      while (only_chunk ()).Db.cs_resident_bytes <= config.Config.munk_rebalance_bytes do
+        Db.put db (key !i) v;
+        incr i
+      done;
+      (* Compact the munk in place: it is now built inside the band. *)
+      Db.maintain db;
+      let built = (only_chunk ()).Db.cs_resident_bytes in
+      Alcotest.(check bool)
+        "compacted munk in the (rebalance, split) band" true
+        (built > config.munk_rebalance_bytes && built <= config.max_chunk_bytes);
+      let before = (only_chunk ()).cs_stat.Chunk_stats.st_rebalances in
+      let n = 50 in
+      for j = 0 to n - 1 do
+        Db.put db (key (j mod !i)) v
+      done;
+      let cs = only_chunk () in
+      Alcotest.(check int) "updates were in place" built cs.cs_resident_bytes;
+      Alcotest.(check int) "no rebalance on in-place updates" before cs.cs_stat.st_rebalances;
+      (* Growing past [max_chunk_bytes] still rebalances and splits. *)
+      let first_new = !i in
+      while Db.chunk_count db = 1 && !i < 10 * first_new do
+        Db.put db (key !i) v;
+        incr i
+      done;
+      Alcotest.(check bool) "split once past max_chunk_bytes" true (Db.chunk_count db > 1);
+      for j = 0 to !i - 1 do
+        Alcotest.(check (option string)) (key j) (Some v) (Db.get db (key j))
+      done)
+
 let suite =
   [
     ( "db",
@@ -243,6 +288,7 @@ let suite =
         Alcotest.test_case "write amplification sane" `Quick write_amplification_sane;
         Alcotest.test_case "read stats" `Quick stats_reporting;
         Alcotest.test_case "scan snapshot vs put" `Quick scan_snapshot_vs_put;
+        Alcotest.test_case "munk trigger band" `Quick munk_trigger_band;
         qtest model_random;
       ] );
   ]

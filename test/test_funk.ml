@@ -57,6 +57,18 @@ let acquire_after_retire_fails () =
   Funk.retire f;
   Alcotest.(check bool) "no pin after retire" false (Funk.acquire f)
 
+(* A pin attempt on a funk whose last reference is gone must not revive
+   it: the release that follows would run the file deletion a second
+   time, hitting whatever now lives under the funk's names. *)
+let acquire_does_not_revive () =
+  let env = Env.memory () in
+  let f = mk env [ e ~value:"v" "k" ] in
+  Funk.retire f;
+  let file = Env.create env (Funk.log_name 1) in
+  Env.close_file file;
+  Alcotest.(check bool) "no pin after release" false (Funk.acquire f);
+  Alcotest.(check bool) "files deleted once" true (Env.exists env (Funk.log_name 1))
+
 let with_pin_raises_stale () =
   let env = Env.memory () in
   let f = mk env [ e ~value:"v" "k" ] in
@@ -230,6 +242,7 @@ let suite =
         Alcotest.test_case "retire deletes files" `Quick retire_deletes_files;
         Alcotest.test_case "pin defers deletion" `Quick pinned_funk_survives_retire;
         Alcotest.test_case "acquire after retire" `Quick acquire_after_retire_fails;
+        Alcotest.test_case "acquire does not revive" `Quick acquire_does_not_revive;
         Alcotest.test_case "with_pin raises Stale" `Quick with_pin_raises_stale;
         Alcotest.test_case "with_pin follows flips" `Quick with_pin_follows_flip;
         Alcotest.test_case "split ownership sharing" `Quick ownership_sharing;

@@ -151,6 +151,43 @@ let concurrent_readers_writer (module E : ENGINE) () =
       List.iter Domain.join readers;
       Alcotest.(check int) "no reads lost during compactions" 0 (Atomic.get misses))
 
+(* Readers pin the current state while the writer publishes new ones
+   back to back (a flush per put). A reader that loads a state just as
+   its last pin is released must not revive it: releasing it a second
+   time drops files the next state still holds, and later gets miss or
+   raise. More readers than cores make a reader likelier to be
+   descheduled inside that window. *)
+let pin_races_publish (module E : ENGINE) () =
+  with_db (module E) (fun _ db ->
+      let n = 32 in
+      for i = 0 to n - 1 do
+        E.put db (key i) "v"
+      done;
+      E.compact_now db;
+      let stop = Atomic.make false in
+      let errors = Atomic.make 0 in
+      let readers =
+        List.init 4 (fun _ ->
+            Domain.spawn (fun () ->
+                while not (Atomic.get stop) do
+                  for i = 0 to n - 1 do
+                    match E.get db (key i) with
+                    | Some _ -> ()
+                    | None | (exception _) -> Atomic.incr errors
+                  done
+                done))
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          List.iter Domain.join readers)
+        (fun () ->
+          for round = 0 to 1499 do
+            E.put db (key (round mod n)) "v";
+            E.compact_now db
+          done);
+      Alcotest.(check int) "every get saw live files" 0 (Atomic.get errors))
+
 let scan_snapshot_invariant (module E : ENGINE) () =
   with_db (module E) (fun _ db ->
       E.put db "aaa" "0";
@@ -211,6 +248,7 @@ let shared_cases engine =
     Alcotest.test_case "scan semantics" `Quick (scan_semantics engine);
     Alcotest.test_case "unsynced WAL lost on crash" `Quick (crash_loses_unsynced_wal engine);
     Alcotest.test_case "readers during compactions" `Quick (concurrent_readers_writer engine);
+    Alcotest.test_case "pin races publish" `Quick (pin_races_publish engine);
     Alcotest.test_case "scan snapshot invariant" `Quick (scan_snapshot_invariant engine);
     Alcotest.test_case "write amplification reported" `Quick (write_amp_reported engine);
   ]
