@@ -6,14 +6,14 @@ type t = {
 
 (* 64-bit FNV-1a; a second independent hash is derived by re-mixing, which
    is enough for double hashing (Kirsch & Mitzenmacher). *)
-let fnv1a s =
+let[@inline] fnv1a s =
   let h = ref 0xcbf29ce484222325L in
   for i = 0 to String.length s - 1 do
     h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) 0x100000001b3L
   done;
   !h
 
-let remix z =
+let[@inline] remix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xff51afd7ed558ccdL in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xc4ceb9fe1a85ec53L in
   Int64.logxor z (Int64.shift_right_logical z 33)
@@ -27,30 +27,40 @@ let create ?(bits_per_key = 10) n =
   let k = max 1 (min 30 k) in
   { bits = Bytes.make (nbits / 8) '\000'; nbits; k }
 
-let probes t key f =
-  let h1 = fnv1a key in
-  let h2 = remix h1 in
-  let h = ref h1 in
-  for _ = 1 to t.k do
-    let bit = Int64.to_int !h land max_int mod t.nbits in
-    f bit;
-    h := Int64.add !h h2
-  done
+type hash = { h1 : int; h2 : int }
 
-let set_bit b i =
+(* Probe [i] (from 0) tests bit [(h1 + i * h2) land max_int mod nbits],
+   sums taken in 64 bits. Only the low 62 bits of a sum reach the bit
+   index, so native ints (arithmetic mod 2^63) pick the same bits. *)
+let hash key =
+  let h1 = fnv1a key in
+  { h1 = Int64.to_int h1; h2 = Int64.to_int (remix h1) }
+
+let[@inline] set_bit b i =
   let byte = i lsr 3 and off = i land 7 in
   Bytes.unsafe_set b byte (Char.unsafe_chr (Char.code (Bytes.unsafe_get b byte) lor (1 lsl off)))
 
-let get_bit b i =
+let[@inline] get_bit b i =
   let byte = i lsr 3 and off = i land 7 in
   Char.code (Bytes.unsafe_get b byte) land (1 lsl off) <> 0
 
-let add t key = probes t key (fun bit -> set_bit t.bits bit)
+let add_hash t { h1; h2 } =
+  let h = ref h1 in
+  for _ = 1 to t.k do
+    set_bit t.bits (!h land max_int mod t.nbits);
+    h := !h + h2
+  done
 
-let mem t key =
-  let ok = ref true in
-  probes t key (fun bit -> if not (get_bit t.bits bit) then ok := false);
-  !ok
+let mem_hash t { h1; h2 } =
+  let h = ref h1 and left = ref t.k in
+  while !left > 0 && get_bit t.bits (!h land max_int mod t.nbits) do
+    h := !h + h2;
+    decr left
+  done;
+  !left = 0
+
+let add t key = add_hash t (hash key)
+let mem t key = mem_hash t (hash key)
 
 let bit_count t = t.nbits
 

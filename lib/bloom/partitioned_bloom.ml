@@ -42,11 +42,14 @@ let add t ~key ~log_offset =
   Bloom.add seg.filter key
 
 let segments_maybe_containing t key =
+  let h = Bloom.hash key in
   List.filter_map
     (fun seg ->
-      if Bloom.mem seg.filter key then Some (seg.seg_start, seg.seg_end) else None)
+      if Bloom.mem_hash seg.filter h then Some (seg.seg_start, seg.seg_end) else None)
     t.segments
 
-let may_contain t key = List.exists (fun seg -> Bloom.mem seg.filter key) t.segments
+let may_contain t key =
+  let h = Bloom.hash key in
+  List.exists (fun seg -> Bloom.mem_hash seg.filter h) t.segments
 
 let segment_count t = List.length t.segments

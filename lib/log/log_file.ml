@@ -33,8 +33,8 @@ module Record = struct
          (Int32.shift_left (b 1) 8)
          (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
 
-  let encode buf e =
-    let scratch = Buffer.create 256 in
+  let encode ~scratch buf e =
+    Buffer.clear scratch;
     encode_payload scratch e;
     let payload = Buffer.contents scratch in
     add_u32_le buf (Crc32c.mask (Crc32c.string payload));
@@ -67,7 +67,7 @@ module Record = struct
         let expected = Crc32c.unmask (read_u32_le s pos) in
         let len, p = Varint.read s (pos + 4) in
         if len < 0 || p + len > n then None
-        else if Crc32c.string (String.sub s p len) <> expected then None
+        else if Crc32c.bytes (Bytes.unsafe_of_string s) ~pos:p ~len <> expected then None
         else Some (decode_payload s p len, p + len)
       with
       | result -> result
@@ -78,6 +78,7 @@ module Writer = struct
   type t = {
     file : Env.file;
     buf : Buffer.t;
+    scratch : Buffer.t; (* payload of the record being framed *)
     mutex : Mutex.t;
     mutable pos : int;
     mutable appends : int;
@@ -87,6 +88,7 @@ module Writer = struct
     {
       file = Env.create env name;
       buf = Buffer.create 1024;
+      scratch = Buffer.create 1024;
       mutex = Mutex.create ();
       pos = 0;
       appends = 0;
@@ -97,6 +99,7 @@ module Writer = struct
     {
       file;
       buf = Buffer.create 1024;
+      scratch = Buffer.create 1024;
       mutex = Mutex.create ();
       pos = Env.file_size file;
       appends = 0;
@@ -115,7 +118,7 @@ module Writer = struct
       (fun () ->
         let start = t.pos in
         Buffer.clear t.buf;
-        Record.encode t.buf e;
+        Record.encode ~scratch:t.scratch t.buf e;
         let len = Buffer.length t.buf in
         (try Env.append t.file (Buffer.contents t.buf)
          with exn ->

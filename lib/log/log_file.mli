@@ -17,8 +17,9 @@ open Evendb_util
 open Evendb_storage
 
 module Record : sig
-  val encode : Buffer.t -> Kv_iter.entry -> unit
-  (** Append the full framed record for one entry. *)
+  val encode : scratch:Buffer.t -> Buffer.t -> Kv_iter.entry -> unit
+  (** Append the full framed record for one entry. [scratch] is cleared
+      and holds the payload while it is checksummed. *)
 
   val decode : string -> pos:int -> (Kv_iter.entry * int) option
   (** [decode s ~pos] returns the entry starting at [pos] and the

@@ -36,26 +36,51 @@ let sub t ~off ~len =
     invalid_arg "Bigslice.sub: slice out of bounds";
   { buf = t.buf; off = t.off + off; len }
 
+external buf_get64 : buf -> int -> int64 = "%caml_bigstring_get64u"
+external buf_set64 : buf -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bytes_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Unchecked copies, 8 bytes at a time and then the tail byte by byte.
+   Callers check bounds. *)
+let blit_bytes_to_buf src src_off dst dst_off len =
+  let i = ref 0 in
+  while !i + 8 <= len do
+    buf_set64 dst (dst_off + !i) (bytes_get64 src (src_off + !i));
+    i := !i + 8
+  done;
+  for j = !i to len - 1 do
+    Bigarray.Array1.unsafe_set dst (dst_off + j) (Bytes.unsafe_get src (src_off + j))
+  done
+
+let blit_buf_to_bytes src src_off dst dst_off len =
+  let i = ref 0 in
+  while !i + 8 <= len do
+    bytes_set64 dst (dst_off + !i) (buf_get64 src (src_off + !i));
+    i := !i + 8
+  done;
+  for j = !i to len - 1 do
+    Bytes.unsafe_set dst (dst_off + j) (Bigarray.Array1.unsafe_get src (src_off + j))
+  done
+
 let of_string s =
   let n = String.length s in
   let t = create n in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set t.buf i (String.unsafe_get s i)
-  done;
+  blit_bytes_to_buf (Bytes.unsafe_of_string s) 0 t.buf 0 n;
   t
 
 let substring t ~off ~len =
   if off < 0 || len < 0 || off + len > t.len then
     invalid_arg "Bigslice.substring: slice out of bounds";
-  String.init len (fun i -> Bigarray.Array1.unsafe_get t.buf (t.off + off + i))
+  let b = Bytes.create len in
+  blit_buf_to_bytes t.buf (t.off + off) b 0 len;
+  Bytes.unsafe_to_string b
 
 let to_string t = substring t ~off:0 ~len:t.len
 
 let copy t =
   let dst = create t.len in
-  for i = 0 to t.len - 1 do
-    Bigarray.Array1.unsafe_set dst.buf i (unsafe_get t i)
-  done;
+  Bigarray.Array1.blit (Bigarray.Array1.sub t.buf t.off t.len) dst.buf;
   dst
 
 let blit_from_bytes src ~src_off dst ~dst_off ~len =
@@ -63,7 +88,4 @@ let blit_from_bytes src ~src_off dst ~dst_off ~len =
     invalid_arg "Bigslice.blit_from_bytes: source out of bounds";
   if dst_off < 0 || dst_off + len > dst.len then
     invalid_arg "Bigslice.blit_from_bytes: destination out of bounds";
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set dst.buf (dst.off + dst_off + i)
-      (Bytes.unsafe_get src (src_off + i))
-  done
+  blit_bytes_to_buf src src_off dst.buf (dst.off + dst_off) len

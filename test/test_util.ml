@@ -6,6 +6,13 @@ open Evendb_util
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* Case count of the byte-kernel properties (CRC-32C, Bigslice copies,
+   Bloom probes). A soak raises it with KERNEL_PROP_COUNT=<n>. *)
+let kernel_prop_count ~default =
+  match Sys.getenv_opt "KERNEL_PROP_COUNT" with
+  | None | Some "" -> default
+  | Some s -> int_of_string s
+
 (* ---- Varint ---- *)
 
 let varint_roundtrip () =
@@ -83,6 +90,155 @@ let crc_detects_flip =
 let crc_bytes_slice () =
   let b = Bytes.of_string "xxhello worldyy" in
   Alcotest.(check int32) "slice" (Crc32c.string "hello world") (Crc32c.bytes b ~pos:2 ~len:11)
+
+(* The byte-at-a-time CRC-32C over boxed [Int32] that the slicing-by-8
+   kernel replaced, kept here as the reference it must match. *)
+let crc_ref_table =
+  Array.init 256 (fun i ->
+      let c = ref (Int32.of_int i) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then c := Int32.logxor (Int32.shift_right_logical !c 1) 0x82f63b78l
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
+
+let crc_ref ?(init = 0l) s ~pos ~len =
+  let crc = ref (Int32.logxor init 0xffffffffl) in
+  for i = pos to pos + len - 1 do
+    let idx = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code s.[i]))) 0xffl) in
+    crc := Int32.logxor crc_ref_table.(idx) (Int32.shift_right_logical !crc 8)
+  done;
+  Int32.logxor !crc 0xffffffffl
+
+(* Short inputs (0-64 bytes) reach every tail length 0-7 after every
+   whole-word count; long ones (up to 8 KiB) the steady state. *)
+let crc_input =
+  let gen =
+    let open QCheck.Gen in
+    let* n = oneof [ int_range 0 64; int_range 0 8192 ] in
+    let* s = string_size ~gen:char (return n) in
+    let* pos = int_range 0 n in
+    let* len = int_range 0 (n - pos) in
+    let* cut = int_range 0 n in
+    let* init = ui32 in
+    return (s, pos, len, cut, init)
+  in
+  QCheck.make gen ~print:(fun (s, pos, len, cut, init) ->
+      Printf.sprintf "len %d, pos %d, slice %d, cut %d, init %ld: %S" (String.length s) pos len cut init s)
+
+let crc_matches_reference =
+  QCheck.Test.make ~name:"crc32c: string/bytes/bigslice match the byte-at-a-time reference"
+    ~count:(kernel_prop_count ~default:300) crc_input (fun (s, pos, len, cut, init) ->
+      let n = String.length s in
+      let slice = Bigslice.sub (Bigslice.of_string ("pad" ^ s)) ~off:3 ~len:n in
+      let expected = crc_ref ~init s ~pos ~len in
+      Crc32c.string ~init s = crc_ref ~init s ~pos:0 ~len:n
+      && Crc32c.bytes ~init (Bytes.of_string s) ~pos ~len = expected
+      && Crc32c.bigslice ~init slice ~pos ~len = expected
+      && Crc32c.string ~init:(Crc32c.string (String.sub s 0 cut)) (String.sub s cut (n - cut))
+         = Crc32c.string s)
+
+let crc_bounds () =
+  let b = Bytes.create 8 and slice = Bigslice.create 8 in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises "bytes" (Invalid_argument "Crc32c.bytes: slice out of bounds") (fun () ->
+          ignore (Crc32c.bytes b ~pos ~len));
+      Alcotest.check_raises "bigslice" (Invalid_argument "Crc32c.bigslice: slice out of bounds")
+        (fun () -> ignore (Crc32c.bigslice slice ~pos ~len)))
+    [ (-1, 1); (0, -1); (0, 9); (8, 1); (5, 4) ]
+
+(* ---- Bigslice ---- *)
+
+(* The copies load and store whole words; these compare them against
+   byte loops over a slice that starts mid-bigarray, so word loads
+   straddle the slice's edges. *)
+let pattern i = Char.chr (((i * 37) + 11) land 0xff)
+
+let backing () =
+  let big = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 96 in
+  for i = 0 to 95 do
+    big.{i} <- pattern i
+  done;
+  big
+
+let slice_off = 5
+
+let bigslice_copies_exhaustive () =
+  let big = backing () in
+  let slice = Bigslice.of_bigarray ~off:slice_off ~len:80 big in
+  for off = 0 to 15 do
+    for len = 0 to 40 do
+      let what op = Printf.sprintf "%s off %d len %d" op off len in
+      let expected = String.init len (fun i -> big.{slice_off + off + i}) in
+      Alcotest.(check string) (what "substring") expected (Bigslice.substring slice ~off ~len);
+      let sub = Bigslice.sub slice ~off ~len in
+      Alcotest.(check string) (what "to_string") expected (Bigslice.to_string sub);
+      let copy = Bigslice.copy sub in
+      Alcotest.(check string) (what "copy") expected
+        (String.init (Bigslice.length copy) (Bigslice.get copy));
+      let fresh = Bigslice.of_string expected in
+      Alcotest.(check string) (what "of_string") expected
+        (String.init (Bigslice.length fresh) (Bigslice.get fresh));
+      (* Blit into a second slice of the same shape; bytes outside
+         [off, off + len) must keep their old values. *)
+      let src = Bytes.init 64 (fun i -> Char.chr (255 - i)) in
+      let dst_big = backing () in
+      let dst = Bigslice.of_bigarray ~off:slice_off ~len:80 dst_big in
+      Bigslice.blit_from_bytes src ~src_off:(15 - off) dst ~dst_off:off ~len;
+      let want =
+        String.init 96 (fun i ->
+            let j = i - slice_off - off in
+            if j >= 0 && j < len then Bytes.get src (15 - off + j) else pattern i)
+      in
+      Alcotest.(check string) (what "blit_from_bytes") want (String.init 96 (fun i -> dst_big.{i}))
+    done
+  done;
+  let c = Bigslice.copy slice in
+  Bigslice.set c 0 'Z';
+  Alcotest.(check char) "copy is private" (pattern slice_off) (Bigslice.get slice 0)
+
+let bigslice_copies_random =
+  QCheck.Test.make ~name:"bigslice: word copies match byte loops" ~count:(kernel_prop_count ~default:200)
+    QCheck.(quad (string_of_size Gen.(int_range 0 300)) (int_bound 7) (int_bound 300) (int_bound 300))
+    (fun (s, a, b, c) ->
+      let n = String.length s in
+      let lead = a in
+      let slice = Bigslice.sub (Bigslice.of_string (String.make lead '#' ^ s)) ~off:lead ~len:n in
+      let off = if n = 0 then 0 else b mod (n + 1) in
+      let len = c mod (n - off + 1) in
+      let dst = Bigslice.create (n + 8) in
+      for i = 0 to n + 7 do
+        Bigslice.set dst i '.'
+      done;
+      Bigslice.blit_from_bytes (Bytes.of_string s) ~src_off:off dst ~dst_off:lead ~len;
+      Bigslice.substring slice ~off ~len = String.sub s off len
+      && Bigslice.to_string (Bigslice.copy slice) = s
+      && String.init (n + 8) (Bigslice.get dst)
+         = String.make lead '.' ^ String.sub s off len ^ String.make (n + 8 - lead - len) '.')
+
+let bigslice_bounds () =
+  let slice = Bigslice.of_bigarray ~off:slice_off ~len:80 (backing ()) in
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ())) in
+  List.iter
+    (fun (off, len) ->
+      raises "Bigslice.substring: slice out of bounds" (fun () -> Bigslice.substring slice ~off ~len);
+      raises "Bigslice.sub: slice out of bounds" (fun () -> Bigslice.sub slice ~off ~len))
+    [ (-1, 1); (0, -1); (0, 81); (80, 1); (41, 40) ];
+  let src = Bytes.create 16 in
+  List.iter
+    (fun (src_off, len) ->
+      raises "Bigslice.blit_from_bytes: source out of bounds" (fun () ->
+          Bigslice.blit_from_bytes src ~src_off slice ~dst_off:0 ~len))
+    [ (-1, 1); (0, -1); (0, 17); (9, 8) ];
+  List.iter
+    (fun (dst_off, len) ->
+      raises "Bigslice.blit_from_bytes: destination out of bounds" (fun () ->
+          Bigslice.blit_from_bytes (Bytes.create 100) ~src_off:0 slice ~dst_off ~len))
+    [ (-1, 1); (0, 81); (80, 1); (73, 8) ];
+  raises "Bigslice.get: index out of bounds" (fun () -> Bigslice.get slice 80);
+  raises "Bigslice.of_bigarray: slice out of bounds" (fun () ->
+      Bigslice.of_bigarray ~off:90 ~len:7 (backing ()))
 
 (* ---- Bits ---- *)
 
@@ -476,6 +632,14 @@ let suite =
         Alcotest.test_case "bytes slice" `Quick crc_bytes_slice;
         qtest crc_mask_roundtrip;
         qtest crc_detects_flip;
+        qtest crc_matches_reference;
+        Alcotest.test_case "bounds checked" `Quick crc_bounds;
+      ] );
+    ( "bigslice",
+      [
+        Alcotest.test_case "copies, every offset 0-15 x length 0-40" `Quick bigslice_copies_exhaustive;
+        qtest bigslice_copies_random;
+        Alcotest.test_case "bounds checked" `Quick bigslice_bounds;
       ] );
     ( "bits",
       [
