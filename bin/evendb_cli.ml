@@ -30,7 +30,7 @@
 
 open Cmdliner
 module Db = Evendb_core.Db
-module Chunk_stats = Evendb_core.Chunk_stats
+module Chunk = Evendb_core.Chunk
 module Snapshot = Evendb_core.Snapshot
 module Backup = Evendb_core.Backup
 module Env = Evendb_storage.Env
@@ -545,8 +545,7 @@ let heat_cmd =
         let cstats = Db.chunk_stats db in
         let by_heat =
           List.sort
-            (fun a b ->
-              compare b.Db.cs_stat.Chunk_stats.st_heat a.Db.cs_stat.Chunk_stats.st_heat)
+            (fun a b -> compare b.Db.cs_stat.Chunk.st_heat a.Db.cs_stat.Chunk.st_heat)
             cstats
         in
         let resident = List.length (List.filter (fun c -> c.Db.cs_munk_resident) cstats) in
@@ -595,14 +594,13 @@ let heat_cmd =
               let s = c.Db.cs_stat in
               Buffer.add_string buf
                 (Printf.sprintf
-                   "\n    {\"id\": %d, \"min_key\": %s, \"munk\": %b, \"heat\": %.3f, \
+                   "\n    {\"id\": %d, \"min_key\": %s, \"munk\": %b, \"heat\": %d, \
                     \"gets\": %d, \"puts\": %d, \"scans\": %d, \"munk_hits\": %d, \
                     \"row_hits\": %d, \"funk_reads\": %d, \"rebalances\": %d, \"splits\": %d}"
                    c.Db.cs_id (jstr c.Db.cs_min_key) c.Db.cs_munk_resident
-                   s.Chunk_stats.st_heat s.Chunk_stats.st_gets s.Chunk_stats.st_puts
-                   s.Chunk_stats.st_scans s.Chunk_stats.st_munk_hits s.Chunk_stats.st_row_hits
-                   s.Chunk_stats.st_funk_reads s.Chunk_stats.st_rebalances
-                   s.Chunk_stats.st_splits))
+                   s.Chunk.st_heat s.Chunk.st_gets s.Chunk.st_puts s.Chunk.st_scans
+                   s.Chunk.st_munk_hits s.Chunk.st_row_hits s.Chunk.st_funk_reads
+                   s.Chunk.st_rebalances s.Chunk.st_splits))
             (take top by_heat);
           Buffer.add_string buf "\n  ]\n}\n";
           print_string (Buffer.contents buf)
@@ -627,15 +625,15 @@ let heat_cmd =
             | Some c ->
               let s = c.Db.cs_stat in
               let hitpct =
-                if s.Chunk_stats.st_gets = 0 then 0.0
+                if s.Chunk.st_gets = 0 then 0.0
                 else
                   100.0
-                  *. float_of_int (s.Chunk_stats.st_munk_hits + s.Chunk_stats.st_row_hits)
-                  /. float_of_int s.Chunk_stats.st_gets
+                  *. float_of_int (s.Chunk.st_munk_hits + s.Chunk.st_row_hits)
+                  /. float_of_int s.Chunk.st_gets
               in
-              Printf.printf "%7d%s %8.1f %9d %9d %9.1f\n" c.Db.cs_id
+              Printf.printf "%7d%s %8d %9d %9d %9.1f\n" c.Db.cs_id
                 (if c.Db.cs_munk_resident then "*" else " ")
-                s.Chunk_stats.st_heat s.Chunk_stats.st_gets s.Chunk_stats.st_puts hitpct
+                s.Chunk.st_heat s.Chunk.st_gets s.Chunk.st_puts hitpct
             | None -> print_newline ()
           done;
           Printf.printf "(* = munk resident)\n"

@@ -7,12 +7,12 @@
    verified the block's CRC once, and cached blocks are trusted
    thereafter.
 
-   Eviction is LFU with decay-by-halving, per shard, mirroring
-   [Lfu] (the munk cache): each access bumps the entry's frequency,
-   periodic halving lets cold entries age out, and the victim is the
-   resident entry with the lowest frequency. The byte budget is split
-   evenly across shards and enforced per shard before insert, so total
-   resident bytes never exceed the configured capacity. *)
+   Eviction is LFU with decay-by-halving, per shard, mirroring the munk
+   cache's policy ([Evendb_core.Lfu]): each access bumps the entry's
+   frequency, periodic halving lets cold entries age out, and the victim
+   is the resident entry with the lowest frequency. The byte budget is
+   split evenly across shards and enforced per shard before insert, so
+   total resident bytes never exceed the configured capacity. *)
 
 open Evendb_util
 

@@ -9,8 +9,8 @@
 
     CRC verification happens exactly once, inside the fill closure; a
     hit returns the cached slice without copying or re-verifying.
-    Eviction is LFU-with-decay per shard (see {!Lfu}); total resident
-    bytes never exceed the configured capacity. *)
+    Eviction is LFU-with-decay per shard, like the munk cache's; total
+    resident bytes never exceed the configured capacity. *)
 
 type t
 

@@ -25,7 +25,6 @@ type maintainer = {
 let po_slots = 128 (* pending-op slots: far above any writer-domain count *)
 let row_cache_tables = 3 (* the paper's three row-cache hash tables *)
 let hot_prefix_len = 8 (* "user" + 4 digits under the YCSB keys: 10^6-key blocks *)
-let heat_half_life_ns = 10_000_000_000 (* chunk heat halves after 10 s idle *)
 let attr_slow_threshold_ns = 1_000_000 (* 1 ms: well above a cached op *)
 let attr_slow_ring = 256 (* slow ops kept with their full breakdown *)
 let attr_watchdog_share_ppm = 500_000 (* a cause owning half of recent op time is a stall *)
@@ -49,7 +48,6 @@ type t = {
   structural : Mutex.t; (* chunk list, index, manifest; leaf lock *)
   checkpoint_mutex : Mutex.t;
   rstats : Read_stats.t;
-  cstats : Chunk_stats.t;
   topk : Topk.t; (* hot key prefixes, fed from gets and puts *)
   logical_written : int Atomic.t;
   put_count : int Atomic.t;
@@ -315,12 +313,13 @@ let evict_munk_chunk db c =
           (fun funk ->
             Chunk.set_bloom c (Some (build_bloom db funk));
             rebuild_view db funk);
-        Lfu.drop_cached db.lfu (Chunk.id c);
+        Lfu.drop_cached db.lfu c;
         true
       | Some _ -> false)
 
-let chunk_by_id db id =
-  List.find_opt (fun c -> Chunk.id c = id) (Chunk_index.chunks (Atomic.get db.index))
+(* Carry out an eviction the policy decided. *)
+let evict_victim db victim =
+  ignore (Attr.timed Attr.Rebalance (fun () -> evict_munk_chunk db victim))
 
 (* Access-driven munk admission, sampled to keep the LFU off the hot
    path. *)
@@ -331,22 +330,14 @@ let note_access db c =
   incr tick;
   if !tick land 7 = 0 then begin
     try
-      (match Lfu.on_access db.lfu (Chunk.id c) with
+      (match Lfu.on_access db.lfu c with
       | Lfu.Already_cached | Lfu.Skip -> ()
-      | Lfu.Evict_other vid -> (
-        match chunk_by_id db vid with
-        | Some victim -> ignore (Attr.timed Attr.Rebalance (fun () -> evict_munk_chunk db victim))
-        | None -> Lfu.remove db.lfu vid)
+      | Lfu.Evict_other victim -> evict_victim db victim
       | Lfu.Admit evictee ->
-        (match evictee with
-        | Some vid -> (
-          match chunk_by_id db vid with
-          | Some victim -> ignore (Attr.timed Attr.Rebalance (fun () -> evict_munk_chunk db victim))
-          | None -> Lfu.remove db.lfu vid)
-        | None -> ());
+        Option.iter (evict_victim db) evictee;
         if not (Attr.timed Attr.Disk_read (fun () -> load_munk db c)) then
           (* Retired or already loaded elsewhere; keep LFU consistent. *)
-          if Chunk.munk c = None then Lfu.drop_cached db.lfu (Chunk.id c))
+          if Chunk.munk c = None then Lfu.drop_cached db.lfu c)
     with Env.Corruption _ ->
       (* Admission is an optimisation; a corrupt funk must not take the
          read path down with it. The get itself degrades separately. *)
@@ -370,13 +361,7 @@ let rec get_resolved db key =
   let c = lookup_read db key in
   let record comp =
     Read_stats.record db.rstats comp (if detailed then now_ns () - t0 else 0);
-    let cc =
-      match comp with
-      | Read_stats.Munk_cache -> Chunk_stats.Munk
-      | Read_stats.Row_cache -> Chunk_stats.Row
-      | Read_stats.Funk_log | Read_stats.Sstable | Read_stats.Missing -> Chunk_stats.Funk
-    in
-    Chunk_stats.record_get db.cstats (Chunk.id c) cc ~now:(now_ns ())
+    Chunk.record_get c comp
   in
   note_access db c;
   match Chunk.munk c with
@@ -495,21 +480,19 @@ let split_chunk_locked db c compacted floor =
        ownership transfers to the first new chunk; the second becomes an
        additional owner. *)
     Funk.add_owner old_funk;
-    let counter = Chunk.counter_base c in
+    let counter = Chunk.counter_base c and freq = Chunk.freq c in
     let c1 =
       Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:(Chunk.min_key c) ~funk:old_funk
-        ~munk:(Some (Munk.of_sorted left)) ~counter
+        ~munk:(Some (Munk.of_sorted left)) ~counter ~freq
     in
     let c2 =
       Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:mid ~funk:old_funk
-        ~munk:(Some (Munk.of_sorted right)) ~counter
+        ~munk:(Some (Munk.of_sorted right)) ~counter ~freq
     in
     Chunk.set_next c1 (Some c2);
     splice_chunks db c ~first:c1 ~last:c2;
-    Lfu.transfer db.lfu ~old_id:(Chunk.id c) ~new_ids:[ Chunk.id c1; Chunk.id c2 ];
-    Chunk_stats.record_split db.cstats (Chunk.id c) ~now:(now_ns ());
-    Chunk_stats.transfer db.cstats ~now:(now_ns ()) ~old_ids:[ Chunk.id c ]
-      ~new_ids:[ Chunk.id c1; Chunk.id c2 ];
+    Lfu.transfer db.lfu c ~into:[ c1; c2 ];
+    List.iter Chunk.record_split [ c1; c2 ];
     (* The retired chunk keeps its munk so that readers holding stale
        references continue to be served (§3.4). *)
     (* Phase 2: give each new chunk its own funk. Puts may already be
@@ -592,7 +575,7 @@ let munk_rebalance ?(force = false) db c =
           ()
         | Some munk ->
           Obs.Trace.with_span (Obs.trace db.obs) ~name:"munk_rebalance" (fun sp ->
-              Chunk_stats.record_rebalance db.cstats (Chunk.id c) ~now:(now_ns ());
+              Chunk.record_rebalance c;
               let floor = compaction_floor db c in
               let compacted = Munk.rebalance munk ~min_retained_version:(Some floor) in
               Obs.Trace.add_attr sp "bytes" (Munk.byte_size compacted);
@@ -625,7 +608,7 @@ let cold_funk_rebalance db c =
     ~current:(fun () -> Chunk.funk c)
     (fun funk ->
       Obs.Trace.with_span (Obs.trace db.obs) ~name:"cold_funk_rebalance" (fun sp ->
-      Chunk_stats.record_rebalance db.cstats (Chunk.id c) ~now:(now_ns ());
+      Chunk.record_rebalance c;
       let log_end = Funk.log_size funk in
       let floor = compaction_floor db c in
       let merged =
@@ -703,14 +686,14 @@ let cold_funk_rebalance db c =
               else begin
                 divert_records (fun key ->
                     if String.compare key mid < 0 then funk1 else funk2);
-                let counter = Chunk.counter_base c in
+                let counter = Chunk.counter_base c and freq = Chunk.freq c in
                 let c1 =
                   Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:(Chunk.min_key c)
-                    ~funk:funk1 ~munk:None ~counter
+                    ~funk:funk1 ~munk:None ~counter ~freq
                 in
                 let c2 =
                   Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:mid ~funk:funk2
-                    ~munk:None ~counter
+                    ~munk:None ~counter ~freq
                 in
                 Chunk.set_bloom c1 (Some (build_bloom db funk1));
                 Chunk.set_bloom c2 (Some (build_bloom db funk2));
@@ -718,10 +701,8 @@ let cold_funk_rebalance db c =
                 rebuild_view db funk2;
                 Chunk.set_next c1 (Some c2);
                 splice_chunks db c ~first:c1 ~last:c2;
-                Lfu.transfer db.lfu ~old_id:(Chunk.id c) ~new_ids:[ Chunk.id c1; Chunk.id c2 ];
-                Chunk_stats.record_split db.cstats (Chunk.id c) ~now:(now_ns ());
-                Chunk_stats.transfer db.cstats ~now:(now_ns ()) ~old_ids:[ Chunk.id c ]
-                  ~new_ids:[ Chunk.id c1; Chunk.id c2 ];
+                Lfu.transfer db.lfu c ~into:[ c1; c2 ];
+                List.iter Chunk.record_split [ c1; c2 ];
                 publish_funks db ~add:[ id1; id2 ] ~disown:[ funk ]
               end)
       end))
@@ -745,7 +726,7 @@ let funk_rebalance db c =
               if not (Chunk.retired c) then
                 match Chunk.munk c with
                 | Some munk ->
-                  Chunk_stats.record_rebalance db.cstats (Chunk.id c) ~now:(now_ns ());
+                  Chunk.record_rebalance c;
                   ignore (flush_munk_locked db c munk)
                 | None -> ())
         | None -> (
@@ -797,7 +778,10 @@ let needs_merge db c =
 
 (* Merge [c] with its successor [n]. Exclusive locks are taken in list
    order (as every multi-chunk operation does), so merges cannot
-   deadlock against each other or against splits. *)
+   deadlock against each other or against splits. The merged chunk
+   takes a munk; the munk the policy evicts to make room for it is
+   dropped once both locks are released, since its chunk may precede
+   [c] in the list. *)
 let merge_chunks db c n =
   let lc = Chunk.rebalance_lock c in
   Rwlock.lock_exclusive lc;
@@ -807,13 +791,15 @@ let merge_chunks db c n =
       let still_adjacent =
         (not (Chunk.retired c)) && match Chunk.next c with Some x -> x == n | None -> false
       in
-      if still_adjacent then begin
+      if not still_adjacent then None
+      else begin
         let ln = Chunk.rebalance_lock n in
         Rwlock.lock_exclusive ln;
         Fun.protect
           ~finally:(fun () -> Rwlock.unlock_exclusive ln)
           (fun () ->
-            if not (Chunk.retired n) then begin
+            if Chunk.retired n then None
+            else begin
               Obs.Trace.with_span (Obs.trace db.obs) ~name:"chunk_merge" (fun sp ->
               let floor = min (compaction_floor db c) (compaction_floor db n) in
               (* Under both exclusive locks the funks cannot be flipped
@@ -838,6 +824,7 @@ let merge_chunks db c n =
               let cm =
                 Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:(Chunk.min_key c)
                   ~funk:funk' ~munk:(Some (Munk.of_sorted entries)) ~counter
+                  ~freq:(Chunk.freq c)
               in
               Mutex.lock db.structural;
               Fun.protect
@@ -851,16 +838,15 @@ let merge_chunks db c n =
               Chunk.retire c;
               Chunk.retire n;
               row_cache_purge db cm;
-              Lfu.transfer db.lfu ~old_id:(Chunk.id c) ~new_ids:[ Chunk.id cm ];
-              Lfu.remove db.lfu (Chunk.id n);
-              Chunk_stats.transfer db.cstats ~now:(now_ns ())
-                ~old_ids:[ Chunk.id c; Chunk.id n ]
-                ~new_ids:[ Chunk.id cm ];
-              ignore (Lfu.force_insert db.lfu (Chunk.id cm));
+              Lfu.transfer db.lfu c ~into:[ cm ];
+              Lfu.remove db.lfu n;
+              let evictee = Lfu.force_insert db.lfu cm in
               Obs.Trace.add_attr sp "entries" (List.length entries);
-              publish_funks db ~add:[ id ] ~disown:[ Chunk.funk c; Chunk.funk n ])
+              publish_funks db ~add:[ id ] ~disown:[ Chunk.funk c; Chunk.funk n ];
+              evictee)
             end)
       end)
+  |> Option.iter (evict_victim db)
 
 (* ------------------------------------------------------------------ *)
 (* Put                                                                 *)
@@ -921,7 +907,7 @@ let rec put_entry db key value_opt =
     ignore
       (Atomic.fetch_and_add db.logical_written
          (String.length key + match value_opt with Some v -> String.length v | None -> 0));
-    Chunk_stats.record_put db.cstats (Chunk.id c) ~now:(now_ns ());
+    Chunk.record_put c;
     c
   end
 
@@ -1038,7 +1024,7 @@ let scan_internal db ?limit ~low ~high () =
            collected from earlier chunks (or retries). *)
         let rec over_chunks lo c =
           note_access db c;
-          Chunk_stats.record_scan db.cstats (Chunk.id c) ~now:(now_ns ());
+          Chunk.record_scan c;
           let stale =
             match Chunk.munk c with
             | Some munk ->
@@ -1223,7 +1209,7 @@ let register_probes db =
 let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoint ~next_funk_id ~live =
   let lfu = Lfu.create ~capacity:cfg.Config.munk_cache_capacity () in
   List.iter
-    (fun c -> if Chunk.munk c <> None then ignore (Lfu.force_insert lfu (Chunk.id c)))
+    (fun c -> if Chunk.munk c <> None then ignore (Lfu.force_insert lfu c))
     chunks;
   let live_funks = Hashtbl.create 64 in
   List.iter (fun id -> Hashtbl.replace live_funks id ()) live;
@@ -1248,7 +1234,6 @@ let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoin
     structural = Mutex.create ();
     checkpoint_mutex = Mutex.create ();
     rstats = Read_stats.create ~detailed:cfg.Config.collect_read_stats;
-    cstats = Chunk_stats.create ~half_life_ns:heat_half_life_ns ();
     topk = Topk.create ~capacity:cfg.Config.topk_capacity ();
     logical_written = Atomic.make 0;
     put_count = Atomic.make 0;
@@ -1672,23 +1657,18 @@ type chunk_stat = {
   cs_min_key : string;
   cs_munk_resident : bool;
   cs_resident_bytes : int;
-  cs_stat : Chunk_stats.stat;
+  cs_stat : Chunk.stat;
 }
 
 let chunk_stats db =
-  let now = now_ns () in
   List.map
     (fun c ->
-      let id = Chunk.id c in
       {
-        cs_id = id;
+        cs_id = Chunk.id c;
         cs_min_key = Chunk.min_key c;
         cs_munk_resident = Chunk.munk c <> None;
         cs_resident_bytes = (match Chunk.munk c with Some m -> Munk.byte_size m | None -> 0);
-        cs_stat =
-          (match Chunk_stats.stat db.cstats id ~now with
-          | Some s -> s
-          | None -> Chunk_stats.zero);
+        cs_stat = Chunk.stat c ~heat:(Lfu.frequency db.lfu c);
       })
     (all_chunks db)
 
@@ -1713,7 +1693,7 @@ let reset_metrics db =
   Obs.reset db.obs;
   Attr.reset db.attr;
   Read_stats.reset db.rstats;
-  Chunk_stats.reset db.cstats ~now:(now_ns ());
+  List.iter Chunk.reset_counters (all_chunks db);
   Topk.reset db.topk
 
 (* Non-zero resettable metrics — anything here right after
@@ -1737,7 +1717,7 @@ let metrics_residue db =
         if st.Obs.Trace.span_count <> 0 then Some ("span." ^ st.Obs.Trace.span_name) else None)
       s.Obs.spans
   in
-  let from_chunks = Chunk_stats.residue db.cstats ~now:(now_ns ()) in
+  let from_chunks = List.concat_map Chunk.counter_residue (all_chunks db) in
   let from_topk = if Topk.total db.topk <> 0 then [ "topk.total" ] else [] in
   from_registry @ from_spans @ from_chunks @ from_topk
 
@@ -1785,9 +1765,7 @@ let maintain db =
 
 let evict_munk db key =
   let c = lookup_put db key in
-  let evicted = evict_munk_chunk db c in
-  if evicted then Lfu.drop_cached db.lfu (Chunk.id c);
-  evicted
+  evict_munk_chunk db c
 
 let close db =
   if Atomic.compare_and_set db.closed false true then begin

@@ -181,13 +181,17 @@ type chunk_stat = {
   cs_min_key : string;
   cs_munk_resident : bool;
   cs_resident_bytes : int;  (** munk bytes when resident, else 0 *)
-  cs_stat : Chunk_stats.stat;
+  cs_stat : Chunk.stat;
 }
 
 val chunk_stats : t -> chunk_stat list
-(** One entry per live chunk, in key order: access counters, cache-hit
-    split, maintenance counts, and the exponentially-decayed heat score
-    (see {!Chunk_stats}), joined with residency info. *)
+(** One entry per live chunk, in key order: the chunk's access record
+    (op counters, cache-hit split, maintenance counts; see {!Chunk.stat})
+    joined with residency info. Its heat is the munk-cache policy's LFU
+    frequency, the count that decides munk residency: sampled accesses
+    (one get, put or scan visit in eight per domain), halved every
+    10 000 of them, and inherited by split children and by a merged
+    chunk from its left half. A new chunk's op counters start at zero. *)
 
 val hot_prefix_len : int
 (** Bytes of each get/put key fed to the hot-prefix sketch (8: ["user"]
@@ -222,8 +226,8 @@ val sampler_gauges : t -> (string * int) list
 val reset_metrics : t -> unit
 (** Zero every resettable statistic in one shot: the {!obs} registry
     (counters/timers/trace — probes stay registered), read stats, the
-    per-chunk stats table and the hot-prefix sketch. Structural state
-    (chunks, munks, caches) is untouched. *)
+    live chunks' op counters and the hot-prefix sketch. Structural and
+    policy state (chunks, munks, caches, heat) is untouched. *)
 
 val metrics_residue : t -> string list
 (** Names of resettable metrics that are currently non-zero (counters,

@@ -1,6 +1,11 @@
 (* Row cache and LFU munk-cache policy tests. *)
 
+open Evendb_util
+open Evendb_storage
 open Evendb_cache
+module Chunk = Evendb_core.Chunk
+module Funk = Evendb_core.Funk
+module Lfu = Evendb_core.Lfu
 
 (* ---- Row cache ---- *)
 
@@ -89,25 +94,41 @@ let clear () =
   Row_cache.clear c;
   Alcotest.(check int) "empty" 0 (Row_cache.length c)
 
-(* ---- LFU ---- *)
+(* ---- LFU munk-cache policy ---- *)
+
+(* The policy reads only a chunk's id and access record, so chunks over
+   an empty in-memory funk suffice. *)
+let chunk id =
+  let funk =
+    Funk.create_from_iter (Env.memory ()) ~block_bytes:512 ~id ~min_key:"" (Kv_iter.of_list [])
+  in
+  Chunk.create ~id ~min_key:"" ~funk ~munk:None
+
+(* A split child or merged chunk, built as [Db] builds them. *)
+let successor parent id =
+  Chunk.create_inheriting ~id ~min_key:(Chunk.min_key parent) ~funk:(Chunk.funk parent)
+    ~munk:None ~counter:(Chunk.counter_base parent) ~freq:(Chunk.freq parent)
+
+let ids cs = List.sort compare (List.map Chunk.id cs)
 
 let lfu_admission () =
   let l = Lfu.create ~capacity:2 () in
-  (match Lfu.on_access l 1 with
+  let c1 = chunk 1 and c2 = chunk 2 and c3 = chunk 3 in
+  (match Lfu.on_access l c1 with
   | Lfu.Admit None -> ()
   | _ -> Alcotest.fail "expected Admit None");
-  (match Lfu.on_access l 2 with
+  (match Lfu.on_access l c2 with
   | Lfu.Admit None -> ()
   | _ -> Alcotest.fail "expected Admit None for second");
-  Alcotest.(check bool) "1 cached" true (Lfu.is_cached l 1);
+  Alcotest.(check bool) "1 cached" true (Lfu.is_cached l c1);
   (* A one-hit wonder cannot displace an equally warm resident. *)
-  (match Lfu.on_access l 3 with
+  (match Lfu.on_access l c3 with
   | Lfu.Skip -> ()
   | _ -> Alcotest.fail "expected Skip");
   (* Make 3 hotter than the coldest resident. *)
-  (match Lfu.on_access l 3 with
+  (match Lfu.on_access l c3 with
   | Lfu.Admit (Some victim) ->
-    Alcotest.(check bool) "victim was resident" true (victim = 1 || victim = 2)
+    Alcotest.(check bool) "victim was resident" true (victim == c1 || victim == c2)
   | d ->
     Alcotest.failf "expected Admit Some, got %s"
       (match d with
@@ -118,64 +139,197 @@ let lfu_admission () =
 
 let lfu_already_cached () =
   let l = Lfu.create ~capacity:2 () in
-  ignore (Lfu.on_access l 1);
-  (match Lfu.on_access l 1 with
+  let c1 = chunk 1 in
+  ignore (Lfu.on_access l c1);
+  (match Lfu.on_access l c1 with
   | Lfu.Already_cached -> ()
   | _ -> Alcotest.fail "expected Already_cached")
 
 let lfu_hot_resists_eviction () =
   let l = Lfu.create ~capacity:1 () in
+  let c1 = chunk 1 and c2 = chunk 2 in
   for _ = 1 to 10 do
-    ignore (Lfu.on_access l 1)
+    ignore (Lfu.on_access l c1)
   done;
   (* A few accesses of 2 cannot displace well-established 1. *)
-  (match Lfu.on_access l 2 with
+  (match Lfu.on_access l c2 with
   | Lfu.Skip -> ()
   | _ -> Alcotest.fail "cold challenger should be skipped");
-  Alcotest.(check bool) "hot stays" true (Lfu.is_cached l 1)
+  Alcotest.(check bool) "hot stays" true (Lfu.is_cached l c1)
 
 let lfu_decay () =
   let l = Lfu.create ~capacity:1 ~decay_every:10 () in
+  let c1 = chunk 1 and c2 = chunk 2 in
   for _ = 1 to 8 do
-    ignore (Lfu.on_access l 1)
+    ignore (Lfu.on_access l c1)
   done;
-  Alcotest.(check int) "freq before decay" 8 (Lfu.frequency l 1);
+  Alcotest.(check int) "freq before decay" 8 (Lfu.frequency l c1);
   (* Cross the decay threshold. *)
-  ignore (Lfu.on_access l 2);
-  ignore (Lfu.on_access l 2);
-  Alcotest.(check bool) "frequency halved" true (Lfu.frequency l 1 <= 4)
+  ignore (Lfu.on_access l c2);
+  ignore (Lfu.on_access l c2);
+  Alcotest.(check int) "frequency halved" 4 (Lfu.frequency l c1);
+  Alcotest.(check int) "the record keeps the undecayed count" 8 (Chunk.freq c1).Chunk.count
 
 let lfu_transfer () =
   let l = Lfu.create ~capacity:4 () in
+  let c10 = chunk 10 in
   for _ = 1 to 5 do
-    ignore (Lfu.on_access l 10)
+    ignore (Lfu.on_access l c10)
   done;
-  Lfu.transfer l ~old_id:10 ~new_ids:[ 20; 21 ];
-  Alcotest.(check bool) "old forgotten" false (Lfu.is_cached l 10);
-  Alcotest.(check bool) "child cached" true (Lfu.is_cached l 20 && Lfu.is_cached l 21);
-  Alcotest.(check int) "frequency inherited" 5 (Lfu.frequency l 20)
+  let c20 = successor c10 20 and c21 = successor c10 21 in
+  Lfu.transfer l c10 ~into:[ c20; c21 ];
+  Alcotest.(check bool) "old forgotten" false (Lfu.is_cached l c10);
+  Alcotest.(check int) "old frequency zeroed" 0 (Lfu.frequency l c10);
+  Alcotest.(check bool) "child cached" true (Lfu.is_cached l c20 && Lfu.is_cached l c21);
+  Alcotest.(check int) "frequency inherited" 5 (Lfu.frequency l c20)
 
 let lfu_over_capacity_drains () =
   let l = Lfu.create ~capacity:2 () in
-  ignore (Lfu.on_access l 1);
-  ignore (Lfu.on_access l 2);
-  ignore (Lfu.on_access l 2);
+  let c1 = chunk 1 and c2 = chunk 2 in
+  ignore (Lfu.on_access l c1);
+  ignore (Lfu.on_access l c2);
+  ignore (Lfu.on_access l c2);
   (* Splitting 1 into two children overshoots capacity. *)
-  Lfu.transfer l ~old_id:1 ~new_ids:[ 11; 12 ];
-  Alcotest.(check int) "transiently over" 3 (List.length (Lfu.cached l));
-  (match Lfu.on_access l 2 with
-  | Lfu.Evict_other v -> Alcotest.(check bool) "evicts a child" true (v = 11 || v = 12)
+  let c11 = successor c1 11 and c12 = successor c1 12 in
+  Lfu.transfer l c1 ~into:[ c11; c12 ];
+  Alcotest.(check (list int)) "transiently over" [ 2; 11; 12 ] (ids (Lfu.cached l));
+  (match Lfu.on_access l c2 with
+  | Lfu.Evict_other v -> Alcotest.(check bool) "evicts a child" true (v == c11 || v == c12)
   | _ -> Alcotest.fail "expected Evict_other to drain overflow");
   Alcotest.(check int) "back at capacity" 2 (List.length (Lfu.cached l))
 
 let lfu_force_insert_and_drop () =
   let l = Lfu.create ~capacity:1 () in
-  Alcotest.(check (option int)) "first force" None (Lfu.force_insert l 1);
-  (match Lfu.force_insert l 2 with
-  | Some 1 -> ()
+  let c1 = chunk 1 and c2 = chunk 2 in
+  Alcotest.(check bool) "first force" true (Lfu.force_insert l c1 = None);
+  (match Lfu.force_insert l c2 with
+  | Some v when v == c1 -> ()
   | _ -> Alcotest.fail "expected eviction of 1");
-  Lfu.drop_cached l 2;
-  Alcotest.(check bool) "dropped" false (Lfu.is_cached l 2)
+  Lfu.drop_cached l c2;
+  Alcotest.(check bool) "dropped" false (Lfu.is_cached l c2)
+
+(* Differential property: the policy over chunk records makes the same
+   decisions as [Lfu_reference], the id-keyed policy with its own
+   frequency table and eager halving sweep that it replaced. Both see
+   the same accesses, splits, merges, forced inserts and explicit
+   evictions; a small [decay_every] makes runs cross many halvings,
+   including accesses that trigger one. *)
+type lfu_op =
+  | Access of int
+  | Access_retired of int  (* a reader still holding a retired chunk *)
+  | Split of int
+  | Merge of int
+  | Force of int
+  | Drop of int
+
+let show_lfu_op = function
+  | Access i -> Printf.sprintf "Access %d" i
+  | Access_retired i -> Printf.sprintf "Access_retired %d" i
+  | Split i -> Printf.sprintf "Split %d" i
+  | Merge i -> Printf.sprintf "Merge %d" i
+  | Force i -> Printf.sprintf "Force %d" i
+  | Drop i -> Printf.sprintf "Drop %d" i
+
+let lfu_op_gen =
+  QCheck.Gen.(
+    let i = int_bound 63 in
+    frequency
+      [
+        (12, map (fun i -> Access i) i);
+        (1, map (fun i -> Access_retired i) i);
+        (2, map (fun i -> Split i) i);
+        (2, map (fun i -> Merge i) i);
+        (1, map (fun i -> Force i) i);
+        (1, map (fun i -> Drop i) i);
+      ])
+
+let lfu_matches_reference =
+  QCheck.Test.make ~name:"lfu: decisions match the id-keyed reference" ~count:300
+    QCheck.(
+      quad (int_range 1 5) (int_range 1 12) (int_range 1 6)
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map show_lfu_op ops))
+           Gen.(list_size (int_range 1 300) lfu_op_gen)))
+    (fun (capacity, decay_every, initial, ops) ->
+      let l = Lfu.create ~capacity ~decay_every () in
+      let r = Lfu_reference.create ~capacity ~decay_every () in
+      let live = ref (List.init initial chunk) and retired = ref [] in
+      let next_id = ref initial in
+      let fresh parent =
+        let c = successor parent !next_id in
+        incr next_id;
+        c
+      in
+      let nth l i = List.nth l (i mod List.length l) in
+      let same what a b = if a <> b then QCheck.Test.fail_reportf "%s differs" what in
+      let id_opt = Option.map Chunk.id in
+      let decision = function
+        | Lfu.Already_cached -> Lfu_reference.Already_cached
+        | Lfu.Admit v -> Lfu_reference.Admit (id_opt v)
+        | Lfu.Evict_other v -> Lfu_reference.Evict_other (Chunk.id v)
+        | Lfu.Skip -> Lfu_reference.Skip
+      in
+      let access c =
+        let d = decision (Lfu.on_access l c) in
+        same "decision" d (Lfu_reference.on_access r (Chunk.id c))
+      in
+      let step = function
+        | Access i -> access (nth !live i)
+        | Access_retired i -> if !retired <> [] then access (nth !retired i)
+        | Split i ->
+          let c = nth !live i in
+          let c1 = fresh c in
+          let c2 = fresh c in
+          Lfu.transfer l c ~into:[ c1; c2 ];
+          Lfu_reference.transfer r ~old_id:(Chunk.id c) ~new_ids:[ Chunk.id c1; Chunk.id c2 ];
+          live := List.concat_map (fun x -> if x == c then [ c1; c2 ] else [ x ]) !live;
+          retired := c :: !retired
+        | Merge i ->
+          let n_live = List.length !live in
+          if n_live >= 2 then begin
+            let j = i mod (n_live - 1) in
+            let c = List.nth !live j and n = List.nth !live (j + 1) in
+            let cm = fresh c in
+            Lfu.transfer l c ~into:[ cm ];
+            Lfu.remove l n;
+            let v = id_opt (Lfu.force_insert l cm) in
+            Lfu_reference.transfer r ~old_id:(Chunk.id c) ~new_ids:[ Chunk.id cm ];
+            Lfu_reference.remove r (Chunk.id n);
+            same "merge evictee" v (Lfu_reference.force_insert r (Chunk.id cm));
+            live :=
+              List.filter_map
+                (fun x -> if x == c then Some cm else if x == n then None else Some x)
+                !live;
+            retired := c :: n :: !retired
+          end
+        | Force i ->
+          let c = nth !live i in
+          same "force evictee"
+            (id_opt (Lfu.force_insert l c))
+            (Lfu_reference.force_insert r (Chunk.id c))
+        | Drop i ->
+          let c = nth !live i in
+          Lfu.drop_cached l c;
+          Lfu_reference.drop_cached r (Chunk.id c)
+      in
+      List.iter
+        (fun op ->
+          step op;
+          same "cached set, in victim-scan order"
+            (List.map Chunk.id (Lfu.cached l))
+            (Lfu_reference.cached r);
+          same "hits" (Lfu.hits l) (Lfu_reference.hits r);
+          same "misses" (Lfu.misses l) (Lfu_reference.misses r);
+          same "evictions" (Lfu.evictions l) (Lfu_reference.evictions r);
+          List.iter
+            (fun c ->
+              same
+                (Printf.sprintf "frequency of chunk %d" (Chunk.id c))
+                (Lfu.frequency l c)
+                (Lfu_reference.frequency r (Chunk.id c)))
+            (!live @ !retired))
+        ops;
+      true)
 
 let suite =
   [
@@ -200,5 +354,6 @@ let suite =
         Alcotest.test_case "split transfer" `Quick lfu_transfer;
         Alcotest.test_case "over-capacity drains" `Quick lfu_over_capacity_drains;
         Alcotest.test_case "force insert / drop" `Quick lfu_force_insert_and_drop;
+        QCheck_alcotest.to_alcotest lfu_matches_reference;
       ] );
   ]

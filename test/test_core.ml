@@ -252,7 +252,7 @@ let munk_trigger_band () =
       Alcotest.(check bool)
         "compacted munk in the (rebalance, split) band" true
         (built > config.munk_rebalance_bytes && built <= config.max_chunk_bytes);
-      let before = (only_chunk ()).cs_stat.Chunk_stats.st_rebalances in
+      let before = (only_chunk ()).cs_stat.Chunk.st_rebalances in
       let n = 50 in
       for j = 0 to n - 1 do
         Db.put db (key (j mod !i)) v
@@ -340,6 +340,43 @@ let merge_preserves_recovery () =
     (List.length (Db.scan db ~low:"" ~high:"zzzz" ()));
   Db.close db
 
+(* A merged chunk always takes a munk; when the cache is full, the munk
+   the policy evicts for it must actually go, or resident munks pile up
+   past [munk_cache_capacity] until the victim is read again. *)
+let merge_respects_munk_capacity () =
+  let capacity = 2 in
+  let config =
+    {
+      (Config.scaled ~factor:256 ()) with
+      Config.munk_cache_capacity = capacity;
+      funk_log_limit_no_munk = 512;
+    }
+  in
+  with_db ~config (fun _ db ->
+      let n = 8000 and region = 600 in
+      for i = 0 to n - 1 do
+        Db.put db (key i) (String.make 200 'v')
+      done;
+      (* Make the tail hot so its chunks hold the munks. *)
+      for _ = 1 to 10 do
+        for i = n - 200 to n - 1 do
+          ignore (Db.get db (key i))
+        done
+      done;
+      let chunks_before = Db.chunk_count db in
+      for r = 0 to 9 do
+        for i = r * region to ((r + 1) * region) - 2 do
+          Db.delete db (key i)
+        done;
+        Db.maintain db;
+        if Db.munk_count db > capacity then
+          Alcotest.failf "round %d: %d resident munks, capacity %d" r (Db.munk_count db) capacity
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "merged %d -> %d" chunks_before (Db.chunk_count db))
+        true
+        (Db.chunk_count db < chunks_before))
+
 let suite =
   suite
   @ [
@@ -347,6 +384,7 @@ let suite =
         [
           Alcotest.test_case "merge after deletes" `Quick merge_after_deletes;
           Alcotest.test_case "merge + recovery" `Quick merge_preserves_recovery;
+          Alcotest.test_case "merge respects munk capacity" `Quick merge_respects_munk_capacity;
         ] );
     ]
 

@@ -230,7 +230,7 @@ let chunk_counter_monotone () =
   Alcotest.(check bool) "monotone" true (c1 > c0);
   let inherited =
     Chunk.create_inheriting ~id:9 ~min_key:"x" ~funk:(Chunk.funk a) ~munk:None
-      ~counter:(Chunk.counter_base a)
+      ~counter:(Chunk.counter_base a) ~freq:(Chunk.freq a)
   in
   Alcotest.(check bool) "child continues" true (Chunk.next_counter inherited > c1)
 

@@ -22,61 +22,6 @@ module Json = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Heat decay *)
-
-let heat_decay_ordering () =
-  let hl = 1_000 in
-  let cs = Chunk_stats.create ~half_life_ns:hl () in
-  for _ = 1 to 100 do
-    Chunk_stats.record_get cs 0 Chunk_stats.Funk ~now:0
-  done;
-  for _ = 1 to 10 do
-    Chunk_stats.record_get cs 1 Chunk_stats.Funk ~now:0
-  done;
-  Alcotest.(check bool)
-    "busy chunk outranks quiet one at t0" true
-    (Chunk_stats.heat cs 0 ~now:0 > Chunk_stats.heat cs 1 ~now:0);
-  (* Five half-lives later the big old burst has decayed 32x; recent
-     traffic must outrank it. *)
-  let t5 = 5 * hl in
-  for _ = 1 to 10 do
-    Chunk_stats.record_get cs 1 Chunk_stats.Munk ~now:t5
-  done;
-  let h0 = Chunk_stats.heat cs 0 ~now:t5 and h1 = Chunk_stats.heat cs 1 ~now:t5 in
-  if not (h1 > h0) then
-    Alcotest.failf "recently-hot chunk should outrank stale burst: h0=%.3f h1=%.3f" h0 h1;
-  Alcotest.(check bool)
-    "stale heat decays by 2^-5" true
-    (abs_float (h0 -. (100.0 /. 32.0)) < 0.01);
-  (* Heat goes to ~0 once traffic stops. *)
-  Alcotest.(check bool)
-    "heat vanishes after many half-lives" true
-    (Chunk_stats.heat cs 0 ~now:(t5 + (60 * hl)) < 0.001)
-
-let heat_transfer_split_merge () =
-  let hl = 1_000 in
-  let cs = Chunk_stats.create ~half_life_ns:hl () in
-  for _ = 1 to 8 do
-    Chunk_stats.record_put cs 0 ~now:0
-  done;
-  (* Split: both children inherit half the parent's heat; parent zeroed. *)
-  Chunk_stats.transfer cs ~now:0 ~old_ids:[ 0 ] ~new_ids:[ 1; 2 ];
-  Alcotest.(check bool) "parent heat zeroed" true (Chunk_stats.heat cs 0 ~now:0 = 0.0);
-  Alcotest.(check bool)
-    "children split the heat" true
-    (abs_float (Chunk_stats.heat cs 1 ~now:0 -. 4.0) < 1e-9
-    && abs_float (Chunk_stats.heat cs 2 ~now:0 -. 4.0) < 1e-9);
-  (* Merge: the child inherits the sum. *)
-  Chunk_stats.transfer cs ~now:0 ~old_ids:[ 1; 2 ] ~new_ids:[ 3 ];
-  Alcotest.(check bool)
-    "merge child inherits the sum" true
-    (abs_float (Chunk_stats.heat cs 3 ~now:0 -. 8.0) < 1e-9);
-  (* Op counters stay with the retired id. *)
-  match Chunk_stats.stat cs 0 ~now:0 with
-  | Some s -> Alcotest.(check int) "puts stay on the retired id" 8 s.Chunk_stats.st_puts
-  | None -> Alcotest.fail "retired id lost its stats"
-
-(* ------------------------------------------------------------------ *)
 (* Space-Saving sketch *)
 
 let topk_zipf_bounds () =
@@ -271,11 +216,9 @@ let chunk_wiring () =
   Alcotest.(check bool) "rebalances recorded" true (has ".rebalances");
   (* Heat follows the key range across splits: live chunks carry it. *)
   let live_heat =
-    List.fold_left
-      (fun acc c -> acc +. c.Db.cs_stat.Chunk_stats.st_heat)
-      0.0 (Db.chunk_stats db)
+    List.fold_left (fun acc c -> acc + c.Db.cs_stat.Chunk.st_heat) 0 (Db.chunk_stats db)
   in
-  Alcotest.(check bool) "live chunks carry transferred heat" true (live_heat > 0.0);
+  Alcotest.(check bool) "live chunks carry transferred heat" true (live_heat > 0);
   (* Quiescent structure: counters must now balance exactly. *)
   Db.reset_metrics db;
   Alcotest.(check (list string)) "reset leaves no residue" [] (Db.metrics_residue db);
@@ -286,14 +229,115 @@ let chunk_wiring () =
   let cs = Db.chunk_stats db in
   Alcotest.(check int) "one stat row per live chunk" (Db.chunk_count db) (List.length cs);
   let sum f = List.fold_left (fun acc c -> acc + f c.Db.cs_stat) 0 cs in
-  Alcotest.(check int) "every get counted once" 300 (sum (fun s -> s.Chunk_stats.st_gets));
+  Alcotest.(check int) "every get counted once" 300 (sum (fun s -> s.Chunk.st_gets));
   Alcotest.(check int)
     "get component split partitions the gets" 300
-    (sum (fun s ->
-         s.Chunk_stats.st_munk_hits + s.Chunk_stats.st_row_hits + s.Chunk_stats.st_funk_reads));
-  Alcotest.(check bool) "scan visits recorded" true (sum (fun s -> s.Chunk_stats.st_scans) >= 1);
+    (sum (fun s -> s.Chunk.st_munk_hits + s.Chunk.st_row_hits + s.Chunk.st_funk_reads));
+  Alcotest.(check bool) "scan visits recorded" true (sum (fun s -> s.Chunk.st_scans) >= 1);
   let _, total = Db.hot_prefixes db in
   Alcotest.(check int) "sketch fed once per op" 300 total;
+  Db.close db
+
+(* Heat is the munk-cache policy's frequency, so it moves with the key
+   range the way the policy's count does: split children carry the
+   parent's, a merged chunk its left half's. Thresholds this high keep
+   puts from rebalancing; [Db.maintain] then splits and merges with no
+   access in between. *)
+let heat_inherited_split_merge () =
+  let config =
+    {
+      Config.default with
+      max_chunk_bytes = 4096;
+      munk_rebalance_bytes = 1 lsl 20;
+      munk_rebalance_appended = 1 lsl 20;
+      funk_log_limit_with_munk = 1 lsl 20;
+    }
+  in
+  let db = Db.open_ ~config (Env.memory ()) in
+  let heats () =
+    List.map (fun c -> (c.Db.cs_min_key, c.Db.cs_stat.Chunk.st_heat)) (Db.chunk_stats db)
+  in
+  for i = 0 to 99 do
+    Db.put db (key_of i) (String.make 64 'v')
+  done;
+  for i = 0 to 399 do
+    ignore (Db.get db (key_of (i mod 100)))
+  done;
+  let parent =
+    match heats () with
+    | [ (_, h) ] -> h
+    | l -> Alcotest.failf "expected one chunk before maintenance, got %d" (List.length l)
+  in
+  Alcotest.(check bool) "accesses heated the chunk" true (parent > 0);
+  Db.maintain db;
+  let children = heats () in
+  Alcotest.(check int) "maintenance split the chunk" 2 (List.length children);
+  List.iter
+    (fun (_, h) -> Alcotest.(check int) "split child carries the parent's heat" parent h)
+    children;
+  (* Heat the right half more, then empty both halves so they merge. *)
+  let right_min = fst (List.nth children 1) in
+  let right = List.filter (fun i -> key_of i >= right_min) (List.init 100 Fun.id) in
+  for _ = 1 to 4 do
+    List.iter (fun i -> ignore (Db.get db (key_of i))) right
+  done;
+  for i = 0 to 99 do
+    Db.delete db (key_of i)
+  done;
+  let left_heat, right_heat =
+    match heats () with
+    | [ (_, l); (_, r) ] -> (l, r)
+    | l -> Alcotest.failf "expected two chunks before the merge, got %d" (List.length l)
+  in
+  Alcotest.(check bool) "halves differ in heat" true (left_heat <> right_heat);
+  Db.maintain db;
+  Alcotest.(check (list (pair string int)))
+    "merged chunk carries the left half's heat" [ ("", left_heat) ] (heats ());
+  Db.close db
+
+(* [reset_metrics] zeroes the op counters but not heat: heat is policy
+   state, like munk residency. *)
+let reset_keeps_heat () =
+  let db = Db.open_ ~config:small_config (Env.memory ()) in
+  for i = 0 to 599 do
+    Db.put db (key_of i) (String.make 64 'v')
+  done;
+  Db.maintain db;
+  for i = 0 to 299 do
+    ignore (Db.get db (key_of (i * 2)))
+  done;
+  let heat_of cs = List.map (fun c -> (c.Db.cs_id, c.Db.cs_stat.Chunk.st_heat)) cs in
+  let before = heat_of (Db.chunk_stats db) in
+  Alcotest.(check bool) "some chunk is hot" true (List.exists (fun (_, h) -> h > 0) before);
+  Db.reset_metrics db;
+  Alcotest.(check (list string)) "every counter zeroed" [] (Db.metrics_residue db);
+  Alcotest.(check (list (pair int int))) "heat unchanged" before (heat_of (Db.chunk_stats db));
+  Db.close db
+
+(* On a Zipf-composite read trace over more chunks than munks, the
+   chunk that heat ranks first holds a munk: heat is the count the
+   policy admits and evicts by. *)
+let hottest_chunk_resident () =
+  let open Evendb_ycsb in
+  let db = Db.open_ ~config:small_config (Env.memory ()) in
+  let sh = Workload.create_shared ~value_bytes:64 (Workload.Zipf_composite 0.99) ~items:2000 ~seed:3 in
+  let w = Workload.thread sh ~id:0 in
+  List.iter (fun k -> Db.put db k "v") (Workload.load_keys sh);
+  Db.maintain db;
+  Db.reset_metrics db;
+  for _ = 1 to 20_000 do
+    ignore (Db.get db (Workload.sample_key w))
+  done;
+  let cs = Db.chunk_stats db in
+  Alcotest.(check bool)
+    "more chunks than munks" true
+    (List.length cs > small_config.Config.munk_cache_capacity);
+  let top = List.fold_left (fun acc c -> max acc c.Db.cs_stat.Chunk.st_heat) 0 cs in
+  let hottest = List.filter (fun c -> c.Db.cs_stat.Chunk.st_heat = top) cs in
+  Alcotest.(check bool) "the hottest chunk was read" true
+    (List.for_all (fun c -> c.Db.cs_stat.Chunk.st_gets > 0) hottest);
+  Alcotest.(check bool) "a hottest chunk is munk-resident" true
+    (List.exists (fun c -> c.Db.cs_munk_resident) hottest);
   Db.close db
 
 (* Library-level mirror of the `evendb heat` acceptance check: on the
@@ -356,8 +400,9 @@ let suite =
   [
     ( "telemetry",
       [
-        Alcotest.test_case "heat decay ordering" `Quick heat_decay_ordering;
-        Alcotest.test_case "heat transfer on split/merge" `Quick heat_transfer_split_merge;
+        Alcotest.test_case "heat inherited on split/merge" `Quick heat_inherited_split_merge;
+        Alcotest.test_case "heat survives reset_metrics" `Quick reset_keeps_heat;
+        Alcotest.test_case "hottest chunk is munk-resident" `Quick hottest_chunk_resident;
         Alcotest.test_case "space-saving bounds on zipf stream" `Quick topk_zipf_bounds;
         Alcotest.test_case "chrome trace well-formed" `Quick chrome_trace_well_formed;
         Alcotest.test_case "timer buckets exported" `Quick timer_buckets_exported;
