@@ -21,7 +21,7 @@ end
 
 module Evendb_engine (M : sig
   val mode : Evendb_core.Config.persistence
-end) : ENGINE = struct
+end) : ENGINE with type t = Evendb_core.Db.t = struct
   open Evendb_core
 
   type t = Db.t
@@ -110,11 +110,10 @@ module Flsm_engine : ENGINE = struct
   let durable_on_ack = true
 end
 
-let evendb_sync = (module Evendb_sync : ENGINE)
-let evendb_async = (module Evendb_async : ENGINE)
+let evendb_sync = (module Evendb_sync : ENGINE with type t = Evendb_core.Db.t)
+let evendb_async = (module Evendb_async : ENGINE with type t = Evendb_core.Db.t)
 let lsm_sync = (module Lsm_engine : ENGINE)
 let flsm_sync = (module Flsm_engine : ENGINE)
-let all_engines = [ evendb_sync; evendb_async; lsm_sync; flsm_sync ]
 
 (* ------------------------------------------------------------------ *)
 (* Workload recording                                                  *)

@@ -46,14 +46,14 @@ module type ENGINE = sig
       [false] when durability waits for the next {!barrier}. *)
 end
 
-val evendb_sync : (module ENGINE)
-val evendb_async : (module ENGINE)
-(** EvenDB with test-scaled thresholds, in both persistence modes. *)
+val evendb_sync : (module ENGINE with type t = Evendb_core.Db.t)
+val evendb_async : (module ENGINE with type t = Evendb_core.Db.t)
+(** EvenDB with test-scaled thresholds, in both persistence modes. The
+    store type is exposed so a caller can inspect the explored store
+    (its splits, say). *)
 
 val lsm_sync : (module ENGINE)
 val flsm_sync : (module ENGINE)
-
-val all_engines : (module ENGINE) list
 
 type result = {
   engine : string;

@@ -123,39 +123,47 @@ let compaction_floor db c =
      persistence consumer: recovery comes back empty either way. *)
   if pf < 0 then min scans gv_now else min scans (min gv_now pf)
 
-(* Manifest bookkeeping — caller must NOT hold [structural]. *)
-let manifest_update db ~add ~remove =
-  Mutex.lock db.structural;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock db.structural)
-    (fun () ->
-      List.iter (fun id -> Hashtbl.replace db.live_funks id ()) add;
-      List.iter (fun id -> Hashtbl.remove db.live_funks id) remove;
-      let live = Hashtbl.fold (fun id () acc -> id :: acc) db.live_funks [] in
-      (* [store] writes the complete live set every time, so if it fails
-         here the in-memory table stays authoritative and the next
-         successful store repairs the on-disk manifest in full. *)
-      Manifest.store db.env { next_id = Atomic.get db.next_funk_id; live })
+(* ------------------------------------------------------------------ *)
+(* Funk publication                                                    *)
 
-(* Two-phase funk publication. Phase 1 records the replacement funks in
-   the manifest while the replaced funks' files are still on disk;
-   phase 2 drops the replaced ids and only then retires them (deleting
-   their files once unpinned). A crash between the phases leaves both
-   generations manifest-live with intact files — recovery keeps the
-   newer (higher-id) funk of each min-key and sweeps the other. The
-   reverse order would let a crash strand a manifest-live id whose
-   files are already deleted, which recovery could not tell apart from
-   data loss. If phase 2's store fails, the old funks are deliberately
-   NOT retired: the on-disk manifest may still reference them, so their
-   files must survive until a later store (or recovery) supersedes it. *)
-let publish_funks db ~add ~disown =
-  manifest_update db ~add ~remove:[];
-  let retired = List.filter Funk.disown disown in
-  match retired with
-  | [] -> ()
-  | fs ->
-    manifest_update db ~add:[] ~remove:(List.map Funk.id fs);
-    List.iter Funk.retire fs
+(* A fresh funk (fsynced SSTable, empty log), private until published
+   by [swap_funks]; until then recovery sweeps its files as non-live. *)
+let build_funk db ~min_key it =
+  Funk.create_from_iter db.env ~block_bytes:db.cfg.sstable_block_bytes ~id:(fresh_funk_id db)
+    ~min_key it
+
+(* Run [f] on behalf of the unpublished [funks], discarding them if it
+   fails. *)
+let discarding funks f =
+  try f ()
+  with exn ->
+    List.iter Funk.retire funks;
+    raise exn
+
+(* The one funk-publication protocol: build, swap, flip, retire. The
+   caller has built [add] privately and holds the exclusive rebalance
+   lock of every chunk whose funk is in [replace], so no put can reach
+   a replaced funk any more. One manifest store (tmp, fsync, rename:
+   atomic) lists [add] and drops [replace]; only once it succeeded is
+   the in-memory live set committed, [flip] run (install the funks or
+   splice the chunks) and [replace] retired. A crash before the rename
+   recovers the old funks, one after it the new ones; each set holds
+   all the data. If the store fails nothing has changed: [add] is
+   discarded and the error propagates. [flip] must not fail. *)
+let swap_funks db ~add ~replace ~flip =
+  let added = List.map Funk.id add and dropped = List.map Funk.id replace in
+  discarding add (fun () ->
+      Mutex.protect db.structural (fun () ->
+          let live =
+            Hashtbl.fold
+              (fun id () acc -> if List.mem id dropped then acc else id :: acc)
+              db.live_funks added
+          in
+          Manifest.store db.env { next_id = Atomic.get db.next_funk_id; live };
+          List.iter (fun id -> Hashtbl.replace db.live_funks id ()) added;
+          List.iter (Hashtbl.remove db.live_funks) dropped));
+  flip ();
+  List.iter Funk.retire replace
 
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                              *)
@@ -238,9 +246,11 @@ let row_cache_purge db c =
      next chunk's min key is harmless. *)
   Row_cache.invalidate_range db.row_cache ~low ~high:high_excl
 
-(* A funk shared between split siblings holds both ranges' data until
-   each sibling flushes its own; any read of a funk's full content on
-   behalf of a chunk must therefore be clipped to the chunk's range. *)
+(* Reads of a funk's full content on behalf of a chunk are clipped to
+   the chunk's range. Every funk written by this code holds only its
+   chunk's keys; the clip matters only for stores written by earlier
+   builds, whose splits shared the parent's funk between the two
+   children until each had flushed its own. *)
 let chunk_entries db c funk =
   let low, high_excl = chunk_range c in
   K.filter
@@ -269,27 +279,18 @@ let load_munk db c =
       else false)
 
 (* Flush the munk into a fresh funk (new SSTable from the compacted
-   munk, empty log). Caller holds the chunk's lock exclusively. The old
-   funk may still be shared with a sibling chunk mid-split; ownership
-   accounting ([Funk.disown]) retires it only when the last owner lets
-   go. *)
+   munk, empty log). Caller holds the chunk's lock exclusively. *)
 let flush_munk_locked db c munk =
   Obs.Trace.with_span (Obs.trace db.obs) ~name:"funk_flush" (fun sp ->
       let floor = compaction_floor db c in
       let compacted = Munk.rebalance munk ~min_retained_version:(Some floor) in
       Obs.Trace.add_attr sp "bytes" (Munk.byte_size compacted);
       Obs.Trace.add_attr sp "entries" (Munk.entry_count compacted);
-      let old_funk = Chunk.funk c in
-      let id = fresh_funk_id db in
-      let funk' =
-        Funk.create_from_iter db.env ~block_bytes:db.cfg.sstable_block_bytes ~id
-          ~min_key:(Chunk.min_key c) (Munk.iter compacted)
-      in
-      Chunk.set_munk c (Some compacted);
-      Chunk.set_funk c funk';
-      publish_funks db ~add:[ id ] ~disown:[ old_funk ];
-      Obs.Counter.incr db.ctr_funk_flushes;
-      compacted)
+      let funk' = build_funk db ~min_key:(Chunk.min_key c) (Munk.iter compacted) in
+      swap_funks db ~add:[ funk' ] ~replace:[ Chunk.funk c ] ~flip:(fun () ->
+          Chunk.set_munk c (Some compacted);
+          Chunk.set_funk c funk');
+      Obs.Counter.incr db.ctr_funk_flushes)
 
 let evict_munk_chunk db c =
   let lock = Chunk.rebalance_lock c in
@@ -303,7 +304,7 @@ let evict_munk_chunk db c =
         (* If the log has outgrown the munk-less limit, flush first so
            the now-cold chunk doesn't immediately need a disk merge. *)
         if Funk.log_size (Chunk.funk c) > db.cfg.funk_log_limit_no_munk then
-          ignore (flush_munk_locked db c munk);
+          flush_munk_locked db c munk;
         Chunk.set_munk c None;
         (* Bloom filters are re-created on munk eviction (§2.2); the
            sorted view alongside them — the chunk is now cold and its
@@ -446,85 +447,77 @@ let find_predecessor db c =
   let head = Atomic.get db.head in
   if head == c then None else walk head
 
-(* Splice [replacements] (linked among themselves) in place of [c].
-   Caller holds c's rebalance lock exclusively. *)
-let splice_chunks db c ~first ~last =
-  Mutex.lock db.structural;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock db.structural)
-    (fun () ->
-      Chunk.set_next last (Chunk.next c);
-      (match find_predecessor db c with
+(* Splice the chain [first .. last] in place of the adjacent chunks
+   [old] (in list order) and retire them. Caller holds every old
+   chunk's rebalance lock exclusively. *)
+let splice_chunks db ~old ~first ~last =
+  let old_first = List.hd old in
+  let old_last = List.fold_left (fun _ c -> c) old_first old in
+  Mutex.protect db.structural (fun () ->
+      Chunk.set_next last (Chunk.next old_last);
+      (match find_predecessor db old_first with
       | None -> Atomic.set db.head first
       | Some pred -> Chunk.set_next pred (Some first));
       Atomic.set db.index (Chunk_index.of_first_chunk (Atomic.get db.head)));
-  Chunk.retire c
+  List.iter Chunk.retire old
+
+(* Build the two halves' funks, [left] from [min_key] and [right] from
+   its first key; if the second build fails the first is discarded. *)
+let build_halves db ~min_key left right =
+  let funk1 = build_funk db ~min_key (K.of_list left) in
+  let mid = (List.hd right : K.entry).key in
+  (funk1, discarding [ funk1 ] (fun () -> build_funk db ~min_key:mid (K.of_list right)))
+
+(* The split tail shared by hot and cold splits (§3.4): replace [c] by
+   two children over the privately built [funk1] and [funk2]. Each
+   child owns its funk from the moment it becomes visible: unlike the
+   paper's split, the children never share the parent's funk, whose
+   crash window lost the second child's data (see DESIGN.md). A
+   munk-less child gets its bloom filter and sorted view before the
+   swap. Caller holds c's rebalance lock exclusively; the retired [c]
+   keeps its munk so that readers holding stale references are still
+   served. *)
+let split_into db c (funk1, munk1) (funk2, munk2) =
+  let counter = Chunk.counter_base c and freq = Chunk.freq c in
+  let child funk munk =
+    let ch =
+      Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:(Funk.min_key funk) ~funk ~munk
+        ~counter ~freq
+    in
+    if munk = None then begin
+      Chunk.set_bloom ch (Some (build_bloom db funk));
+      rebuild_view db funk
+    end;
+    ch
+  in
+  let c1, c2 =
+    discarding [ funk1; funk2 ] (fun () ->
+        let c1 = child funk1 munk1 in
+        (c1, child funk2 munk2))
+  in
+  Chunk.set_next c1 (Some c2);
+  swap_funks db ~add:[ funk1; funk2 ] ~replace:[ Chunk.funk c ] ~flip:(fun () ->
+      splice_chunks db ~old:[ c ] ~first:c1 ~last:c2);
+  Lfu.transfer db.lfu c ~into:[ c1; c2 ];
+  List.iter Chunk.record_split [ c1; c2 ]
 
 (* Split a chunk whose compacted munk exceeds the chunk size limit
    (§3.4). Caller holds c's rebalance lock exclusively; [compacted] is
    the freshly rebalanced munk. *)
 let split_chunk_locked db c compacted floor =
-  let left, right = Munk.split_entries compacted ~min_retained_version:(Some floor) in
-  match right with
-  | [] -> Chunk.set_munk c (Some compacted)
-  | (first_right : K.entry) :: _ ->
+  match Munk.split_entries compacted ~min_retained_version:(Some floor) with
+  | _, [] -> Chunk.set_munk c (Some compacted)
+  | left, right ->
     Obs.Trace.with_span (Obs.trace db.obs) ~name:"chunk_split"
       ~attrs:
         [
           ("bytes", Munk.byte_size compacted); ("entries", Munk.entry_count compacted);
         ]
       (fun _sp ->
-    let mid = first_right.key in
-    let old_funk = Chunk.funk c in
-    (* Phase 1: two new chunks sharing the old funk (§3.4). [c]'s
-       ownership transfers to the first new chunk; the second becomes an
-       additional owner. *)
-    Funk.add_owner old_funk;
-    let counter = Chunk.counter_base c and freq = Chunk.freq c in
-    let c1 =
-      Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:(Chunk.min_key c) ~funk:old_funk
-        ~munk:(Some (Munk.of_sorted left)) ~counter ~freq
-    in
-    let c2 =
-      Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:mid ~funk:old_funk
-        ~munk:(Some (Munk.of_sorted right)) ~counter ~freq
-    in
-    Chunk.set_next c1 (Some c2);
-    splice_chunks db c ~first:c1 ~last:c2;
-    Lfu.transfer db.lfu c ~into:[ c1; c2 ];
-    List.iter Chunk.record_split [ c1; c2 ];
-    (* The retired chunk keeps its munk so that readers holding stale
-       references continue to be served (§3.4). *)
-    (* Phase 2: give each new chunk its own funk. Puts may already be
-       flowing into the new chunks (appending to the shared funk's log);
-       flushing each munk under its chunk's exclusive lock captures
-       them. A concurrent LFU eviction may have dropped (and possibly
-       already flushed) a new chunk's munk in the meantime — if the
-       chunk still shares the old funk, rebuild its funk from the shared
-       content clipped to its range. *)
-    List.iter
-      (fun nc ->
-        let lock = Chunk.rebalance_lock nc in
-        Rwlock.lock_exclusive lock;
-        Fun.protect
-          ~finally:(fun () -> Rwlock.unlock_exclusive lock)
-          (fun () ->
-            if Chunk.funk nc == old_funk then
-              match Chunk.munk nc with
-              | Some munk -> ignore (flush_munk_locked db nc munk)
-              | None ->
-                let floor = compaction_floor db nc in
-                let id = fresh_funk_id db in
-                let funk' =
-                  Funk.create_from_iter db.env ~block_bytes:db.cfg.sstable_block_bytes ~id
-                    ~min_key:(Chunk.min_key nc)
-                    (K.compact ~min_retained_version:floor (chunk_entries db nc old_funk))
-                in
-                Chunk.set_funk nc funk';
-                Chunk.set_bloom nc (Some (build_bloom db funk'));
-                rebuild_view db funk';
-                publish_funks db ~add:[ id ] ~disown:[ old_funk ]))
-      [ c1; c2 ])
+        let funk1, funk2 = build_halves db ~min_key:(Chunk.min_key c) left right in
+        split_into db c
+          (funk1, Some (Munk.of_sorted left))
+          (funk2, Some (Munk.of_sorted right)))
 
 (* Bypass-chain length grows with the appended/sorted ratio, not the
    appended count alone: every put's [Munk.find_position] walk is
@@ -584,25 +577,11 @@ let munk_rebalance ?(force = false) db c =
                 split_chunk_locked db c compacted floor
               else Chunk.set_munk c (Some compacted)))
 
-let split_entry_list entries =
-  let entry_bytes (e : K.entry) =
-    String.length e.key + (match e.value with Some v -> String.length v | None -> 0) + 64
-  in
-  let total = List.fold_left (fun acc e -> acc + entry_bytes e) 0 entries in
-  let rec assign acc_bytes last_left left = function
-    | [] -> (List.rev left, [])
-    | (e : K.entry) :: rest ->
-      let same = match last_left with Some k -> String.equal k e.key | None -> false in
-      if acc_bytes * 2 < total || same || last_left = None then
-        assign (acc_bytes + entry_bytes e) (Some e.key) (e :: left) rest
-      else (List.rev left, e :: rest)
-  in
-  assign 0 None [] entries
-
 (* Funk rebalance for a munk-less (cold) chunk: merge SSTable + log
-   into a fresh funk without blocking puts for the duration of the
-   merge; records appended meanwhile are diverted to the new funk's
-   log at flip time (§3.4). *)
+   into a fresh funk — two, splitting the chunk, if the merged content
+   exceeds the chunk limit — without blocking puts for the duration of
+   the merge; records appended meanwhile are diverted to the new funks'
+   logs at flip time (§3.4). *)
 let cold_funk_rebalance db c =
   Funk.with_pin
     ~current:(fun () -> Chunk.funk c)
@@ -616,96 +595,51 @@ let cold_funk_rebalance db c =
       in
       Obs.Counter.incr db.ctr_funk_merges;
       Obs.Trace.add_attr sp "entries" (List.length merged);
-      let entry_bytes (e : K.entry) =
-        String.length e.key + (match e.value with Some v -> String.length v | None -> 0) + 64
-      in
-      let total = List.fold_left (fun acc e -> acc + entry_bytes e) 0 merged in
+      let total = List.fold_left (fun acc e -> acc + Munk.entry_bytes e) 0 merged in
       Obs.Trace.add_attr sp "bytes" total;
-      let divert_records target_of =
-        (* Copy post-merge appends into the new funk(s). Current-epoch
-           records only can appear here. *)
-        Log_file.Reader.fold ~lo:log_end db.env (Funk.log_name (Funk.id funk)) ~init:()
-          ~f:(fun () _off e -> ignore (Funk.append (target_of e.K.key) e))
+      let min_key = Chunk.min_key c in
+      let left, right =
+        if total > db.cfg.max_chunk_bytes then Munk.split_list merged else (merged, [])
       in
-      if total <= db.cfg.max_chunk_bytes then begin
-        let id = fresh_funk_id db in
-        let funk' =
-          Funk.create_from_iter db.env ~block_bytes:db.cfg.sstable_block_bytes ~id
-            ~min_key:(Chunk.min_key c) (K.of_list merged)
-        in
-        let lock = Chunk.rebalance_lock c in
-        Rwlock.lock_exclusive lock;
-        Fun.protect
-          ~finally:(fun () -> Rwlock.unlock_exclusive lock)
-          (fun () ->
-            if Chunk.retired c || Chunk.munk c <> None then
-              (* Lost a race with a split or a munk load; discard the
-                 rebuilt funk (it never entered the manifest). *)
-              Funk.retire funk'
-            else begin
-              divert_records (fun _ -> funk');
-              Chunk.set_funk c funk';
-              Chunk.set_bloom c (Some (build_bloom db funk'));
-              (* Built after the divert so the view covers it. *)
-              rebuild_view db funk';
-              publish_funks db ~add:[ id ] ~disown:[ funk ]
-            end)
-      end
-      else begin
-        (* Cold split: the merged content exceeds the chunk limit. *)
-        let left, right = split_entry_list merged in
+      let built =
         match right with
-        | [] -> ()
-        | first_right :: _ ->
-          let mid = first_right.K.key in
-          let id1 = fresh_funk_id db in
-          let funk1 =
-            Funk.create_from_iter db.env ~block_bytes:db.cfg.sstable_block_bytes ~id:id1
-              ~min_key:(Chunk.min_key c) (K.of_list left)
-          in
-          let id2 = fresh_funk_id db in
-          let funk2 =
-            (* Neither half is in the manifest yet; if the second build
-               dies, discard the first so nothing lingers on disk. *)
-            try
-              Funk.create_from_iter db.env ~block_bytes:db.cfg.sstable_block_bytes ~id:id2
-                ~min_key:mid (K.of_list right)
-            with exn ->
-              Funk.retire funk1;
-              raise exn
-          in
-          let lock = Chunk.rebalance_lock c in
-          Rwlock.lock_exclusive lock;
-          Fun.protect
-            ~finally:(fun () -> Rwlock.unlock_exclusive lock)
-            (fun () ->
-              if Chunk.retired c || Chunk.munk c <> None then begin
-                Funk.retire funk1;
-                Funk.retire funk2
-              end
-              else begin
-                divert_records (fun key ->
-                    if String.compare key mid < 0 then funk1 else funk2);
-                let counter = Chunk.counter_base c and freq = Chunk.freq c in
-                let c1 =
-                  Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:(Chunk.min_key c)
-                    ~funk:funk1 ~munk:None ~counter ~freq
-                in
-                let c2 =
-                  Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:mid ~funk:funk2
-                    ~munk:None ~counter ~freq
-                in
-                Chunk.set_bloom c1 (Some (build_bloom db funk1));
-                Chunk.set_bloom c2 (Some (build_bloom db funk2));
-                rebuild_view db funk1;
-                rebuild_view db funk2;
-                Chunk.set_next c1 (Some c2);
-                splice_chunks db c ~first:c1 ~last:c2;
-                Lfu.transfer db.lfu c ~into:[ c1; c2 ];
-                List.iter Chunk.record_split [ c1; c2 ];
-                publish_funks db ~add:[ id1; id2 ] ~disown:[ funk ]
-              end)
-      end))
+        | [] -> Either.Left (build_funk db ~min_key (K.of_list left))
+        | _ -> Either.Right (build_halves db ~min_key left right)
+      in
+      let funks = match built with Left f -> [ f ] | Right (f1, f2) -> [ f1; f2 ] in
+      let target_of key =
+        List.fold_left
+          (fun acc f -> if String.compare (Funk.min_key f) key <= 0 then f else acc)
+          (List.hd funks) funks
+      in
+      let lock = Chunk.rebalance_lock c in
+      Rwlock.lock_exclusive lock;
+      Fun.protect
+        ~finally:(fun () -> Rwlock.unlock_exclusive lock)
+        (fun () ->
+          if Chunk.retired c || Chunk.munk c <> None then
+            (* Lost a race with a split or a munk load; discard the
+               rebuilt funks (they never entered the manifest). *)
+            List.iter Funk.retire funks
+          else begin
+            (* Copy post-merge appends (current-epoch records only) into
+               the new funks and make them durable there: after the swap
+               they live nowhere else. *)
+            discarding funks (fun () ->
+                Log_file.Reader.fold ~lo:log_end db.env (Funk.log_name (Funk.id funk)) ~init:()
+                  ~f:(fun () _off e -> ignore (Funk.append (target_of e.K.key) e));
+                List.iter (fun f -> if Funk.log_size f > 0 then Funk.fsync_log f) funks);
+            (* Blooms and views are built after the divert so they
+               cover it. *)
+            match built with
+            | Right (funk1, funk2) -> split_into db c (funk1, None) (funk2, None)
+            | Left funk' ->
+              let bloom = discarding funks (fun () -> build_bloom db funk') in
+              rebuild_view db funk';
+              swap_funks db ~add:funks ~replace:[ funk ] ~flip:(fun () ->
+                  Chunk.set_funk c funk';
+                  Chunk.set_bloom c (Some bloom))
+          end)))
 
 (* Funk rebalance dispatch: with a munk we flush (in-memory compaction
    + sequential write); without, we merge on disk. One rebuild per funk
@@ -727,7 +661,7 @@ let funk_rebalance db c =
                 match Chunk.munk c with
                 | Some munk ->
                   Chunk.record_rebalance c;
-                  ignore (flush_munk_locked db c munk)
+                  flush_munk_locked db c munk
                 | None -> ())
         | None -> (
           (* The chunk may be retired by a concurrent split before we
@@ -815,34 +749,20 @@ let merge_chunks db c n =
                   (K.compact ~min_retained_version:floor
                      (K.merge [ content_of c; content_of n ]))
               in
-              let id = fresh_funk_id db in
-              let funk' =
-                Funk.create_from_iter db.env ~block_bytes:db.cfg.sstable_block_bytes ~id
-                  ~min_key:(Chunk.min_key c) (K.of_list entries)
-              in
+              let funk' = build_funk db ~min_key:(Chunk.min_key c) (K.of_list entries) in
               let counter = max (Chunk.counter_base c) (Chunk.counter_base n) in
               let cm =
                 Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:(Chunk.min_key c)
                   ~funk:funk' ~munk:(Some (Munk.of_sorted entries)) ~counter
                   ~freq:(Chunk.freq c)
               in
-              Mutex.lock db.structural;
-              Fun.protect
-                ~finally:(fun () -> Mutex.unlock db.structural)
-                (fun () ->
-                  Chunk.set_next cm (Chunk.next n);
-                  (match find_predecessor db c with
-                  | None -> Atomic.set db.head cm
-                  | Some pred -> Chunk.set_next pred (Some cm));
-                  Atomic.set db.index (Chunk_index.of_first_chunk (Atomic.get db.head)));
-              Chunk.retire c;
-              Chunk.retire n;
+              swap_funks db ~add:[ funk' ] ~replace:[ Chunk.funk c; Chunk.funk n ]
+                ~flip:(fun () -> splice_chunks db ~old:[ c; n ] ~first:cm ~last:cm);
               row_cache_purge db cm;
               Lfu.transfer db.lfu c ~into:[ cm ];
               Lfu.remove db.lfu n;
               let evictee = Lfu.force_insert db.lfu cm in
               Obs.Trace.add_attr sp "entries" (List.length entries);
-              publish_funks db ~add:[ id ] ~disown:[ Chunk.funk c; Chunk.funk n ];
               evictee)
             end)
       end)
@@ -1055,15 +975,7 @@ let scan_internal db ?limit ~low ~high () =
                         with
                         | None -> None
                         | Some v -> (
-                          try
-                            let it = Funk.view_cursor funk v ~low:lo ~high in
-                            let rec drain acc =
-                              match it () with
-                              | Some (e : K.entry) ->
-                                drain (if visible db e.version then e :: acc else acc)
-                              | None -> List.rev acc
-                            in
-                            Some (drain [])
+                          try Some (K.to_list (Funk.view_cursor funk v ~low:lo ~high))
                           with Sorted_view.Stale | Env.Corruption _ ->
                             Funk.invalidate_view funk;
                             Obs.Counter.incr db.ctr_view_fallbacks;
@@ -1084,17 +996,7 @@ let scan_internal db ?limit ~low ~high () =
                          half-consumed (logs resync past damage and never
                          raise). *)
                       let sst_entries =
-                        try
-                          let it =
-                            K.upto ~high (Sstable.Reader.iter_from (Funk.sst funk) lo)
-                          in
-                          let rec drain acc =
-                            match it () with
-                            | Some (e : K.entry) ->
-                              drain (if visible db e.version then e :: acc else acc)
-                            | None -> List.rev acc
-                          in
-                          drain []
+                        try K.to_list (K.upto ~high (Sstable.Reader.iter_from (Funk.sst funk) lo))
                         with Env.Corruption _ -> []
                       in
                       consume (K.merge [ K.of_list log_entries; K.of_list sst_entries ]));
@@ -1161,6 +1063,18 @@ let span_names =
     "recovery";
   ]
 
+let chunk_count db = Chunk_index.size (Atomic.get db.index)
+
+let all_chunks db = Chunk_index.chunks (Atomic.get db.index)
+
+let munk_count db =
+  List.length (List.filter (fun c -> Chunk.munk c <> None) (all_chunks db))
+
+let log_space db =
+  List.fold_left
+    (fun acc c -> acc + Funk.log_size (Chunk.funk c))
+    0 (all_chunks db)
+
 (* Snapshot-time gauges: mirror counters owned by layers below obs
    (caches, Io_stats) and structural state, so exports always reflect
    the live store without the lower layers depending on Evendb_obs. *)
@@ -1181,15 +1095,9 @@ let register_probes db =
   p "blockcache.fills" (fun () -> with_bc Block_cache.fills);
   p "blockcache.evictions" (fun () -> with_bc Block_cache.evictions);
   p "blockcache.bytes" (fun () -> with_bc Block_cache.resident_bytes);
-  p "db.chunks" (fun () -> Chunk_index.size (Atomic.get db.index));
-  p "db.munks" (fun () ->
-      List.length
-        (List.filter (fun c -> Chunk.munk c <> None) (Chunk_index.chunks (Atomic.get db.index))));
-  p "db.log_bytes" (fun () ->
-      List.fold_left
-        (fun acc c -> acc + Funk.log_size (Chunk.funk c))
-        0
-        (Chunk_index.chunks (Atomic.get db.index)));
+  p "db.chunks" (fun () -> chunk_count db);
+  p "db.munks" (fun () -> munk_count db);
+  p "db.log_bytes" (fun () -> log_space db);
   p "db.logical_bytes_written" (fun () -> Atomic.get db.logical_written);
   p "faults.injected" (fun () -> Env.faults_injected db.env);
   p "io.corruptions" (fun () -> Env.corruptions_detected db.env);
@@ -1412,12 +1320,13 @@ let open_internal config ~committer env =
       (Env.list_files env);
     ignore (Snapshot.sweep_orphans env);
     let funks = List.map (fun id -> Funk.open_existing env ~id) manifest.Manifest.live in
-    (* A crash between the two manifest updates of [publish_funks] leaves
-       both the replaced funk and its replacement live under the same
-       min-key. The replacement (higher id) is a superset — the flip
-       happened under the chunk's exclusive rebalance lock — so keep it
-       and sweep the stale one. Persist the pruned manifest before
-       deleting so a second crash cannot resurrect the loser. *)
+    (* Two live funks under one min-key: [swap_funks] never stores
+       that, but stores written by earlier builds (which published in
+       two manifest updates) can hold a replaced funk next to its
+       replacement. The replacement (higher id) is a superset — the
+       flip happened under the chunk's exclusive rebalance lock — so
+       keep it and sweep the stale one. Persist the pruned manifest
+       before deleting so a second crash cannot resurrect the loser. *)
     let by_key = Hashtbl.create 16 in
     List.iter
       (fun f ->
@@ -1474,10 +1383,6 @@ let open_ ?(config = Config.default) ?committer env =
   db
 
 let open_dir ?config dir = open_ ?config (Env.disk dir)
-
-let chunk_count db = Chunk_index.size (Atomic.get db.index)
-
-let all_chunks db = Chunk_index.chunks (Atomic.get db.index)
 
 (* ------------------------------------------------------------------ *)
 (* Fencing and snapshots                                               *)
@@ -1582,18 +1487,6 @@ let snapshot db ~id =
       Fun.protect
         ~finally:(fun () -> List.iter Funk.release pinned)
         (fun () ->
-          (* A split-shared funk backs two chunks: copy it once. *)
-          let seen = Hashtbl.create 16 in
-          let uniq =
-            List.filter
-              (fun f ->
-                if Hashtbl.mem seen (Funk.id f) then false
-                else begin
-                  Hashtbl.replace seen (Funk.id f) ();
-                  true
-                end)
-              pinned
-          in
           let members =
             List.map
               (fun f ->
@@ -1604,7 +1497,7 @@ let snapshot db ~id =
                   ~len:(Env.size db.env sst);
                 copy_file db.env ~src:log ~dst:(Snapshot.member ~id log) ~len:log_len;
                 (fid, log_len))
-              uniq
+              pinned
           in
           let next_id = Atomic.get db.next_funk_id in
           Manifest.store ~name:(Snapshot.member ~id Manifest.file_name) db.env
@@ -1631,18 +1524,10 @@ let drop_snapshot db ~id =
     Obs.Counter.incr (Obs.counter db.obs "snapshot.dropped")
   end
 
-let munk_count db =
-  List.length (List.filter (fun c -> Chunk.munk c <> None) (all_chunks db))
-
 let chunk_weights db =
   List.map
     (fun c -> (Chunk.min_key c, chunk_weight c, Chunk.munk c <> None))
     (all_chunks db)
-
-let log_space db =
-  List.fold_left
-    (fun acc c -> acc + Funk.log_size (Chunk.funk c))
-    0 (all_chunks db)
 
 let write_amplification db =
   let written = (Io_stats.snapshot (Env.stats db.env)).Io_stats.bytes_written in

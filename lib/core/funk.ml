@@ -14,8 +14,7 @@ type t = {
   funk_env : Env.t;
   sst_reader : Sstable.Reader.t;
   log : Log_file.Writer.t;
-  refs : int Atomic.t; (* one per owner + one per reader pin *)
-  owners : int Atomic.t; (* chunks currently backed by this funk *)
+  refs : int Atomic.t; (* one for the owning chunk + one per reader pin *)
   retired : bool Atomic.t;
   view : view_state Atomic.t;
 }
@@ -56,7 +55,6 @@ let create_from_iter env ~block_bytes ~id ~min_key it =
     sst_reader = Sstable.Reader.open_ env (sst_name id);
     log;
     refs = Atomic.make 1;
-    owners = Atomic.make 1;
     retired = Atomic.make false;
     view = Atomic.make V_unknown;
   }
@@ -70,7 +68,6 @@ let open_existing env ~id =
     sst_reader;
     log;
     refs = Atomic.make 1;
-    owners = Atomic.make 1;
     retired = Atomic.make false;
     view = Atomic.make V_unknown;
   }
@@ -201,22 +198,6 @@ let rec acquire t =
 let retire t =
   Atomic.set t.retired true;
   release t
-
-(* Ownership: splits share one funk between two chunks until each has
-   flushed its own. The funk is retired only when the last owner lets
-   go, regardless of which maintenance path (split phase 2, munk
-   eviction flush, funk rebalance) gets there first. *)
-let add_owner t =
-  ignore (Atomic.fetch_and_add t.owners 1);
-  ignore (Atomic.fetch_and_add t.refs 1)
-
-let disown t =
-  let last = Atomic.fetch_and_add t.owners (-1) = 1 in
-  (* When this was the last owner, retirement (and file deletion) is
-     the caller's move — it must first drop the funk from the manifest
-     so a crash can never leave a manifest-live id with deleted files. *)
-  if not last then release t;
-  last
 
 exception Stale
 

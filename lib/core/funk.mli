@@ -5,10 +5,12 @@
     divided into two parts: (1) a sorted SSTable, and (2) an unsorted
     log. New updates are appended to the log."
 
-    A funk owns two files, [funk_<id>.sst] and [funk_<id>.log]. Funks
-    are replaced wholesale by funk rebalance and splits; readers pin a
-    funk with {!acquire}/{!release} so that its files are only deleted
-    once the last reader drains ({!retire} marks it replaceable). The
+    A funk owns two files, [funk_<id>.sst] and [funk_<id>.log], and
+    backs exactly one chunk: splits build one funk per child rather
+    than sharing the parent's. Funks are replaced wholesale by flushes,
+    funk rebalances, splits and merges; readers pin a funk with
+    {!acquire}/{!release} so that its files are only deleted once the
+    last reader drains ({!retire} marks it replaceable). The
     SSTable header stores the chunk's min-key, which is what recovery
     reconstructs chunk metadata from (§3.5). *)
 
@@ -108,20 +110,11 @@ val acquire : t -> bool
 
 val release : t -> unit
 val retire : t -> unit
-(** Mark replaced and drop one reference; files are deleted when the
-    last pin is released. Must not race with appends (callers hold the
-    chunk's rebalanceLock exclusively when flipping funks). *)
-
-val add_owner : t -> unit
-(** Register an additional owning chunk (split phase 1: both new
-    chunks share the old funk). *)
-
-val disown : t -> bool
-(** Drop one owning chunk's reference. Returns [true] when this was the
-    last owner; the caller must then remove the funk from the manifest
-    and call {!retire} — in that order, so a crash between the two
-    leaves an orphan (swept at recovery) rather than a manifest-live
-    funk with deleted files (data loss). *)
+(** Mark replaced and drop the owning chunk's reference; files are
+    deleted when the last pin is released. Must not race with appends
+    (callers hold the chunk's rebalanceLock exclusively when flipping
+    funks), and must follow the manifest store that drops the funk, so
+    a crash never leaves a manifest-live funk with deleted files. *)
 
 exception Stale
 (** Raised by {!with_pin} when the funk stays retired across retries —

@@ -166,8 +166,10 @@ let scan r ~low ~high =
         [ Kv_iter.of_list log_entries; sst_it ])
       r.r_funks
   in
-  (* Funk ranges can overlap (a split-shared funk plus its successors);
-     dedup keeps the newest version per key across the whole set. *)
+  (* Funk ranges can overlap in snapshots taken by earlier builds (a
+     funk a split shared between its children, plus the successor one
+     child had flushed); dedup keeps the newest version per key across
+     the whole set. *)
   let merged = Kv_iter.dedup (Kv_iter.merge iters) in
   let rec collect acc =
     match merged () with

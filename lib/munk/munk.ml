@@ -213,25 +213,20 @@ let rebalance t ~min_retained_version =
   Evendb_obs.Attr.timed Evendb_obs.Attr.Rebalance (fun () ->
       of_iter (Kv_iter.compact ?min_retained_version (iter t)))
 
-let split_entries t ~min_retained_version =
-  let entries = Kv_iter.to_list (Kv_iter.compact ?min_retained_version (iter t)) in
+(* Accumulate into the left half until half the bytes are placed, then
+   switch — but only between distinct keys, so all versions of the
+   boundary key stay on one side. *)
+let split_list entries =
   let total = List.fold_left (fun acc e -> acc + entry_bytes e) 0 entries in
-  let left = ref [] and right = ref [] in
-  (* Accumulate into [left] until half the bytes are placed, then switch
-     — but only between distinct keys, so all versions of the boundary
-     key stay on one side. *)
-  let rec assign acc_bytes last_left_key = function
-    | [] -> ()
+  let rec assign acc_bytes last_left left = function
+    | [] -> (List.rev left, [])
     | (e : Kv_iter.entry) :: rest ->
-      let same_as_left = match last_left_key with Some k -> String.equal k e.key | None -> false in
-      if acc_bytes * 2 < total || same_as_left || last_left_key = None then begin
-        left := e :: !left;
-        assign (acc_bytes + entry_bytes e) (Some e.key) rest
-      end
-      else begin
-        right := e :: !right;
-        List.iter (fun e -> right := e :: !right) rest
-      end
+      let same = match last_left with Some k -> String.equal k e.key | None -> false in
+      if acc_bytes * 2 < total || same || last_left = None then
+        assign (acc_bytes + entry_bytes e) (Some e.key) (e :: left) rest
+      else (List.rev left, e :: rest)
   in
-  assign 0 None entries;
-  (List.rev !left, List.rev !right)
+  assign 0 None [] entries
+
+let split_entries t ~min_retained_version =
+  split_list (Kv_iter.to_list (Kv_iter.compact ?min_retained_version (iter t)))

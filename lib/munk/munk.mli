@@ -72,6 +72,14 @@ val rebalance : t -> min_retained_version:int option -> t
     reads of the old munk remain valid. *)
 
 val split_entries : t -> min_retained_version:int option -> Kv_iter.entry list * Kv_iter.entry list
-(** Compact and split into two halves of roughly equal byte size; the
-    second half is non-empty when the munk has at least two distinct
-    keys. Used by chunk splits. *)
+(** Compact and {!split_list}. Used by hot chunk splits. *)
+
+val split_list : Kv_iter.entry list -> Kv_iter.entry list * Kv_iter.entry list
+(** Split canonically ordered entries into two halves of roughly equal
+    byte size, never between two versions of one key; the second half
+    is non-empty when there are at least two distinct keys. Used by
+    cold (munk-less) chunk splits too. *)
+
+val entry_bytes : Kv_iter.entry -> int
+(** One entry's share of {!byte_size}: the chunk-size measure splits
+    are decided on. *)

@@ -42,8 +42,8 @@ let pair_seeds =
   | None | Some "" -> [ 1 ]
   | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
 
-let check_contract engine mode () =
-  let r = Crash_explorer.explore engine ~ops ~mode () in
+let check_contract ?keys engine mode () =
+  let r = Crash_explorer.explore engine ~ops ?keys ~mode () in
   if r.Crash_explorer.violations <> [] then begin
     Format.eprintf "%a" Crash_explorer.pp_result r;
     let k, msg = List.hd r.Crash_explorer.violations in
@@ -52,6 +52,30 @@ let check_contract engine mode () =
       k msg
   end;
   Alcotest.(check bool) "explored more prefixes than ops" true (r.Crash_explorer.crash_points > ops)
+
+(* The EvenDB rows explore a key space wide enough for chunks to split
+   (at the default 24 keys none ever does, and the split's crash windows
+   go unexplored), and check that the explored workload really split. *)
+let split_keys = 300
+
+let check_splitting_contract (module E : Crash_explorer.ENGINE with type t = Evendb_core.Db.t)
+    mode () =
+  let workload = ref None in
+  let module Probe = struct
+    include E
+
+    (* The first store opened runs the workload; the rest are recoveries. *)
+    let open_ env =
+      let db = E.open_ env in
+      if Option.is_none !workload then workload := Some db;
+      db
+  end in
+  check_contract ~keys:split_keys (module Probe) mode ();
+  (* The workload never runs [maintain], so chunks never merge: more
+     than one chunk means a split. *)
+  Alcotest.(check bool)
+    "workload split" true
+    (match !workload with Some db -> Evendb_core.Db.chunk_count db > 1 | None -> false)
 
 let check_pair seed () =
   let r = Crash_explorer.explore_pair ~ops:pair_ops ~seed () in
@@ -151,19 +175,24 @@ let reset_clean_after_recovery () =
 let suite =
   let engine_cases =
     List.concat_map
-      (fun engine ->
-        let (module E : Crash_explorer.ENGINE) = engine in
+      (fun (name, check) ->
         List.map
           (fun mode ->
             let label =
-              Printf.sprintf "%s/%s" E.name
+              Printf.sprintf "%s/%s" name
                 (match mode with
                 | Backend.Drop_unsynced -> "drop"
                 | Backend.Reorder_unsynced s -> Printf.sprintf "reorder:%d" s)
             in
-            Alcotest.test_case label `Slow (check_contract engine mode))
+            Alcotest.test_case label `Slow (check mode))
           modes)
-      Crash_explorer.all_engines
+      (List.map
+         (fun ((module E : Crash_explorer.ENGINE with type t = Evendb_core.Db.t) as engine) ->
+           (E.name, check_splitting_contract engine))
+         [ Crash_explorer.evendb_sync; Crash_explorer.evendb_async ]
+      @ List.map
+          (fun ((module E : Crash_explorer.ENGINE) as engine) -> (E.name, check_contract engine))
+          [ Crash_explorer.lsm_sync; Crash_explorer.flsm_sync ])
   in
   [
     ( "crash-explorer",

@@ -19,13 +19,17 @@ module type ENGINE = sig
   val put : t -> string -> string -> unit
   val get : t -> string -> string option
   val scan : t -> low:string -> high:string -> (string * string) list
+
+  val chunk_count : (t -> int) option
+  (** [Some] for an engine whose store must split under the soak: puts
+      alone never merge chunks, so more than one means a split. *)
 end
 
 (* All engines run in synchronous-durability mode so that "the put
    returned" means "the write must survive a crash" — the strongest
    contract, and the one fault injection is most likely to break.
-   Thresholds are shrunk so flushes, compactions and splits all fire
-   inside a few hundred puts. *)
+   Thresholds are shrunk, and the key space is wide enough, that
+   flushes, compactions and splits all fire inside a few hundred puts. *)
 
 module Evendb_engine : ENGINE = struct
   open Evendb_core
@@ -51,6 +55,7 @@ module Evendb_engine : ENGINE = struct
   let put = Db.put
   let get = Db.get
   let scan t ~low ~high = Db.scan t ~low ~high ()
+  let chunk_count = Some Db.chunk_count
 end
 
 module Lsm_engine : ENGINE = struct
@@ -74,6 +79,7 @@ module Lsm_engine : ENGINE = struct
   let put = Lsm.put
   let get = Lsm.get
   let scan t ~low ~high = Lsm.scan t ~low ~high ()
+  let chunk_count = None
 end
 
 module Flsm_engine : ENGINE = struct
@@ -96,6 +102,7 @@ module Flsm_engine : ENGINE = struct
   let put = Flsm.put
   let get = Flsm.get
   let scan t ~low ~high = Flsm.scan t ~low ~high ()
+  let chunk_count = None
 end
 
 module Evendb_sharded_engine : ENGINE = struct
@@ -117,9 +124,9 @@ module Evendb_sharded_engine : ENGINE = struct
       munk_cache_capacity = 4;
     }
 
-  (* Split the soak's k0000..k0039 key range across three shards so
+  (* Split the soak's k0000..k0399 key range across three shards so
      faults land on every shard's log and on the SHARDS metadata. *)
-  let boundaries = [ "k0013"; "k0027" ]
+  let boundaries = [ "k0133"; "k0267" ]
 
   let open_ env =
     (* First open provisions the SHARDS file and each shard's initial
@@ -136,6 +143,7 @@ module Evendb_sharded_engine : ENGINE = struct
   let put = Evendb_shard.put
   let get = Evendb_shard.get
   let scan t ~low ~high = Evendb_shard.scan t ~low ~high ()
+  let chunk_count = None
 end
 
 let engines =
@@ -167,7 +175,7 @@ let soak (module E : ENGINE) ~seed () =
   let plan = Fault.plan ~seed ~rate:0.02 () in
   let env = Env.memory ~faults:plan () in
   let db = E.open_ env in
-  let nkeys = 40 in
+  let nkeys = 400 in
   let acked = Hashtbl.create nkeys in
   let attempted = Hashtbl.create nkeys in
   let rng = Rng.create ((seed * 7919) + 1) in
@@ -181,6 +189,9 @@ let soak (module E : ENGINE) ~seed () =
       Hashtbl.replace acked k !seq
     with Env.Io_error _ -> ()
   done;
+  Option.iter
+    (fun count -> Alcotest.(check bool) (ctx ^ ": workload split") true (count db > 1))
+    E.chunk_count;
   Env.crash env;
   Fault.set_armed plan false;
   Alcotest.(check bool) (ctx ^ ": schedule injected faults") true (Fault.injected plan > 0);

@@ -1,7 +1,7 @@
 (* Funk lifecycle tests: the refcounted pin/retire discipline that
-   lets readers keep using a replaced funk until they drain, and the
-   ownership accounting used by splits; plus manifest and chunk-index
-   unit tests. *)
+   lets readers keep using a replaced funk until they drain (each funk
+   backs exactly one chunk; splits never share one); plus manifest and
+   chunk-index unit tests. *)
 
 open Evendb_util
 open Evendb_storage
@@ -94,23 +94,6 @@ let with_pin_follows_flip () =
         | _ -> "?")
   in
   Alcotest.(check string) "pin found replacement" "new" v
-
-let ownership_sharing () =
-  let env = Env.memory () in
-  let f = mk env [ e ~value:"v" "k" ] in
-  Funk.add_owner f;
-  (* Two owners: first disown must not retire. *)
-  Alcotest.(check bool) "not last" false (Funk.disown f);
-  Alcotest.(check bool) "files alive" true (Env.exists env (Funk.sst_name 1));
-  Alcotest.(check bool) "still acquirable" true (Funk.acquire f);
-  Funk.release f;
-  (* Last disown defers deletion: the caller must drop the funk from
-     the manifest before retiring, so a crash between the two never
-     leaves a manifest-live funk with deleted files. *)
-  Alcotest.(check bool) "last owner" true (Funk.disown f);
-  Alcotest.(check bool) "files survive until retire" true (Env.exists env (Funk.sst_name 1));
-  Funk.retire f;
-  Alcotest.(check bool) "deleted" false (Env.exists env (Funk.sst_name 1))
 
 let log_segment_reads () =
   let env = Env.memory () in
@@ -245,7 +228,6 @@ let suite =
         Alcotest.test_case "acquire does not revive" `Quick acquire_does_not_revive;
         Alcotest.test_case "with_pin raises Stale" `Quick with_pin_raises_stale;
         Alcotest.test_case "with_pin follows flips" `Quick with_pin_follows_flip;
-        Alcotest.test_case "split ownership sharing" `Quick ownership_sharing;
         Alcotest.test_case "bounded log segments" `Quick log_segment_reads;
         Alcotest.test_case "visibility filter" `Quick visibility_filter;
       ] );
