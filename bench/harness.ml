@@ -60,7 +60,7 @@ let lsm_config h =
 let flsm_config h =
   { (Evendb_flsm.Flsm.Config.scaled ~factor:config_factor ()) with attr_enabled = h.attr_on }
 
-let bench_dir = "/tmp/evendb_bench"
+let bench_dir = Filename.concat (Filename.get_temp_dir_name ()) "evendb_bench"
 
 (* ------------------------------------------------------------------ *)
 (* Metrics artifacts: every experiment run leaves per-phase JSON

@@ -86,7 +86,7 @@ let ops_arg =
   Arg.(value & opt int 10_000 & info [ "ops" ] ~doc:"Measured operations per run.")
 
 let disk_arg =
-  Arg.(value & flag & info [ "disk" ] ~doc:"Use real files under /tmp instead of the in-memory environment.")
+  Arg.(value & flag & info [ "disk" ] ~doc:"Use real files under the TMPDIR directory (default /tmp) instead of the in-memory environment.")
 
 let fault_arg =
   Arg.(

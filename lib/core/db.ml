@@ -70,6 +70,7 @@ type t = {
   ctr_funk_flushes : Obs.Counter.t;
   ctr_funk_merges : Obs.Counter.t;
   ctr_io_errors : Obs.Counter.t; (* maintenance/checkpoint I/O failures absorbed *)
+  ctr_maint_failures : Obs.Counter.t; (* unexpected maintainer-domain exceptions *)
   ctr_view_builds : Obs.Counter.t;
   ctr_view_loads : Obs.Counter.t;
   ctr_view_scans : Obs.Counter.t;
@@ -250,14 +251,15 @@ let row_cache_purge db c =
    the chunk's range. Every funk written by this code holds only its
    chunk's keys; the clip matters only for stores written by earlier
    builds, whose splits shared the parent's funk between the two
-   children until each had flushed its own. *)
-let chunk_entries db c funk =
+   children until each had flushed its own. [hi] bounds the log read
+   (see {!Funk.all_entries}). *)
+let chunk_entries ?hi db c funk =
   let low, high_excl = chunk_range c in
   K.filter
     (fun (e : K.entry) ->
       String.compare low e.key <= 0
       && match high_excl with None -> true | Some h -> String.compare e.key h < 0)
-    (Funk.all_entries funk ~visible:(visible db))
+    (Funk.all_entries ?hi funk ~visible:(visible db))
 
 let load_munk db c =
   let lock = Chunk.rebalance_lock c in
@@ -590,8 +592,11 @@ let cold_funk_rebalance db c =
       Chunk.record_rebalance c;
       let log_end = Funk.log_size funk in
       let floor = compaction_floor db c in
+      (* Merge only the log below [log_end]: a record appended from here
+         on reaches the new funks through the divert below, and merging
+         it as well would build it twice. *)
       let merged =
-        K.to_list (K.compact ~min_retained_version:floor (chunk_entries db c funk))
+        K.to_list (K.compact ~min_retained_version:floor (chunk_entries ~hi:log_end db c funk))
       in
       Obs.Counter.incr db.ctr_funk_merges;
       Obs.Trace.add_attr sp "entries" (List.length merged);
@@ -924,21 +929,26 @@ let scan_internal db ?limit ~low ~high () =
         let acc = ref [] in
         let count = ref 0 in
         let max_count = match limit with None -> max_int | Some l -> l in
+        (* One chunk's walk: pull visible rows until the stream ends or
+           the limit is reached, then commit them. A walk that raises
+           (a stale view, a corrupt block) commits nothing, so the
+           caller can retry the chunk another way without duplicating
+           or skipping rows. *)
         let consume it =
           let filtered =
             K.dedup (K.filter (fun (e : K.entry) -> e.version <= gv && visible db e.version) it)
           in
-          let rec go () =
-            if !count < max_count then
+          let rec go n rows =
+            if n >= max_count then (n, rows)
+            else
               match filtered () with
-              | None -> ()
-              | Some { value = None; _ } -> go ()
-              | Some { key; value = Some v; _ } ->
-                acc := (key, v) :: !acc;
-                incr count;
-                go ()
+              | None -> (n, rows)
+              | Some { value = None; _ } -> go n rows
+              | Some { key; value = Some v; _ } -> go (n + 1) ((key, v) :: rows)
           in
-          go ()
+          let n, rows = go !count [] in
+          count := n;
+          acc := rows @ !acc
         in
         (* [lo] is the residual range start: keys below it were already
            collected from earlier chunks (or retries). *)
@@ -960,46 +970,46 @@ let scan_internal db ?limit ~low ~high () =
                   ~current:(fun () -> Chunk.funk c)
                   (fun funk ->
                     (* Unified read path: walk the persistent sorted
-                       view (one pre-merged cursor, blocks through the
-                       shared cache) and fall back to re-merging
-                       log + SSTable when the view is absent or stale.
-                       Both paths materialise before [consume], so a
-                       mid-walk failure never consumes half a chunk. *)
+                       view (one pre-merged cursor seeked to [lo],
+                       blocks through the shared cache) and fall back
+                       to re-merging log + SSTable when the view is
+                       absent or stale. Both paths stream, so a scan
+                       reads only up to its limit. *)
                     let via_view =
-                      if not db.cfg.Config.sorted_view_enabled then None
-                      else
-                        Attr.timed Attr.Cache_read @@ fun () ->
-                        match
-                          Funk.load_view funk
-                            ~on_load:(fun () -> Obs.Counter.incr db.ctr_view_loads)
-                        with
-                        | None -> None
-                        | Some v -> (
-                          try Some (K.to_list (Funk.view_cursor funk v ~low:lo ~high))
-                          with Sorted_view.Stale | Env.Corruption _ ->
-                            Funk.invalidate_view funk;
-                            Obs.Counter.incr db.ctr_view_fallbacks;
-                            None)
+                      db.cfg.Config.sorted_view_enabled
+                      && Attr.timed Attr.Cache_read @@ fun () ->
+                         match
+                           Funk.load_view funk
+                             ~on_load:(fun () -> Obs.Counter.incr db.ctr_view_loads)
+                         with
+                         | None -> false
+                         | Some v -> (
+                           try
+                             consume (Funk.view_cursor funk v ~low:lo ~high);
+                             Obs.Counter.incr db.ctr_view_scans;
+                             true
+                           with Sorted_view.Stale | Env.Corruption _ ->
+                             Funk.invalidate_view funk;
+                             Obs.Counter.incr db.ctr_view_fallbacks;
+                             false)
                     in
-                    match via_view with
-                    | Some entries ->
-                      Obs.Counter.incr db.ctr_view_scans;
-                      Attr.timed Attr.Cache_read (fun () -> consume (K.of_list entries))
-                    | None ->
+                    if not via_view then
                       Attr.timed Attr.Disk_read @@ fun () ->
                       let log_entries =
                         Funk.log_entries_in_range funk ~visible:(visible db) ~low:lo ~high
                       in
-                      (* Materialise the SSTable's slice before consuming:
-                         a corrupt block then degrades this one chunk to
-                         its log contents instead of aborting the scan
-                         half-consumed (logs resync past damage and never
+                      (* A corrupt SSTable block degrades this one chunk
+                         to its log contents instead of aborting the
+                         scan (logs resync past damage and never
                          raise). *)
-                      let sst_entries =
-                        try K.to_list (K.upto ~high (Sstable.Reader.iter_from (Funk.sst funk) lo))
-                        with Env.Corruption _ -> []
-                      in
-                      consume (K.merge [ K.of_list log_entries; K.of_list sst_entries ]));
+                      try
+                        consume
+                          (K.merge
+                             [
+                               K.of_list log_entries;
+                               K.upto ~high (Sstable.Reader.iter_from (Funk.sst funk) lo);
+                             ])
+                      with Env.Corruption _ -> consume (K.of_list log_entries));
                 false
               with Funk.Stale -> true)
           in
@@ -1185,6 +1195,7 @@ let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoin
     ctr_funk_flushes = Obs.counter obs "funk.flushes";
     ctr_funk_merges = Obs.counter obs "funk.merges";
     ctr_io_errors = Obs.counter obs "io.errors";
+    ctr_maint_failures = Obs.counter obs "maint.failures";
     ctr_view_builds = Obs.counter obs "sorted_view.builds";
     ctr_view_loads = Obs.counter obs "sorted_view.loads";
     ctr_view_scans = Obs.counter obs "sorted_view.scans";
@@ -1239,7 +1250,13 @@ let maintainer_loop db m =
       | Env.Io_error _ | Env.Corruption _ ->
         (* Maintenance failed cleanly; the chunk re-queues on the next
            over-threshold put. *)
-        Obs.Counter.incr db.ctr_io_errors);
+        Obs.Counter.incr db.ctr_io_errors
+      | Out_of_memory | Stack_overflow as exn -> raise exn
+      | _ ->
+        (* Anything else is a defect, but ending the domain would stop
+           maintenance silently for the rest of the process: count it
+           and keep serving later chunks. *)
+        Obs.Counter.incr db.ctr_maint_failures);
       next ()
   in
   next ()

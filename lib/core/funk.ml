@@ -131,9 +131,9 @@ let log_entries_in_range t ~visible ~low ~high =
   in
   List.sort Kv_iter.compare_entries entries
 
-let all_entries t ~visible =
+let all_entries ?hi t ~visible =
   let log_entries =
-    Log_file.Reader.fold t.funk_env (log_name t.funk_id) ~init:[] ~f:(fun acc _off e ->
+    Log_file.Reader.fold ?hi t.funk_env (log_name t.funk_id) ~init:[] ~f:(fun acc _off e ->
         if visible e.Kv_iter.version then e :: acc else acc)
   in
   let log_sorted = Kv_iter.of_list (List.sort Kv_iter.compare_entries log_entries) in

@@ -67,9 +67,10 @@ val log_entries_in_range :
 (** All visible log records with [low <= key <= high], in canonical
     order (for scans and merges). *)
 
-val all_entries : t -> visible:(int -> bool) -> Kv_iter.t
+val all_entries : ?hi:int -> t -> visible:(int -> bool) -> Kv_iter.t
 (** SSTable merged with the sorted log — the chunk's full visible
-    content (munk load, funk rebalance). *)
+    content (munk load, funk rebalance). [hi] bounds the log to the
+    records framed below that offset (default: the whole log). *)
 
 val log_offsets_for_bloom : t -> visible:(int -> bool) -> (int * string) list
 (** [(offset, key)] of every valid log record, for rebuilding the

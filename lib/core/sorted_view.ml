@@ -16,7 +16,7 @@ module K = Kv_iter
    On-disk format (little-endian, varints as in {!Varint}):
 
    {v
-     magic "EVVIEW01"                      8 bytes
+     magic "EVVIEW02"                      8 bytes
      sst_entry_count                       varint   } identity of the
      sst_file_size                         varint   } sstable at build
      log_upto                              varint   covered log bytes
@@ -25,20 +25,25 @@ module K = Kv_iter
      token*                                varint each:
                                              0     = next sstable entry in order
                                              k > 0 = log record framed at byte k-1
-     n_fences                              varint
-     fence*                                (token_idx varint, sst_consumed varint,
-                                            klen varint, key bytes)
      trailer_crc                           u32 LE   masked CRC32C of everything above
    v}
 
-   Fences are emitted every [fence_every] tokens and let a range scan
-   seek: the cursor starts at the last fence whose key is strictly
-   below the scan's low bound and positions the sstable iterator at
-   that fence's [sst_consumed] via {!Sstable.Reader.iter_from_nth}.
+   Seek by rank: [parse] records the token index of every sstable
+   token, so the [r]-th sstable entry's place in the merge order is one
+   array read. A cursor asks {!Sstable.Reader.seek} for the rank [r] of
+   the first sstable entry at or above the scan's low bound (one block
+   read, found through the block index) and starts walking one token
+   after the sstable token of rank [r - 1]: every token before that one
+   sorts at or below an sstable key under [low]. The few log tokens
+   between the two sstable tokens are skipped by key. A scan therefore
+   costs the seek plus the tokens it walks; the caller stops pulling at
+   its high bound or row limit.
 
    Views are derived data. [load] validates the trailer CRC, the
    sstable identity and a CRC over the covered log prefix; any
    mismatch yields [None] and the caller falls back to the merge path.
+   That includes sidecars of an older format (a different magic): they
+   are ignored until the funk's next view rebuild replaces them.
    [cursor] re-checks each log record's own frame CRC as it is read
    and raises {!Stale} on any disagreement mid-walk, so a view can
    never silently serve bytes the log no longer contains. Log records
@@ -46,14 +51,11 @@ module K = Kv_iter
    and merged in at scan time — a view is useful until the uncovered
    suffix grows large, at which point the owner rebuilds it. *)
 
-let magic = "EVVIEW01"
-let fence_every = 256
-
-type fence = { f_token : int; f_sst_consumed : int; f_key : string }
+let magic = "EVVIEW02"
 
 type t = {
   tokens : int array; (* 0 = sst; k > 0 = log offset k-1 *)
-  fences : fence array;
+  sst_tokens : int array; (* token index of the sstable entry of each rank *)
   log_upto : int;
 }
 
@@ -85,39 +87,27 @@ let build env ~sst ~log_name ~view_name =
   in
   let sst_it = Sstable.Reader.iter sst in
   let tbuf = Buffer.create 4096 in
-  let fences = ref [] in
   let n_tokens = ref 0 in
-  let sst_consumed = ref 0 in
-  let maybe_fence (e : K.entry) =
-    if !n_tokens mod fence_every = 0 then fences := (!n_tokens, !sst_consumed, e.key) :: !fences
-  in
-  let emit_sst (e : K.entry) =
-    maybe_fence e;
-    Varint.write tbuf 0;
-    incr n_tokens;
-    incr sst_consumed
-  in
-  let emit_log off (e : K.entry) =
-    maybe_fence e;
-    Varint.write tbuf (off + 1);
+  let emit tok =
+    Varint.write tbuf tok;
     incr n_tokens
   in
   let rec merge log_rest sst_head =
     match (log_rest, sst_head) with
     | [], None -> ()
-    | [], Some e ->
-      emit_sst e;
+    | [], Some _ ->
+      emit 0;
       merge [] (sst_it ())
-    | (off, le) :: rest, None ->
-      emit_log off le;
+    | (off, _) :: rest, None ->
+      emit (off + 1);
       merge rest None
     | (off, le) :: rest, Some se ->
       if K.compare_entries le se <= 0 then begin
-        emit_log off le;
+        emit (off + 1);
         merge rest sst_head
       end
       else begin
-        emit_sst se;
+        emit 0;
         merge log_rest (sst_it ())
       end
   in
@@ -130,15 +120,6 @@ let build env ~sst ~log_name ~view_name =
   add_u32 buf (Crc32c.mask log_crc);
   Varint.write buf !n_tokens;
   Buffer.add_buffer buf tbuf;
-  let fences = List.rev !fences in
-  Varint.write buf (List.length fences);
-  List.iter
-    (fun (tok, consumed, key) ->
-      Varint.write buf tok;
-      Varint.write buf consumed;
-      Varint.write buf (String.length key);
-      Buffer.add_string buf key)
-    fences;
   let body = Buffer.contents buf in
   add_u32 buf (Crc32c.mask (Crc32c.string body));
   let data = Buffer.contents buf in
@@ -174,20 +155,19 @@ let parse s =
     let n_tokens = rd () in
     if n_tokens > body_len then raise Exit;
     let tokens = Array.init n_tokens (fun _ -> rd ()) in
-    let n_fences = rd () in
-    if n_fences > n_tokens + 1 then raise Exit;
-    let fences =
-      Array.init n_fences (fun _ ->
-          let f_token = rd () in
-          let f_sst_consumed = rd () in
-          let klen = rd () in
-          if !pos + klen > body_len then raise Exit;
-          let f_key = String.sub s !pos klen in
-          pos := !pos + klen;
-          { f_token; f_sst_consumed; f_key })
-    in
-    if !pos <> body_len then raise Exit;
-    Some (sst_entry_count, sst_file_size, log_crc, { tokens; fences; log_upto })
+    if !pos <> body_len || sst_entry_count > n_tokens then raise Exit;
+    let sst_tokens = Array.make sst_entry_count 0 in
+    let rank = ref 0 in
+    Array.iteri
+      (fun i tok ->
+        if tok = 0 then begin
+          if !rank >= sst_entry_count then raise Exit;
+          sst_tokens.(!rank) <- i;
+          incr rank
+        end)
+      tokens;
+    if !rank <> sst_entry_count then raise Exit;
+    Some (sst_entry_count, sst_file_size, log_crc, { tokens; sst_tokens; log_upto })
   with Exit | Invalid_argument _ -> None
 
 let well_formed s = parse s <> None
@@ -228,22 +208,8 @@ let cursor view env ~sst ~log_name ~low ~high : K.t =
       try Env.read_at env log_name ~off:0 ~len:view.log_upto
       with Not_found | Invalid_argument _ -> raise Stale
   in
-  (* Seek: last fence strictly below [low] — entries at the fence key
-     itself may also exist before the fence, so equal keys must not be
-     skipped over. *)
-  let start_tok, start_sst =
-    let lo = ref (-1) and hi = ref (Array.length view.fences) in
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if String.compare view.fences.(mid).f_key low < 0 then lo := mid else hi := mid
-    done;
-    if !lo < 0 then (0, 0)
-    else
-      let f = view.fences.(!lo) in
-      (f.f_token, f.f_sst_consumed)
-  in
-  let sst_it = Sstable.Reader.iter_from_nth sst start_sst in
-  let idx = ref start_tok in
+  let rank, sst_it = Sstable.Reader.seek sst low in
+  let idx = ref (if rank = 0 then 0 else view.sst_tokens.(rank - 1) + 1) in
   let finished = ref false in
   let rec token_walk () =
     if !finished || !idx >= Array.length view.tokens then None

@@ -4,15 +4,21 @@
     order of a funk's sstable and log so cold scans walk one cursor
     over pre-sorted tokens instead of re-merging (fold + sort) the log
     on every scan. Token [0] means "next sstable entry in file order";
-    token [k > 0] means "the log record framed at byte [k-1]". Key
-    fences every ~256 tokens support range seeks via
-    {!Sstable.Reader.iter_from_nth}.
+    token [k > 0] means "the log record framed at byte [k-1]". The
+    file holds no keys: a range seek asks {!Sstable.Reader.seek} for
+    the rank of the first sstable entry at or above the low bound
+    (one block read through the block index) and starts the walk just
+    after the sstable token of the rank before it, whose position
+    {!load} keeps in memory. A scan costs that seek plus the tokens it
+    pulls.
 
     Views are derived data: they are rebuilt whenever a funk is
     created or its munk is evicted, validated end to end at {!load}
     (trailer CRC, sstable identity, covered-log-prefix CRC), and
     re-verified record by record while scanning — any disagreement
-    raises {!Stale} and the caller falls back to the merge path. Log
+    raises {!Stale} and the caller falls back to the merge path. A
+    sidecar in an older format fails validation the same way and
+    serves no scan until the funk's next view rebuild replaces it. Log
     records appended after the build are merged in at scan time from
     the uncovered suffix. Losing or corrupting a view never loses
     data; repair is always regeneration. *)
@@ -48,9 +54,12 @@ val cursor :
   Evendb_util.Kv_iter.t
 (** Sorted iterator over the funk's entries with [low <= key <= high]
     (inclusive), in {!Evendb_util.Kv_iter.compare_entries} order:
-    the token walk (seeked via fences) merged with the sorted
-    uncovered log suffix. Pulls may raise {!Stale}; the caller should
-    materialise the iterator before consuming it into results. *)
+    the token walk (seeked by sstable rank) merged with the sorted
+    uncovered log suffix. Tokens and sstable blocks are read only as
+    entries are pulled, so a caller that stops early pays only for
+    what it took. Creating the cursor and pulling from it may raise
+    {!Stale} or {!Env.Corruption}; a caller must not commit entries
+    it pulled before such a failure. *)
 
 val well_formed : string -> bool
 (** Structural self-check of raw view bytes (magic + trailer CRC +

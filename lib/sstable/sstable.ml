@@ -263,6 +263,7 @@ module Reader = struct
     name : string;
     chunk_min_key : string;
     blocks : block_meta array;
+    block_rank : int array; (* entries in the blocks before block [i] *)
     count : int;
     bloom : Bloom.t option;
   }
@@ -344,7 +345,11 @@ module Reader = struct
           Some (Bloom.deserialize bloom_str)
         end
       in
-      { env; name; chunk_min_key; blocks; count; bloom }
+      let block_rank = Array.make n_blocks 0 in
+      for i = 1 to n_blocks - 1 do
+        block_rank.(i) <- block_rank.(i - 1) + blocks.(i - 1).entries
+      done;
+      { env; name; chunk_min_key; blocks; block_rank; count; bloom }
     with
     | t -> t
     | exception Invalid_argument _ ->
@@ -475,68 +480,48 @@ module Reader = struct
       Array.to_list (block_entries t bi)
       |> List.filter (fun (e : Kv_iter.entry) -> String.equal e.key key)
 
-  let iter_blocks_from t start_block skip_until =
-    let bi = ref start_block in
-    let cur = ref [||] in
-    let ci = ref 0 in
+  (* Entries from position [ci] of block [bi] (already decoded as
+     [cur]) on, fetching later blocks only as they are pulled. *)
+  let iter_at t bi cur ci =
+    let bi = ref bi and cur = ref cur and ci = ref ci in
     let rec next () =
       if !ci < Array.length !cur then begin
         let e = (!cur).(!ci) in
         incr ci;
-        match skip_until with
-        | Some k when String.compare e.Kv_iter.key k < 0 -> next ()
-        | _ -> Some e
+        Some e
       end
-      else if !bi < Array.length t.blocks then begin
+      else if !bi + 1 < Array.length t.blocks then begin
+        incr bi;
         cur := block_entries t !bi;
         ci := 0;
-        incr bi;
         next ()
       end
       else None
     in
     next
 
-  let iter t = iter_blocks_from t 0 None
+  let iter t = iter_at t (-1) [||] 0
 
-  (* Iterator positioned at the [n]th entry of the table (0-based,
-     counted across blocks in file order) — the sorted view's seek
-     primitive: its fences record how many sstable entries a token
-     prefix consumed, so a cursor can resume mid-table without key
-     comparisons. *)
-  let iter_from_nth t n =
-    if n < 0 then invalid_arg "Sstable.iter_from_nth: negative index";
-    let bi = ref 0 and skip = ref n in
-    while !bi < Array.length t.blocks && !skip >= t.blocks.(!bi).entries do
-      skip := !skip - t.blocks.(!bi).entries;
-      incr bi
-    done;
-    if !bi >= Array.length t.blocks then fun () -> None
+  (* The block index names the one block that can hold the first entry
+     at or above [key] (all versions of a key share a block); a binary
+     search inside it gives the position, and the block's running entry
+     count turns that into the table-wide rank. If every entry of the
+     block is below [key], the answer is the next block's first entry,
+     which is only read when pulled. *)
+  let seek t key =
+    let bi = max 0 (find_block t key) in
+    if bi >= Array.length t.blocks then (0, fun () -> None)
     else begin
-      let cur = ref (block_entries t !bi) in
-      let ci = ref !skip in
-      let bi = ref (!bi + 1) in
-      let rec next () =
-        if !ci < Array.length !cur then begin
-          let e = (!cur).(!ci) in
-          incr ci;
-          Some e
-        end
-        else if !bi < Array.length t.blocks then begin
-          cur := block_entries t !bi;
-          ci := 0;
-          incr bi;
-          next ()
-        end
-        else None
-      in
-      next
+      let entries = block_entries t bi in
+      let lo = ref 0 and hi = ref (Array.length entries) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if String.compare entries.(mid).Kv_iter.key key < 0 then lo := mid + 1 else hi := mid
+      done;
+      (t.block_rank.(bi) + !lo, iter_at t bi entries !lo)
     end
 
-  let iter_from t key =
-    let bi = find_block t key in
-    let start = if bi < 0 then 0 else bi in
-    iter_blocks_from t start (Some key)
+  let iter_from t key = snd (seek t key)
 
   (* Best-effort extraction from a damaged table, for fsck --repair:
      whatever the index can still locate and whose block checksum still

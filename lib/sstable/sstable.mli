@@ -93,8 +93,11 @@ module Reader : sig
   val iter_from : t -> string -> Kv_iter.t
   (** Scan starting at the first entry with key >= the argument. *)
 
-  val iter_from_nth : t -> int -> Kv_iter.t
-  (** Scan starting at the [n]th entry (0-based, across blocks in file
-      order); empty when [n >= entry_count]. The sorted view's seek
-      primitive. *)
+  val seek : t -> string -> int * Kv_iter.t
+  (** [seek t low] is [(rank, it)]: the 0-based position, counted
+      across blocks in file order, of the first entry whose key is
+      [>= low] ([entry_count t] when there is none), and an iterator
+      positioned there. Reads only the block the index names for
+      [low]; later blocks are fetched as [it] is pulled. The sorted
+      view's seek primitive. *)
 end
