@@ -18,7 +18,6 @@ type t = {
   topk_capacity : int;
   attr_enabled : bool;
   group_commit_max_batch : int;
-  group_commit_max_wait_ns : int;
   block_cache_bytes : int;
   sorted_view_enabled : bool;
   snapshot_max_retained : int;
@@ -47,7 +46,6 @@ let default =
     topk_capacity = 512;
     attr_enabled = true;
     group_commit_max_batch = 64;
-    group_commit_max_wait_ns = 400_000;
     block_cache_bytes = 32 * mib;
     sorted_view_enabled = true;
     snapshot_max_retained = 0;
@@ -66,8 +64,6 @@ let validate t =
     fail "munk_cache_capacity = %d (must be >= 1)" t.munk_cache_capacity;
   if t.group_commit_max_batch < 1 then
     fail "group_commit_max_batch = %d (must be >= 1; 1 = per-op fsync)" t.group_commit_max_batch;
-  if t.group_commit_max_wait_ns < 1 then
-    fail "group_commit_max_wait_ns = %d (must be >= 1ns)" t.group_commit_max_wait_ns;
   if t.checkpoint_every_puts < 0 then
     fail "checkpoint_every_puts = %d (must be >= 0; 0 = explicit only)" t.checkpoint_every_puts;
   if t.block_cache_bytes < 0 then

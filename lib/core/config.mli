@@ -50,15 +50,11 @@ type t = {
   group_commit_max_batch : int;
       (** Max sync puts coalesced into one fsync by the group committer
           (default 64). [1] degenerates to one fsync per put — exactly
-          the pre-group-commit behaviour. Sync mode only. *)
-  group_commit_max_wait_ns : int;
-      (** Upper bound on how long a commit leader waits for followers to
-          join a forming batch (default 400µs, a couple of device
-          fsyncs). Mostly a backstop: the leader publishes a batch
-          target sized to the in-flight writer cohort, the joiner that
-          fills it seals the batch immediately, and a solo writer
-          (target 1) commits without waiting at all — the bound only
-          matters when an expected writer stalls before joining. *)
+          the pre-group-commit behaviour. Sync mode only. There is no
+          wait knob: a commit leader waits for a forming batch to fill
+          for at most one fsync's measured duration (the fsync the wait
+          would save), so on a fast device it commits at once and on a
+          slow one batches still span the writer cohort. *)
   block_cache_bytes : int;
       (** Capacity of the shared sstable block cache installed on the
           store's environment (default 32MiB; 0 disables it and reads

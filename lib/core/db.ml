@@ -1168,8 +1168,7 @@ let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoin
          | Some _ as c -> c
          | None ->
            Some
-             (Group_commit.create ~max_batch:cfg.Config.group_commit_max_batch
-                ~max_wait_ns:cfg.Config.group_commit_max_wait_ns obs)
+             (Group_commit.create ~max_batch:cfg.Config.group_commit_max_batch obs)
        else None);
     maint =
       (if cfg.Config.background_maintenance then

@@ -1,14 +1,15 @@
 (* Group commit for sync-durable puts.
 
-   In Sync mode every put must be on disk before it is acked, and PR 6's
-   attribution showed the fsync is ~all of the op. One fsync can durably
+   In Sync mode every put must be on disk before it is acked, and on a
+   real device the fsync is ~all of the op. One fsync can durably
    cover every log append that happened before it, so concurrent sync
    puts share fsyncs instead of issuing one each: each put joins the
    currently *forming* batch after its append; the first member with no
    active leader becomes the batch's leader, waits for the batch to
    fill (fill-aware: only while some [track]ed in-flight mutation is
-   still missing from it, bounded by [max_wait_ns]), and seals the
-   batch (rotating [forming] so later arrivals start the next one).
+   still missing from it, and never longer than one fsync takes — see
+   [lead]), and seals the batch (rotating [forming] so later arrivals
+   start the next one).
 
    A sealed batch holds one pending fsync per distinct funk log its
    members appended to. The fsyncs are claimed cooperatively: the
@@ -77,7 +78,11 @@ type t = {
   in_flight : int Atomic.t; (* sync mutations currently inside [track] *)
   mutable prev_size : int; (* last committed batch's member count *)
   max_batch : int;
-  max_wait_ns : int;
+  mutable fsync_est_ns : int;
+      (* running mean of [tm_fsync]'s samples: what one more fsync
+         costs, hence the formation wait's budget; 0 until the first *)
+  mutable sleep_min_ns : int;
+      (* shortest poll sleep the leader has measured; 0 until the first *)
   mutable last_finish_ns : int; (* when the previous batch completed *)
   ctr_batches : Obs.Counter.t;
   ctr_fsyncs : Obs.Counter.t;
@@ -92,7 +97,7 @@ type t = {
 let fresh_batch () =
   { b_pend = []; b_count = 0; b_todo = []; b_left = 0; b_done = false }
 
-let create ~max_batch ~max_wait_ns obs =
+let create ~max_batch obs =
   {
     mutex = Mutex.create ();
     cond = Condition.create ();
@@ -102,7 +107,8 @@ let create ~max_batch ~max_wait_ns obs =
     in_flight = Atomic.make 0;
     prev_size = 1;
     max_batch;
-    max_wait_ns;
+    fsync_est_ns = 0;
+    sleep_min_ns = 0;
     last_finish_ns = 0;
     ctr_batches = Obs.counter obs "commit.batches";
     ctr_fsyncs = Obs.counter obs "commit.fsyncs";
@@ -136,8 +142,14 @@ let fsync_one t b p =
      until this completion wakes it. *)
   let t0 = Obs.now_ns () in
   let err = (try Funk.fsync_log p.p_funk; None with e -> Some e) in
-  Obs.Timer.record_ns t.tm_fsync (Obs.now_ns () - t0);
+  let took = Obs.now_ns () - t0 in
+  Obs.Timer.record_ns t.tm_fsync took;
   Mutex.lock t.mutex;
+  (* Exponentially weighted, 1/8 per sample: tracks a device that
+     speeds up or slows down within a few batches, while one outlier
+     fsync moves the budget by only an eighth of its excess. *)
+  t.fsync_est_ns <-
+    (if t.fsync_est_ns = 0 then took else t.fsync_est_ns + ((took - t.fsync_est_ns) / 8));
   p.p_err <- err;
   p.p_done <- true;
   b.b_left <- b.b_left - 1;
@@ -202,32 +214,46 @@ let lead t b p =
      and a shrinking target collapses the batch to whichever half of
      the writers appended during the last fsync — a stable oscillation
      between two half-size cohorts. A solo writer snapshots a target of
-     one and never waits; [max_wait_ns] bounds the wait when counted
-     writers stop issuing (end of load).
+     one and never waits.
 
      The commit itself is event-driven: the leader publishes the target
      in [t.wait_target] and the joiner that fills the batch commits it
      on the spot ([sync]), so the fsyncs start the instant the last
-     member arrives. The sleeping leader is only the deadline backstop
-     for batches that never fill. The stdlib has no timed condition
-     wait, so the backstop polls with a real [nanosleep] between
-     checks: the sleep must release the OS CPU, not just this domain —
-     [Thread.yield] only rotates systhreads within one domain and
-     returns immediately across domains, and any flavour of spin
-     starves the joiners this wait exists for when hardware threads are
-     scarce. The kernel rounds the 1µs request up to its slack (~50µs),
-     which is fine for a backstop. *)
+     member arrives. The leader's own wait only matters for batches
+     that do not fill, and it is bounded by what it could save: a
+     missing writer that does not join costs one more fsync later, so
+     waiting [w] for it pays only while [w] is below one fsync's cost
+     [f] ([t.fsync_est_ns]). Waiting at most [f] is within 2x of the
+     best choice either way — the writer arrives in time (the wait was
+     worth it) or it does not (at most [f] lost on top of the [f] that
+     no wait could have saved). Before the first fsync there is no
+     estimate and the leader commits at once.
+
+     The stdlib has no timed condition wait, so the leader polls with a
+     real [nanosleep] between checks: the sleep must release the OS
+     CPU, not just this domain — [Thread.yield] only rotates systhreads
+     within one domain and returns immediately across domains, and any
+     flavour of spin starves the joiners this wait exists for when
+     hardware threads are scarce. The kernel rounds the 1µs request up
+     to its timer slack (~50µs), so the leader times its sleeps and
+     never starts one that its shortest measured sleep says would
+     overrun the budget: on a device whose fsync is cheaper than a
+     sleep it does not wait at all. The shortest, not a mean, because
+     a descheduled sleep lengthens one sample without saying anything
+     about the next — a mean could climb above the budget and, the
+     leader then never sleeping, never come down. *)
   let target = min t.max_batch (max t.prev_size (Atomic.get t.in_flight)) in
-  if b.b_count < target && t.max_wait_ns > 0 then begin
+  if b.b_count < target && t.fsync_est_ns > 0 then begin
     t.wait_target <- target;
     Attr.timed Attr.Commit_wait (fun () ->
-        let deadline = Obs.now_ns () + t.max_wait_ns in
-        let expired = ref false in
-        while (not !expired) && t.forming == b && b.b_count < target do
+        let deadline = Obs.now_ns () + t.fsync_est_ns in
+        while t.forming == b && b.b_count < target && Obs.now_ns () + t.sleep_min_ns < deadline do
           Mutex.unlock t.mutex;
+          let t0 = Obs.now_ns () in
           Unix.sleepf 1e-6;
+          let slept = Obs.now_ns () - t0 in
           Mutex.lock t.mutex;
-          if Obs.now_ns () >= deadline then expired := true
+          if t.sleep_min_ns = 0 || slept < t.sleep_min_ns then t.sleep_min_ns <- slept
         done)
   end;
   if t.forming == b then commit t b p
@@ -273,7 +299,7 @@ let sync t funk =
   else if t.wait_target > 0 && b == t.forming && b.b_count >= t.wait_target
   then
     (* This join filled a waiting leader's batch: commit it right here
-       rather than waiting out the leader's next backstop poll — the
+       rather than waiting out the leader's next poll — the
        leader wakes to find the batch sealed and rejoins as a member.
        The committer role transfers; [leader_active] stays set until
        the batch's last fsync clears it. *)

@@ -6,9 +6,15 @@
     a target size (previous batch size or the in-flight writer count at
     promotion, whichever is larger, capped at [max_batch]). The joiner
     that fills the target seals and commits the batch on the spot, so
-    in steady state the batch closes the instant the cohort is in — the
-    leader's own [max_wait_ns]-bounded wait is only the backstop for
-    writers that stall before joining. A solo writer (target 1) commits
+    in steady state the batch closes the instant the cohort is in. For
+    writers that stall before joining, the leader waits no longer than
+    one fsync currently takes (a running mean of [commit.fsync]): a
+    wait [w] that saves an fsync of cost [f] pays only while [w < f],
+    and capping it at [f] stays within 2x of the best choice whether
+    or not the writer shows up. It never starts a poll sleep that its
+    shortest measured sleep says would overrun that budget, so on a
+    device whose fsync is cheaper than a sleep it commits at once, as
+    it does before the first fsync. A solo writer (target 1) commits
     immediately: it never waits for company that isn't coming.
 
     A sealed batch's fsyncs — one per distinct funk log it touches —
@@ -26,8 +32,7 @@
 
 type t
 
-val create :
-  max_batch:int -> max_wait_ns:int -> Evendb_obs.Obs.t -> t
+val create : max_batch:int -> Evendb_obs.Obs.t -> t
 (** Registers [commit.batches], [commit.fsyncs], [commit.fsyncs_saved]
     counters and the [commit.batch_size] (members per batch),
     [commit.fsync] (per-fsync latency) and [commit.reform] (gap between

@@ -108,10 +108,7 @@ let open_ ?config ?(shared_commit = true) ?(boundaries = []) env =
   let committer, commit_obs =
     if shared_commit && cfg.Config.persistence = Config.Sync then begin
       let obs = Evendb_obs.Obs.create () in
-      ( Some
-          (Group_commit.create ~max_batch:cfg.Config.group_commit_max_batch
-             ~max_wait_ns:cfg.Config.group_commit_max_wait_ns obs),
-        Some obs )
+      (Some (Group_commit.create ~max_batch:cfg.Config.group_commit_max_batch obs), Some obs)
     end
     else (None, None)
   in

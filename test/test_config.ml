@@ -36,10 +36,6 @@ let suite =
           { Config.default with group_commit_max_batch = 0 };
         rejects "negative group-commit batch"
           { Config.default with group_commit_max_batch = -4 };
-        rejects "zero group-commit wait"
-          { Config.default with group_commit_max_wait_ns = 0 };
-        rejects "negative group-commit wait"
-          { Config.default with group_commit_max_wait_ns = -1 };
         rejects "zero chunk size" { Config.default with max_chunk_bytes = 0 };
         rejects "zero munk cache" { Config.default with munk_cache_capacity = 0 };
         rejects "negative checkpoint interval"

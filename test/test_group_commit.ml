@@ -189,6 +189,110 @@ let fsync_error_fans_out () =
   Db.close db
 
 (* ------------------------------------------------------------------ *)
+(* The formation wait is worth one fsync: it still coalesces writers   *)
+(* when fsyncs are slow and never waits when they are cheap.           *)
+
+(* A memory device whose fsync takes [delay] seconds. *)
+let slow_fsync_backend ~delay =
+  let (Backend.B (module Inner)) = Backend.memory () in
+  Backend.B
+    (module struct
+      include Inner
+
+      let fsync h =
+        Unix.sleepf delay;
+        Inner.fsync h
+    end)
+
+let coalesces_on_slow_fsync () =
+  let config = { Config.default with persistence = Config.Sync } in
+  let db = Db.open_ ~config (Env.of_backend (slow_fsync_backend ~delay:1.5e-3)) in
+  let domains = 4 and per_domain = 50 in
+  let workers =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to per_domain - 1 do
+              Db.put db (key d i) (value d i)
+            done))
+  in
+  List.iter Domain.join workers;
+  let puts = domains * per_domain in
+  let fsyncs = counter_value (Obs.snapshot (Db.obs db)) "commit.fsyncs" in
+  (* Four writers against a 1.5ms fsync: the leader's budget is one
+     fsync, ample for the cohort to append and join, so batches span
+     most of it (about 0.26 fsyncs per put). Committing with no
+     formation wait measures 0.4 to 0.9. *)
+  if fsyncs * 3 > puts then
+    Alcotest.failf "%d fsyncs for %d puts: batches stopped coalescing" fsyncs puts;
+  for d = 0 to domains - 1 do
+    Alcotest.(check (option string)) (key d 0) (Some (value d 0)) (Db.get db (key d 0))
+  done;
+  Db.close db
+
+(* A memory device on which every append by the domain recorded in
+   [stalled] blocks while [latched] is set; [entered] reports that the
+   stalled domain is parked there. *)
+let latch_backend () =
+  let stalled = Atomic.make (-1) and latched = Atomic.make true and entered = Atomic.make false in
+  let (Backend.B (module Inner)) = Backend.memory () in
+  let packed =
+    Backend.B
+      (module struct
+        include Inner
+
+        let append h b ~pos ~len =
+          if (Domain.self () :> int) = Atomic.get stalled then begin
+            Atomic.set entered true;
+            while Atomic.get latched do
+              Unix.sleepf 1e-4
+            done
+          end;
+          Inner.append h b ~pos ~len
+      end)
+  in
+  (stalled, latched, entered, packed)
+
+let fast_fsync_never_waits () =
+  let stalled, latched, entered, packed = latch_backend () in
+  (* Small chunks, so the preload splits the store and the two writers
+     below work on different chunks and funk logs; a munk cache large
+     enough that no eviction needs the stalled writer's chunk lock. *)
+  let config = { sync_config with munk_cache_capacity = 64 } in
+  let db = Db.open_ ~config (Env.of_backend packed) in
+  let filler = String.make 200 'f' in
+  for i = 0 to 199 do
+    Db.put db (Printf.sprintf "k%04d" i) filler
+  done;
+  Alcotest.(check bool) "preload split the store" true (Db.chunk_count db >= 2);
+  (* Writer B enters a sync put and parks inside its log append: it is
+     tracked as in flight, so every batch leader below counts it in
+     its target, but it never joins. *)
+  let b =
+    Domain.spawn (fun () ->
+        Atomic.set stalled (Domain.self () :> int);
+        Db.put db "a-stalled" "b")
+  in
+  while not (Atomic.get entered) do
+    Unix.sleepf 1e-4
+  done;
+  (* Writer A: 100 sync puts on the last chunk. Each is a leader whose
+     target (A and B) never fills; a fixed 400µs formation wait made
+     this take at least 40ms. A memory fsync costs about a microsecond,
+     less than one poll sleep, so A should commit each batch at once. *)
+  let t0 = Obs.now_ns () in
+  for i = 0 to 99 do
+    Db.put db (Printf.sprintf "z%03d" i) "a"
+  done;
+  let elapsed_ms = float_of_int (Obs.now_ns () - t0) /. 1e6 in
+  Atomic.set latched false;
+  Domain.join b;
+  if elapsed_ms >= 20. then
+    Alcotest.failf "100 puts took %.1fms waiting for a writer that never joined" elapsed_ms;
+  Alcotest.(check (option string)) "stalled writer acked" (Some "b") (Db.get db "a-stalled");
+  Alcotest.(check (option string)) "last fast put" (Some "a") (Db.get db "z099");
+  Db.close db
+
+(* ------------------------------------------------------------------ *)
 (* Crash-point exploration over an explicitly multi-member committer.  *)
 
 module Gc_engine : Evendb_check.Crash_explorer.ENGINE = struct
@@ -196,12 +300,7 @@ module Gc_engine : Evendb_check.Crash_explorer.ENGINE = struct
 
   let name = "evendb-sync-gc8"
 
-  let config =
-    {
-      sync_config with
-      group_commit_max_batch = 8;
-      group_commit_max_wait_ns = 50_000;
-    }
+  let config = { sync_config with group_commit_max_batch = 8 }
 
   let open_ env = Db.open_ ~config env
   let close = Db.close
@@ -234,6 +333,9 @@ let suite =
         Alcotest.test_case "batch of 1 = per-op fsync" `Quick batch_of_one_degenerates;
         Alcotest.test_case "fsync error fans out to all members" `Quick
           fsync_error_fans_out;
+        Alcotest.test_case "coalesces on a slow fsync" `Quick coalesces_on_slow_fsync;
+        Alcotest.test_case "a fast fsync never waits for a stalled writer" `Quick
+          fast_fsync_never_waits;
         Alcotest.test_case "crash explorer: drop" `Slow
           (explorer_covers_group_commit Backend.Drop_unsynced);
         Alcotest.test_case "crash explorer: reorder" `Slow
