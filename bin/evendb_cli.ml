@@ -474,23 +474,11 @@ let stat_cmd =
           live store's telemetry endpoint)")
     Term.(const run $ fault_arg $ dir_opt $ json $ prometheus $ reset_check $ url_arg)
 
-(* Minimal JSON string rendering for CLI reports (keys are ASCII but a
-   user-chosen DIR or key may not be). *)
+(* A quoted JSON string for the hand-laid CLI reports (a user-chosen DIR
+   or key may need escaping). *)
 let jstr s =
   let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
+  Evendb_obs.Obs.jstr s b;
   Buffer.contents b
 
 let take n l = List.filteri (fun i _ -> i < n) l
@@ -751,8 +739,8 @@ let slow_cmd =
           let slows = Attr.slow_ops attr in
           let b = Buffer.create 4096 in
           let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-          bpf "slow ops (> %d us): %d seen, %d retained; watchdog trips: %d\n" threshold_us
-            (Attr.slow_seen attr) (List.length slows) (Attr.watchdog_trips attr);
+          bpf "slow ops (> %d us): %d seen, %d retained\n" threshold_us (Attr.slow_seen attr)
+            (List.length slows);
           if slows <> [] then
             bpf "%-8s %12s %6s %-16s %s\n" "kind" "dur_us" "attr%" "top cause" "breakdown (us)";
           List.iter

@@ -25,10 +25,6 @@ type maintainer = {
 let po_slots = 128 (* pending-op slots: far above any writer-domain count *)
 let row_cache_tables = 3 (* the paper's three row-cache hash tables *)
 let hot_prefix_len = 8 (* "user" + 4 digits under the YCSB keys: 10^6-key blocks *)
-let attr_slow_threshold_ns = 1_000_000 (* 1 ms: well above a cached op *)
-let attr_slow_ring = 256 (* slow ops kept with their full breakdown *)
-let attr_watchdog_share_ppm = 500_000 (* a cause owning half of recent op time is a stall *)
-let attr_watchdog_cooldown_ops = 4096 (* one trip per cause per 4096 ops *)
 
 type t = {
   env : Env.t;
@@ -1182,10 +1178,7 @@ let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoin
            }
        else None);
     obs;
-    attr =
-      Attr.create ~enabled:cfg.Config.attr_enabled ~threshold_ns:attr_slow_threshold_ns
-        ~ring:attr_slow_ring ~watchdog_share_ppm:attr_watchdog_share_ppm
-        ~watchdog_cooldown_ops:attr_watchdog_cooldown_ops obs;
+    attr = Attr.create ~enabled:cfg.Config.attr_enabled obs;
     tm_put = Obs.timer obs "db.put";
     tm_get = Obs.timer obs "db.get";
     tm_delete = Obs.timer obs "db.delete";

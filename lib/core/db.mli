@@ -162,9 +162,7 @@ val attr : t -> Evendb_obs.Attr.t
     every put/get/delete/scan decomposes its wall time into lock-wait,
     log-append, fsync, disk-read, rebalance and compaction stalls; ops
     of 1 ms or more land in a 256-entry slow-op ring with their
-    breakdown, and the stall watchdog records a [stall_watchdog] span
-    when a single cause owns half of recent op time. Switched by
-    [Config.attr_enabled]. *)
+    breakdown. Switched by [Config.attr_enabled]. *)
 
 val metrics_dump : t -> [ `Json | `Prometheus ] -> string
 (** Render the registry with the corresponding {!Evendb_obs.Obs}

@@ -79,19 +79,11 @@ type slow_op = {
 type t = {
   a_enabled : bool;
   mutable a_threshold_ns : int; (* plain int: single-word reads/writes are atomic *)
-  a_share_ppm : int;
-  a_cooldown_ops : int;
   a_trace : Obs.Trace.t;
-  a_trips : Obs.Counter.t;
   a_mutex : Mutex.t; (* guards everything below *)
   a_cause_total : int array; (* kind * n_causes + cause, cumulative ns *)
   a_op_total : int array; (* per kind, cumulative op wall ns *)
   a_op_count : int array;
-  mutable a_total_ops : int; (* monotone op counter (cooldown clock) *)
-  a_win_cause : int array; (* decayed window, per cause *)
-  mutable a_win_total : int;
-  mutable a_win_ops : int;
-  a_last_trip : int array; (* a_total_ops at last trip, per cause *)
   a_ring : slow_op option array;
   mutable a_head : int;
   mutable a_slow_seen : int;
@@ -111,33 +103,28 @@ let frame_key =
   Domain.DLS.new_key (fun () ->
       { fr_live = false; fr_kind = 0; fr_depth = 0; fr_causes = Array.make n_causes 0 })
 
-let watchdog_span = "stall_watchdog"
+let cause_total_ns t cause =
+  Mutex.lock t.a_mutex;
+  let i = cause_index cause in
+  let acc = ref 0 in
+  for k = 0 to n_kinds - 1 do
+    acc := !acc + t.a_cause_total.((k * n_causes) + i)
+  done;
+  Mutex.unlock t.a_mutex;
+  !acc
 
-let create ?(enabled = true) ?(threshold_ns = 1_000_000) ?(ring = 256)
-    ?(watchdog_share_ppm = 500_000) ?(watchdog_cooldown_ops = 4096) obs =
+let create ?(enabled = true) ?(threshold_ns = 1_000_000) ?(ring = 256) obs =
   if ring <= 0 then invalid_arg "Attr.create: ring <= 0";
   if threshold_ns <= 0 then invalid_arg "Attr.create: threshold_ns <= 0";
-  let tr = Obs.trace obs in
-  Obs.Trace.declare tr watchdog_span;
   let t =
     {
       a_enabled = enabled;
       a_threshold_ns = threshold_ns;
-      a_share_ppm = watchdog_share_ppm;
-      a_cooldown_ops = max 1 watchdog_cooldown_ops;
-      a_trace = tr;
-      a_trips = Obs.counter obs "attr.watchdog.trips";
+      a_trace = Obs.trace obs;
       a_mutex = Mutex.create ();
       a_cause_total = Array.make (n_kinds * n_causes) 0;
       a_op_total = Array.make n_kinds 0;
       a_op_count = Array.make n_kinds 0;
-      a_total_ops = 0;
-      a_win_cause = Array.make n_causes 0;
-      a_win_total = 0;
-      a_win_ops = 0;
-      (* Far enough in the "past" that the first check clears the
-         cooldown, without min_int's subtraction overflow. *)
-      a_last_trip = Array.make n_causes (-max 1 watchdog_cooldown_ops - 1);
       a_ring = Array.make ring None;
       a_head = 0;
       a_slow_seen = 0;
@@ -148,22 +135,7 @@ let create ?(enabled = true) ?(threshold_ns = 1_000_000) ?(ring = 256)
     Fun.protect ~finally:(fun () -> Mutex.unlock t.a_mutex) f
   in
   List.iter
-    (fun c ->
-      let i = cause_index c in
-      Obs.probe obs
-        ("attr.frac_ppm." ^ cause_name c)
-        (fun () ->
-          locked (fun () ->
-              if t.a_win_total = 0 then 0 else t.a_win_cause.(i) * 1_000_000 / t.a_win_total));
-      Obs.probe obs
-        ("attr.total_ns." ^ cause_name c)
-        (fun () ->
-          locked (fun () ->
-              let acc = ref 0 in
-              for k = 0 to n_kinds - 1 do
-                acc := !acc + t.a_cause_total.((k * n_causes) + i)
-              done;
-              !acc)))
+    (fun c -> Obs.probe obs ("attr.total_ns." ^ cause_name c) (fun () -> cause_total_ns t c))
     all_causes;
   Obs.probe obs "attr.slow.seen" (fun () -> locked (fun () -> t.a_slow_seen));
   Obs.probe obs "attr.slow.kept" (fun () ->
@@ -174,8 +146,6 @@ let create ?(enabled = true) ?(threshold_ns = 1_000_000) ?(ring = 256)
 
 let enabled t = t.a_enabled
 let threshold_ns t = t.a_threshold_ns
-
-let watchdog_trips t = Obs.Counter.get t.a_trips
 
 (* ------------------------------------------------------------------ *)
 (* Hot path                                                            *)
@@ -200,51 +170,17 @@ let timed cause f =
 let overlapping_spans t ~t0 ~t1 =
   List.fold_left
     (fun acc (e : Obs.Trace.event) ->
-      if e.Obs.Trace.ev_name = watchdog_span then acc
+      let s = e.Obs.Trace.ev_start_ns and d = e.Obs.Trace.ev_dur_ns in
+      let overlap = min (s + d) t1 - max s t0 in
+      if overlap <= 0 then acc
       else
-        let s = e.Obs.Trace.ev_start_ns and d = e.Obs.Trace.ev_dur_ns in
-        let overlap = min (s + d) t1 - max s t0 in
-        if overlap <= 0 then acc
-        else
-          match List.assoc_opt e.Obs.Trace.ev_name acc with
-          | Some prev -> (e.Obs.Trace.ev_name, prev + overlap) :: List.remove_assoc e.Obs.Trace.ev_name acc
-          | None -> (e.Obs.Trace.ev_name, overlap) :: acc)
+        match List.assoc_opt e.Obs.Trace.ev_name acc with
+        | Some prev ->
+          (e.Obs.Trace.ev_name, prev + overlap) :: List.remove_assoc e.Obs.Trace.ev_name acc
+        | None -> (e.Obs.Trace.ev_name, overlap) :: acc)
     []
     (Obs.Trace.recent t.a_trace)
   |> List.sort compare
-
-(* Decayed window: halve everything once it covers ~1k ops, so the
-   fractions track the last ~2k ops with integer arithmetic only. *)
-let decay_window_locked t =
-  if t.a_win_ops >= 1024 then begin
-    for i = 0 to n_causes - 1 do
-      t.a_win_cause.(i) <- t.a_win_cause.(i) asr 1
-    done;
-    t.a_win_total <- t.a_win_total asr 1;
-    t.a_win_ops <- t.a_win_ops asr 1
-  end
-
-(* Watchdog decision, under the lock; returns the cause to fire on (if
-   any) so the counter bump and the trace event run outside the lock. *)
-let watchdog_locked t =
-  if t.a_share_ppm <= 0 || t.a_total_ops land 63 <> 0 || t.a_win_total < 1_000_000 then None
-  else begin
-    let best = ref (-1) and best_ns = ref 0 in
-    for i = 0 to n_causes - 1 do
-      if t.a_win_cause.(i) > !best_ns then begin
-        best := i;
-        best_ns := t.a_win_cause.(i)
-      end
-    done;
-    if !best < 0 then None
-    else
-      let frac = !best_ns * 1_000_000 / t.a_win_total in
-      if frac >= t.a_share_ppm && t.a_total_ops - t.a_last_trip.(!best) >= t.a_cooldown_ops then begin
-        t.a_last_trip.(!best) <- t.a_total_ops;
-        Some (cause_of_index.(!best), frac)
-      end
-      else None
-  end
 
 let close_op t fr ~t0 ~t1 ~tid =
   let dur = if t1 > t0 then t1 - t0 else 0 in
@@ -258,17 +194,10 @@ let close_op t fr ~t0 ~t1 ~tid =
   let base = kind * n_causes in
   for i = 0 to n_causes - 1 do
     let v = fr.fr_causes.(i) in
-    if v > 0 then begin
-      t.a_cause_total.(base + i) <- t.a_cause_total.(base + i) + v;
-      t.a_win_cause.(i) <- t.a_win_cause.(i) + min v dur
-    end
+    if v > 0 then t.a_cause_total.(base + i) <- t.a_cause_total.(base + i) + v
   done;
   t.a_op_total.(kind) <- t.a_op_total.(kind) + dur;
   t.a_op_count.(kind) <- t.a_op_count.(kind) + 1;
-  t.a_win_total <- t.a_win_total + dur;
-  t.a_win_ops <- t.a_win_ops + 1;
-  t.a_total_ops <- t.a_total_ops + 1;
-  decay_window_locked t;
   if slow then begin
     let causes = ref [] in
     for i = n_causes - 1 downto 0 do
@@ -290,15 +219,7 @@ let close_op t fr ~t0 ~t1 ~tid =
     t.a_head <- (t.a_head + 1) mod Array.length t.a_ring;
     t.a_slow_seen <- t.a_slow_seen + 1
   end;
-  let trip = watchdog_locked t in
-  Mutex.unlock t.a_mutex;
-  match trip with
-  | None -> ()
-  | Some (cause, frac) ->
-    Obs.Counter.incr t.a_trips;
-    Obs.Trace.with_span t.a_trace ~name:watchdog_span
-      ~attrs:[ ("cause_" ^ cause_name cause, 1); ("frac_ppm", frac) ]
-      (fun _ -> ())
+  Mutex.unlock t.a_mutex
 
 let with_op t kind timer f =
   if not t.a_enabled then Obs.Timer.time timer f
@@ -337,23 +258,6 @@ let set_threshold_ns t ns =
   clear_ring_locked t;
   Mutex.unlock t.a_mutex
 
-let frac_ppm t cause =
-  Mutex.lock t.a_mutex;
-  let i = cause_index cause in
-  let v = if t.a_win_total = 0 then 0 else t.a_win_cause.(i) * 1_000_000 / t.a_win_total in
-  Mutex.unlock t.a_mutex;
-  v
-
-let cause_total_ns t cause =
-  Mutex.lock t.a_mutex;
-  let i = cause_index cause in
-  let acc = ref 0 in
-  for k = 0 to n_kinds - 1 do
-    acc := !acc + t.a_cause_total.((k * n_causes) + i)
-  done;
-  Mutex.unlock t.a_mutex;
-  !acc
-
 let op_count t kind =
   Mutex.lock t.a_mutex;
   let v = t.a_op_count.(kind_index kind) in
@@ -389,76 +293,33 @@ let reset t =
   Array.fill t.a_cause_total 0 (Array.length t.a_cause_total) 0;
   Array.fill t.a_op_total 0 n_kinds 0;
   Array.fill t.a_op_count 0 n_kinds 0;
-  Array.fill t.a_win_cause 0 n_causes 0;
-  t.a_win_total <- 0;
-  t.a_win_ops <- 0;
-  t.a_total_ops <- 0;
-  Array.fill t.a_last_trip 0 n_causes (-t.a_cooldown_ops - 1);
   clear_ring_locked t;
-  Mutex.unlock t.a_mutex;
-  (* Trip state includes the registry counter (a counter has no set;
-     compensate it down to zero). *)
-  Obs.Counter.add t.a_trips (-Obs.Counter.get t.a_trips)
+  Mutex.unlock t.a_mutex
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jfield buf first k render =
-  if !first then first := false else Buffer.add_char buf ',';
-  Buffer.add_char buf '"';
-  Buffer.add_string buf (json_escape k);
-  Buffer.add_string buf "\":";
-  render buf
-
-let jobj buf fields =
-  Buffer.add_char buf '{';
-  let first = ref true in
-  List.iter (fun (k, render) -> jfield buf first k render) fields;
-  Buffer.add_char buf '}'
-
-let jint v buf = Buffer.add_string buf (string_of_int v)
-
-let jstr s buf =
-  Buffer.add_char buf '"';
-  Buffer.add_string buf (json_escape s);
-  Buffer.add_char buf '"'
-
 let slow_record_fields ?(tags = []) s =
-  List.map (fun (k, v) -> (k, jstr v)) tags
+  List.map (fun (k, v) -> (k, Obs.jstr v)) tags
   @ [
-      ("kind", jstr s.so_kind);
-      ("wall_ns", jint s.so_wall_ns);
-      ("dur_ns", jint s.so_dur_ns);
-      ("threshold_ns", jint s.so_threshold_ns);
-      ("tid", jint s.so_tid);
+      ("kind", Obs.jstr s.so_kind);
+      ("wall_ns", Obs.jint s.so_wall_ns);
+      ("dur_ns", Obs.jint s.so_dur_ns);
+      ("threshold_ns", Obs.jint s.so_threshold_ns);
+      ("tid", Obs.jint s.so_tid);
       ( "causes",
-        fun buf -> jobj buf (List.map (fun (k, v) -> (k, jint v)) s.so_causes) );
+        fun buf -> Obs.add_json_obj buf (List.map (fun (k, v) -> (k, Obs.jint v)) s.so_causes) );
       ( "attributed_ns",
-        jint (List.fold_left (fun acc (_, v) -> acc + v) 0 s.so_causes) );
+        Obs.jint (List.fold_left (fun acc (_, v) -> acc + v) 0 s.so_causes) );
       ( "overlapping_spans",
-        fun buf -> jobj buf (List.map (fun (k, v) -> (k, jint v)) s.so_spans) );
+        fun buf -> Obs.add_json_obj buf (List.map (fun (k, v) -> (k, Obs.jint v)) s.so_spans) );
     ]
 
 let slow_ops_jsonl ?tags t =
   let buf = Buffer.create 1024 in
   List.iter
     (fun s ->
-      jobj buf (slow_record_fields ?tags s);
+      Obs.add_json_obj buf (slow_record_fields ?tags s);
       Buffer.add_char buf '\n')
     (slow_ops t);
   Buffer.contents buf
@@ -505,15 +366,13 @@ let to_json t =
   let op_total = Array.copy t.a_op_total in
   let op_count = Array.copy t.a_op_count in
   let cause_total = Array.copy t.a_cause_total in
-  let win_cause = Array.copy t.a_win_cause in
-  let win_total = t.a_win_total in
   let slow_seen_n = t.a_slow_seen in
   Mutex.unlock t.a_mutex;
   let buf = Buffer.create 1024 in
   let causes_obj arr base =
     fun buf ->
-      jobj buf
-        (List.map (fun c -> (cause_name c, jint arr.(base + cause_index c))) all_causes)
+      Obs.add_json_obj buf
+        (List.map (fun c -> (cause_name c, Obs.jint arr.(base + cause_index c))) all_causes)
   in
   let slow_total = List.fold_left (fun acc s -> acc + s.so_dur_ns) 0 slow in
   let slow_causes =
@@ -531,60 +390,44 @@ let to_json t =
   let slow_causes = List.sort (fun (_, a) (_, b) -> compare b a) !slow_causes in
   let slow_attributed = List.fold_left (fun acc (_, v) -> acc + v) 0 slow_causes in
   let top_cause = match slow_causes with (n, _) :: _ -> n | [] -> "" in
-  jobj buf
+  Obs.add_json_obj buf
     [
       ("enabled", fun b -> Buffer.add_string b (string_of_bool t.a_enabled));
-      ("threshold_ns", jint threshold);
+      ("threshold_ns", Obs.jint threshold);
       ( "ops",
         fun buf ->
-          jobj buf
+          Obs.add_json_obj buf
             (List.map
                (fun k ->
                  let ki = kind_index k in
                  ( kind_name k,
                    fun buf ->
-                     jobj buf
+                     Obs.add_json_obj buf
                        [
-                         ("count", jint op_count.(ki));
-                         ("total_ns", jint op_total.(ki));
+                         ("count", Obs.jint op_count.(ki));
+                         ("total_ns", Obs.jint op_total.(ki));
                          ("causes", causes_obj cause_total (ki * n_causes));
                        ] ))
                all_kinds) );
-      ( "frac_ppm",
-        fun buf ->
-          jobj buf
-            (List.map
-               (fun c ->
-                 ( cause_name c,
-                   jint
-                     (if win_total = 0 then 0
-                      else win_cause.(cause_index c) * 1_000_000 / win_total) ))
-               all_causes) );
-      ( "watchdog",
-        fun buf ->
-          jobj buf
-            [
-              ("share_ppm", jint t.a_share_ppm);
-              ("cooldown_ops", jint t.a_cooldown_ops);
-              ("trips", jint (Obs.Counter.get t.a_trips));
-            ] );
       ( "slow",
         fun buf ->
-          jobj buf
+          Obs.add_json_obj buf
             [
-              ("seen", jint slow_seen_n);
-              ("kept", jint (List.length slow));
-              ("threshold_ns", jint threshold);
-              ("total_ns", jint slow_total);
-              ("attributed_ns", jint slow_attributed);
+              ("seen", Obs.jint slow_seen_n);
+              ("kept", Obs.jint (List.length slow));
+              ("threshold_ns", Obs.jint threshold);
+              ("total_ns", Obs.jint slow_total);
+              ("attributed_ns", Obs.jint slow_attributed);
               ( "attributed_share",
                 fun b ->
                   Buffer.add_string b
                     (Printf.sprintf "%.4f"
                        (if slow_total = 0 then 0.0
                         else float_of_int slow_attributed /. float_of_int slow_total)) );
-              ("top_cause", jstr top_cause);
-              ("causes", fun buf -> jobj buf (List.map (fun (k, v) -> (k, jint v)) slow_causes));
+              ("top_cause", Obs.jstr top_cause);
+              ( "causes",
+                fun buf ->
+                  Obs.add_json_obj buf (List.map (fun (k, v) -> (k, Obs.jint v)) slow_causes) );
             ] );
     ];
   Buffer.contents buf

@@ -4,11 +4,11 @@
     domain-local record opened by {!with_op} — and every known stall
     site on the hot path wraps itself in {!timed}, charging its wall
     time to a named {!cause}. When the op closes, its cause breakdown
-    is folded into cumulative per-kind totals and a decayed recent
-    window; ops slower than a configurable threshold are additionally
-    recorded — with their full breakdown and the maintenance spans they
-    overlapped — in a bounded slow-op ring exportable as JSONL and as
-    causal child spans of the Chrome trace.
+    is folded into cumulative per-kind totals; ops slower than a
+    configurable threshold are additionally recorded — with their full
+    breakdown and the maintenance spans they overlapped — in a bounded
+    slow-op ring exportable as JSONL and as causal child spans of the
+    Chrome trace.
 
     Design constraints, in priority order:
 
@@ -23,13 +23,13 @@
     - {b No hidden allocation on the hot path.} Frames are preallocated
       per domain and reused; cause accumulation is array stores. Slow
       ops allocate (they are rare by construction: above-p95-style
-      thresholds), as does the periodic decay fold.
+      thresholds).
 
-    A {!t} also drives the {e stall watchdog}: when any single cause
-    exceeds a configured share of recent op time, it bumps the
-    [attr.watchdog.trips] counter and drops a zero-duration
-    ["stall_watchdog"] span into the trace ring whose [cause_<name>]
-    attribute names the dominant cause. *)
+    The totals are lifetime sums. What share of {e recent} op time a
+    cause owns is read the way every other instrument is windowed: as
+    the change of its [attr.total_ns.<cause>] probe between two
+    [Evendb_telemetry.Sampler] ticks, over the op timers' time in the
+    same window ([evendb top]'s STALL CAUSES). *)
 
 type cause =
   | Lock_wait  (** blocked acquiring a rebalance/writer lock, or a scan
@@ -63,22 +63,12 @@ val kind_name : kind -> string
 
 type t
 
-val create :
-  ?enabled:bool ->
-  ?threshold_ns:int ->
-  ?ring:int ->
-  ?watchdog_share_ppm:int ->
-  ?watchdog_cooldown_ops:int ->
-  Obs.t ->
-  t
+val create : ?enabled:bool -> ?threshold_ns:int -> ?ring:int -> Obs.t -> t
 (** [create obs] registers the attribution probes
-    ([attr.frac_ppm.<cause>], [attr.total_ns.<cause>],
-    [attr.slow.seen/kept/threshold_ns]) and the
-    [attr.watchdog.trips] counter in [obs], and uses [obs]'s trace both
-    to harvest overlapping maintenance spans for slow ops and to emit
-    watchdog events. Defaults: [enabled = true], [threshold_ns] = 1ms,
-    [ring] = 256 slow ops, [watchdog_share_ppm] = 500_000 (50% of
-    recent op time), [watchdog_cooldown_ops] = 4096. *)
+    ([attr.total_ns.<cause>], [attr.slow.seen/kept/threshold_ns]) in
+    [obs], and uses [obs]'s trace to harvest overlapping maintenance
+    spans for slow ops. Defaults: [enabled = true], [threshold_ns] =
+    1ms, [ring] = 256 slow ops. *)
 
 val enabled : t -> bool
 
@@ -98,7 +88,7 @@ val timed : cause -> (unit -> 'a) -> 'a
     holding a handle. Outside any frame, or nested inside another
     [timed] section, runs [f] untimed. *)
 
-(** {2 Thresholds and the watchdog} *)
+(** {2 Slow-op threshold} *)
 
 val threshold_ns : t -> int
 
@@ -107,13 +97,7 @@ val set_threshold_ns : t -> int -> unit
     (records taken under the old threshold are not comparable) — the
     calibrate-then-measure idiom of the sync-durability bench. *)
 
-val watchdog_trips : t -> int
-
 (** {2 Introspection} *)
-
-val frac_ppm : t -> cause -> int
-(** The cause's share of recent op wall time, in parts per million,
-    over a decayed window of the last ~2k ops. *)
 
 val cause_total_ns : t -> cause -> int
 (** Cumulative nanoseconds charged to the cause across all op kinds. *)
@@ -155,10 +139,8 @@ val chrome_events : t -> Obs.Trace.event list
 
 val to_json : t -> string
 (** Everything above as one JSON document: per-kind op counts/time with
-    full cause matrices, decayed fractions, watchdog state, and a
-    summary of the retained slow ops (cumulative time, attributed
+    full cause matrices, and a summary of the retained slow ops (cumulative time, attributed
     share, top cause). *)
 
 val reset : t -> unit
-(** Zero totals, window, ring and trip state. Threshold and
-    configuration survive. *)
+(** Zero totals and the ring. Threshold and configuration survive. *)

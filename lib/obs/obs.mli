@@ -153,6 +153,21 @@ val reset : t -> unit
 (** Zero every counter, gauge and timer and clear the trace. Probes
     are left registered (they read external state). *)
 
+(** {2 JSON writer}
+
+    Shared by the JSON exporters ({!to_json}, [Attr], the telemetry
+    sampler's records). A field renders itself into the buffer, so
+    objects nest by passing [fun buf -> add_json_obj buf ...]. *)
+
+val add_json_obj : Buffer.t -> (string * (Buffer.t -> unit)) list -> unit
+(** [{"k1":v1,"k2":v2,...}], keys escaped, no whitespace. *)
+
+val jint : int -> Buffer.t -> unit
+val jstr : string -> Buffer.t -> unit
+
+val jfloat : float -> Buffer.t -> unit
+(** One decimal: ["%.1f"]. *)
+
 val to_json : t -> string
 (** One JSON document: [{"counters":{..},"gauges":{..},"timers":{..},
     "spans":{..}}]. Timer entries carry count/mean/p50/p95/p99/min/max

@@ -111,43 +111,30 @@ let window_of_timer prev (s : Obs.timer_summary) =
         }
   end
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let sample_to_json s =
   let b = Buffer.create 512 in
-  Printf.bprintf b "{\"seq\":%d,\"wall_ns\":%d,\"dur_ns\":%d" s.s_seq s.s_wall_ns
-    s.s_dur_ns;
-  let obj key items render =
-    Printf.bprintf b ",\"%s\":{" key;
-    List.iteri
-      (fun i (name, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b "\"%s\":" (json_escape name);
-        render v)
-      items;
-    Buffer.add_char b '}'
+  let obj items render buf =
+    Obs.add_json_obj buf (List.map (fun (name, v) -> (name, render v)) items)
   in
-  obj "deltas" s.s_deltas (fun v -> Printf.bprintf b "%d" v);
-  obj "gauges" s.s_gauges (fun v -> Printf.bprintf b "%d" v);
-  obj "timers" s.s_timers (fun w ->
-      Printf.bprintf b
-        "{\"count\":%d,\"mean_ns\":%.1f,\"p50_ns\":%d,\"p95_ns\":%d,\"p99_ns\":%d,\"max_ns\":%d}"
-        w.w_count w.w_mean_ns w.w_p50_ns w.w_p95_ns w.w_p99_ns w.w_max_ns);
-  Buffer.add_char b '}';
+  Obs.add_json_obj b
+    [
+      ("seq", Obs.jint s.s_seq);
+      ("wall_ns", Obs.jint s.s_wall_ns);
+      ("dur_ns", Obs.jint s.s_dur_ns);
+      ("deltas", obj s.s_deltas Obs.jint);
+      ("gauges", obj s.s_gauges Obs.jint);
+      ( "timers",
+        obj s.s_timers (fun w buf ->
+            Obs.add_json_obj buf
+              [
+                ("count", Obs.jint w.w_count);
+                ("mean_ns", Obs.jfloat w.w_mean_ns);
+                ("p50_ns", Obs.jint w.w_p50_ns);
+                ("p95_ns", Obs.jint w.w_p95_ns);
+                ("p99_ns", Obs.jint w.w_p99_ns);
+                ("max_ns", Obs.jint w.w_max_ns);
+              ]) );
+    ];
   Buffer.contents b
 
 let tick_locked t =

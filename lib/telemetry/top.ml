@@ -20,27 +20,51 @@ let fmt_count n =
   else if n >= 10_000 then Printf.sprintf "%.1fk" (float_of_int n /. 1e3)
   else string_of_int n
 
-(* The hit/miss probes export lifetime totals (they mirror cache-layer
-   counters), so the windowed rate comes from the delta between the two
-   newest samples' gauges. *)
+(* Cache hit/miss and attr.total_ns.* probes export lifetime totals, so
+   their windowed value is the change between the two newest samples. *)
+let gauge_delta name cur prev =
+  match (g name cur, g name prev) with Some v1, Some v0 -> Some (v1 - v0) | _ -> None
+
 let hit_rate cur prev ~hits ~misses =
-  match (prev, g hits cur, g misses cur) with
-  | Some p, Some h1, Some m1 -> (
-    match (g hits p, g misses p) with
-    | Some h0, Some m0 ->
-      let dh = h1 - h0 and dm = m1 - m0 in
-      if dh + dm > 0 then Some (float_of_int dh /. float_of_int (dh + dm), dh + dm)
-      else None
-    | _ -> None)
+  match (gauge_delta hits cur prev, gauge_delta misses cur prev) with
+  | Some dh, Some dm when dh + dm > 0 ->
+    Some (float_of_int dh /. float_of_int (dh + dm), dh + dm)
   | _ -> None
 
-let attr_prefix = "attr.frac_ppm."
+let op_kinds = [ "db.put"; "db.get"; "db.delete"; "db.scan" ]
+let attr_prefix = "attr.total_ns."
 let hot_prefix = "hot."
 
 let strip_prefix p s = String.sub s (String.length p) (String.length s - String.length p)
 
 let starts_with p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+(* Each cause's share of the window's op time: the attr.total_ns.<cause>
+   growth over Σ count × mean of the op timers Attr.with_op records
+   into. The window mean is exact (a sum difference), so the
+   denominator is the ops' true wall time. Descending, top 5. *)
+let stall_shares cur prev =
+  let op_ns =
+    List.fold_left
+      (fun acc (name, w) ->
+        if List.mem name op_kinds then
+          acc +. (float_of_int w.Sampler.w_count *. w.Sampler.w_mean_ns)
+        else acc)
+      0. cur.Sampler.s_timers
+  in
+  if op_ns <= 0. then []
+  else
+    cur.Sampler.s_gauges
+    |> List.filter_map (fun (name, _) ->
+           if starts_with attr_prefix name then
+             match gauge_delta name cur prev with
+             | Some dns when dns > 0 ->
+               Some (strip_prefix attr_prefix name, float_of_int dns /. op_ns)
+             | _ -> None
+           else None)
+    |> List.sort (fun (_, a) (_, b) -> compare b a)
+    |> List.filteri (fun i _ -> i < 5)
 
 let render samples =
   match List.rev samples with
@@ -60,10 +84,10 @@ let render samples =
     let op_timers =
       List.filter
         (fun (name, _) ->
-          List.mem name [ "db.put"; "db.get"; "db.delete"; "db.scan" ]
+          List.mem name op_kinds
           || List.exists
                (fun k -> starts_with "shard" name && Filename.check_suffix name k)
-               [ "db.put"; "db.get"; "db.delete"; "db.scan" ])
+               op_kinds)
         cur.Sampler.s_timers
     in
     Buffer.add_string b "  OPS                ops/s     p50       p95       p99       max\n";
@@ -79,28 +103,18 @@ let render samples =
             (fmt_ns w.Sampler.w_p50_ns) (fmt_ns w.Sampler.w_p95_ns)
             (fmt_ns w.Sampler.w_p99_ns) (fmt_ns w.Sampler.w_max_ns))
         op_timers;
-    (* Stall causes: attr.frac_ppm.* gauges, descending, top 5. *)
-    let stalls =
-      cur.Sampler.s_gauges
-      |> List.filter_map (fun (name, v) ->
-             if starts_with attr_prefix name && v > 0 then
-               Some (strip_prefix attr_prefix name, v)
-             else None)
-      |> List.sort (fun (_, a) (_, b) -> compare b a)
-      |> List.filteri (fun i _ -> i < 5)
-    in
+    let stalls = match prev with Some p -> stall_shares cur p | None -> [] in
     if stalls <> [] then begin
-      Buffer.add_string b "\n  STALL CAUSES (share of recent op time)\n";
+      Buffer.add_string b "\n  STALL CAUSES (share of op time, this window)\n";
       List.iter
-        (fun (cause, ppm) ->
-          Printf.bprintf b "  %-22s %5.1f%%\n" cause (float_of_int ppm /. 10_000.))
+        (fun (cause, share) -> Printf.bprintf b "  %-22s %5.1f%%\n" cause (100. *. share))
         stalls
     end;
     (* Caches. *)
     let cache_lines =
       List.filter_map
         (fun (label, hits, misses) ->
-          match hit_rate cur prev ~hits ~misses with
+          match Option.bind prev (hit_rate cur ~hits ~misses) with
           | Some (r, lookups) ->
             Some
               (Printf.sprintf "  %-12s %5.1f%% hit  (%s lookups)\n" label (100. *. r)

@@ -16,7 +16,7 @@ type t = {
   metrics : unit -> string;  (** JSON metrics snapshot (see {!Evendb_obs.Obs.to_json}). *)
   attr : unit -> Evendb_obs.Attr.t;
       (** The engine's per-op tail-latency attribution handle: slow-op
-          ring, cause fractions and watchdog (see {!Evendb_obs.Attr}).
+          ring and cumulative per-cause totals (see {!Evendb_obs.Attr}).
           Benchmarks use it to calibrate slow thresholds and export
           per-phase breakdowns. *)
   absorbed_failures : unit -> int;

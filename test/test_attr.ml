@@ -1,8 +1,7 @@
 (* Per-op tail-latency attribution (PR 6): cause-sum invariants, the
-   slow-op ring's bound and JSONL export, the fsync-dominance
-   acceptance property on a real (disk, sync-durability) store, the
-   stall watchdog, and the exporter hygiene satellites (timer min/max,
-   Prometheus escaping). *)
+   slow-op ring's bound, reset and JSONL export, the fsync-dominance
+   acceptance property on a real (disk, sync-durability) store, and the
+   exporter hygiene satellites (timer min/max, Prometheus escaping). *)
 
 open Evendb_storage
 open Evendb_core
@@ -89,7 +88,7 @@ let cause_sums_bounded () =
 
 (* ------------------------------------------------------------------ *)
 (* The slow-op ring respects its bound under overflow and still counts
-   every observation. *)
+   every observation; reset empties it and zeroes the totals. *)
 
 let ring_bound_under_overflow () =
   let obs = Obs.create () in
@@ -106,10 +105,19 @@ let ring_bound_under_overflow () =
       Alcotest.(check string) "kind" "put" s.Attr.so_kind;
       Alcotest.(check bool) "dur over threshold" true (s.Attr.so_dur_ns >= 1))
     kept;
+  Alcotest.(check bool) "fsync charged" true (Attr.cause_total_ns attr Attr.Fsync > 0);
   (* Re-arming the threshold clears the ring but not the seen count's
      monotonicity contract: the ring restarts empty. *)
   Attr.set_threshold_ns attr 1_000_000_000;
-  Alcotest.(check int) "ring cleared on re-arm" 0 (List.length (Attr.slow_ops attr))
+  Alcotest.(check int) "ring cleared on re-arm" 0 (List.length (Attr.slow_ops attr));
+  Attr.set_threshold_ns attr 1;
+  Attr.with_op attr Attr.Put tm (fun () -> busy_ns 2_000);
+  Attr.reset attr;
+  Alcotest.(check int) "reset clears ring" 0 (List.length (Attr.slow_ops attr));
+  Alcotest.(check int) "reset clears seen" 0 (Attr.slow_seen attr);
+  Alcotest.(check int) "reset clears op count" 0 (Attr.op_count attr Attr.Put);
+  Alcotest.(check int) "reset clears cause totals" 0 (Attr.cause_total_ns attr Attr.Fsync);
+  Alcotest.(check int) "threshold survives reset" 1 (Attr.threshold_ns attr)
 
 (* ------------------------------------------------------------------ *)
 (* The JSONL export round-trips through a real JSON parser, carries the
@@ -154,7 +162,7 @@ let jsonl_roundtrip () =
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance property at reduced scale: on a real disk store in Sync
-   persistence, the slow tail (ops over the warmup p95) is >= 80%
+   persistence, the slow tail (the measured run's own top 5%) is >= 80%
    attributed, with fsync the top cause by cumulative time. *)
 
 let fsync_dominates_sync_tail () =
@@ -172,25 +180,24 @@ let fsync_dominates_sync_tail () =
       let attr = Db.attr db in
       let value = String.make 200 'v' in
       let key i = Printf.sprintf "key%06d" (i mod 499) in
-      (* Warmup: measure this machine's sync-put tail, then re-arm the
-         ring at its p95 (the calibrate-then-measure idiom). *)
-      let warm = 150 in
-      let durs =
-        Array.init warm (fun i ->
-            let t0 = Obs.now_ns () in
-            Db.put db (key i) value;
-            Obs.now_ns () - t0)
-      in
-      Array.sort compare durs;
-      let p95 = max 1 durs.(warm * 95 / 100) in
-      Attr.set_threshold_ns attr p95;
-      for i = 1 to 300 do
+      (* Warmup: past the store's first log and file creations. *)
+      for i = 1 to 150 do
         Db.put db (key i) value
       done;
-      let slows = Attr.slow_ops attr in
-      Alcotest.(check bool)
-        (Printf.sprintf "slow ops captured above p95=%dns" p95)
-        true (slows <> []);
+      (* Keep every measured put (no more than the ring holds), then
+         take the tail from the run's own p95: a threshold calibrated
+         on the warmup can sit above every measured put. *)
+      let measured = 256 in
+      Attr.set_threshold_ns attr 1;
+      for i = 1 to measured do
+        Db.put db (key i) value
+      done;
+      let kept = Attr.slow_ops attr in
+      Alcotest.(check int) "every measured put kept" measured (List.length kept);
+      let durs = Array.of_list (List.map (fun (s : Attr.slow_op) -> s.Attr.so_dur_ns) kept) in
+      Array.sort compare durs;
+      let p95 = durs.(measured * 95 / 100) in
+      let slows = List.filter (fun (s : Attr.slow_op) -> s.Attr.so_dur_ns >= p95) kept in
       let total = List.fold_left (fun a (s : Attr.slow_op) -> a + s.Attr.so_dur_ns) 0 slows in
       let by_cause = Hashtbl.create 8 in
       List.iter
@@ -212,36 +219,6 @@ let fsync_dominates_sync_tail () =
       if top_cause <> "fsync" then
         Alcotest.failf "top cause %s (%dns), expected fsync (fsync=%dns)" top_cause top_ns
           (Option.value ~default:0 (Hashtbl.find_opt by_cause "fsync")))
-
-(* ------------------------------------------------------------------ *)
-(* Stall watchdog: a cause holding a dominant share of the recent
-   window trips the counter and drops a trace event naming it. *)
-
-let watchdog_trips () =
-  let obs = Obs.create () in
-  let attr =
-    Attr.create ~threshold_ns:max_int ~watchdog_share_ppm:100_000 ~watchdog_cooldown_ops:1 obs
-  in
-  let tm = Obs.timer obs "op" in
-  for _ = 1 to 192 do
-    Attr.with_op attr Attr.Put tm (fun () -> Attr.timed Attr.Fsync (fun () -> busy_ns 30_000))
-  done;
-  Alcotest.(check bool) "watchdog tripped" true (Attr.watchdog_trips attr >= 1);
-  let trips =
-    List.filter
-      (fun e -> e.Obs.Trace.ev_name = "stall_watchdog")
-      (Obs.Trace.recent (Obs.trace obs))
-  in
-  Alcotest.(check bool) "stall_watchdog event in trace" true (trips <> []);
-  List.iter
-    (fun e ->
-      Alcotest.(check bool) "fsync blamed" true (List.mem_assoc "cause_fsync" e.Obs.Trace.ev_attrs))
-    trips;
-  (* Dominant-cause fraction is visible in the decayed gauges. *)
-  Alcotest.(check bool) "fsync frac_ppm dominant" true (Attr.frac_ppm attr Attr.Fsync > 100_000);
-  Attr.reset attr;
-  Alcotest.(check int) "reset clears trips" 0 (Attr.watchdog_trips attr);
-  Alcotest.(check int) "reset clears ring" 0 (List.length (Attr.slow_ops attr))
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: timers report true min/max (not bucket estimates) in the
@@ -312,7 +289,6 @@ let suite =
         Alcotest.test_case "slow ring bound under overflow" `Quick ring_bound_under_overflow;
         Alcotest.test_case "slow-op JSONL round-trip" `Quick jsonl_roundtrip;
         Alcotest.test_case "fsync dominates sync-put tail (disk)" `Quick fsync_dominates_sync_tail;
-        Alcotest.test_case "stall watchdog trips" `Quick watchdog_trips;
         Alcotest.test_case "timer min/max exact" `Quick timer_min_max_exact;
         Alcotest.test_case "prometheus HELP/TYPE + label escaping" `Quick prometheus_hygiene;
       ] );

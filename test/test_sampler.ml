@@ -130,6 +130,81 @@ let json_roundtrip () =
         (List.length b.Sampler.s_timers))
     orig parsed
 
+(* The record layout is also the journal format: pin its exact bytes,
+   escaping included. *)
+let sample_json_bytes () =
+  let s =
+    {
+      Sampler.s_seq = 3;
+      s_wall_ns = 17;
+      s_dur_ns = -1;
+      s_deltas = [ ("a\"b", 2) ];
+      s_gauges = [ ("g\n", 5); ("h", -7) ];
+      s_timers =
+        [
+          ( "db.put",
+            {
+              Sampler.w_count = 1;
+              w_mean_ns = 2.25;
+              w_p50_ns = 3;
+              w_p95_ns = 4;
+              w_p99_ns = 5;
+              w_max_ns = 6;
+            } );
+        ];
+    }
+  in
+  Alcotest.(check string)
+    "sample_to_json bytes"
+    ({|{"seq":3,"wall_ns":17,"dur_ns":-1,"deltas":{"a\"b":2},"gauges":{"g\n":5,"h":-7},|}
+    ^ {|"timers":{"db.put":{"count":1,"mean_ns":2.2,"p50_ns":3,"p95_ns":4,"p99_ns":5,"max_ns":6}}}|}
+    )
+    (Sampler.sample_to_json s)
+
+(* ------------------------------------------------------------------ *)
+(* evendb top: stall-cause shares come from the window between the two
+   newest samples — a cause's attr.total_ns growth over the op timers'
+   count x mean — so a cause with a large but unchanged lifetime total
+   is not a stall of this window. *)
+
+let top_stall_shares () =
+  let sample seq ~fsync ~timers =
+    {
+      Sampler.s_seq = seq;
+      s_wall_ns = seq * 1_000_000_000;
+      s_dur_ns = 1_000_000_000;
+      s_deltas = [];
+      s_gauges = [ ("attr.total_ns.fsync", fsync); ("attr.total_ns.lock_wait", 50_000_000) ];
+      s_timers = timers;
+    }
+  in
+  let put =
+    {
+      Sampler.w_count = 10;
+      w_mean_ns = 400_000.;
+      w_p50_ns = 400_000;
+      w_p95_ns = 400_000;
+      w_p99_ns = 400_000;
+      w_max_ns = 400_000;
+    }
+  in
+  let prev = sample 1 ~fsync:1_000_000 ~timers:[] in
+  let cur = sample 2 ~fsync:4_000_000 ~timers:[ ("db.put", put) ] in
+  let contains sub s =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let frame = Tel.Top.render [ prev; cur ] in
+  Alcotest.(check bool) "stall section rendered" true (contains "STALL CAUSES" frame);
+  (match List.find_opt (contains "fsync") (String.split_on_char '\n' frame) with
+  | Some l -> Alcotest.(check bool) ("fsync at 75.0%: " ^ l) true (contains "75.0%" l)
+  | None -> Alcotest.failf "no fsync line in:\n%s" frame);
+  Alcotest.(check bool) "unchanged cause not listed" false (contains "lock_wait" frame);
+  let single = Tel.Top.render [ cur ] in
+  Alcotest.(check bool) "one sample: no stall section" false (contains "STALL CAUSES" single);
+  Alcotest.(check bool) "one sample: ops still shown" true (contains "db.put" single)
+
 (* ------------------------------------------------------------------ *)
 (* Journal *)
 
@@ -473,6 +548,8 @@ let suite =
         Alcotest.test_case "counter deltas and gauges" `Quick counter_deltas_and_gauges;
         Alcotest.test_case "ring bound under overflow" `Quick ring_bound;
         Alcotest.test_case "series JSON round-trip" `Quick json_roundtrip;
+        Alcotest.test_case "sample JSON bytes" `Quick sample_json_bytes;
+        Alcotest.test_case "top stall shares from the window" `Quick top_stall_shares;
         Alcotest.test_case "multi-domain hammer loses nothing" `Quick multi_domain_hammer;
       ] );
     ( "metrics journal",
