@@ -28,26 +28,8 @@ let variants (h : Harness.t) =
       { base with Config.funk_log_limit_with_munk = base.Config.funk_log_limit_no_munk } );
   ]
 
-let engine_of ?env cfg =
-  let env = match env with Some e -> e | None -> Evendb_storage.Env.memory () in
-  let db = Db.open_ ~config:cfg env in
-  {
-    Engine.name = "EvenDB";
-    put = Db.put db;
-    get = Db.get db;
-    delete = Db.delete db;
-    scan = (fun ~low ~high ~limit -> Db.scan db ~limit ~low ~high ());
-    maintain = (fun () -> Db.maintain db);
-    close = (fun () -> Db.close db);
-    env;
-    logical_bytes = (fun () -> Db.logical_bytes_written db);
-    metrics = (fun () -> Db.metrics_dump db `Json);
-    attr = (fun () -> Db.attr db);
-    absorbed_failures = (fun () -> 0);
-  }
-
 let run_a (h : Harness.t) cfg ~items =
-  let e = engine_of cfg in
+  let e = Engine.evendb ~config:cfg (Evendb_storage.Env.memory ()) in
   Fun.protect
     ~finally:(fun () ->
       Harness.dump_metrics e ~phase:"final";
@@ -65,7 +47,7 @@ let run_a (h : Harness.t) cfg ~items =
       (r.Runner.kops, Engine.write_amplification e))
 
 let run_scans (h : Harness.t) cfg ~events =
-  let e = engine_of cfg in
+  let e = Engine.evendb ~config:cfg (Evendb_storage.Env.memory ()) in
   Fun.protect
     ~finally:(fun () ->
       Harness.dump_metrics e ~phase:"final";
@@ -105,7 +87,7 @@ let run (h : Harness.t) =
     (List.map
        (fun (name, cfg) ->
          (* Real files: fsync cost is the whole point here. *)
-         let e = engine_of ~env:(Harness.fresh_env { h with Harness.on_disk = true }) cfg in
+         let e = Engine.evendb ~config:cfg (Harness.fresh_env { h with Harness.on_disk = true }) in
          Fun.protect
            ~finally:(fun () ->
       Harness.dump_metrics e ~phase:"final";

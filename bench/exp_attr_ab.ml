@@ -1,60 +1,25 @@
-(* Attribution overhead A/B: identical single-thread YCSB-A segments
-   alternating between two warmed engines — one with per-op cause
-   attribution, one without — so load-phase, page-cache and allocator
-   noise hits both arms equally. Reports best-of-N segment throughput
-   per arm and the relative overhead; CI asserts the attribution tax
-   stays under a few percent at tiny scale. *)
+(* Attribution overhead A/B: identical single-thread YCSB-A segments on
+   an EvenDB with per-op cause attribution and one without, in
+   interleaved pairs ([Harness.ab]). Each arm loads its store once and
+   runs one discarded warm-up segment. CI gates the median per-pair
+   on/off throughput ratio at >= 0.95 (attribution costs under 5%).
+   The arms ignore --attr. *)
 
 open Evendb_ycsb
 
-let segments = 5
+let pairs = 1000
 
 let run (h : Harness.t) =
   Report.heading "Attribution overhead A/B: YCSB-A, 1 thread, attr on vs off";
   let items = Harness.items_for h (List.nth (Harness.dataset_sizes h) 0 |> fst) in
   let ops = max 1_000 h.Harness.ops in
-  let mk attr_on =
-    let h = { h with Harness.on_disk = false; attr_on } in
-    let e = Harness.make_engine h `Evendb in
-    let shared =
-      Workload.create_shared ~value_bytes:h.Harness.value_bytes (Workload.Zipf_composite 0.99)
-        ~items ~seed:4242
-    in
-    Runner.load e shared;
-    (* One discarded segment warms caches and branch predictors:
-       cold-start noise otherwise dwarfs the ~1-2% signal. *)
-    ignore (Runner.run e shared Runner.workload_a ~ops ~threads:1);
-    (e, shared)
-  in
-  let e_on, sh_on = mk true in
-  let e_off, sh_off = mk false in
-  Fun.protect
-    ~finally:(fun () ->
-      e_on.Engine.close ();
-      e_off.Engine.close ())
-    (fun () ->
-      let best_on = ref 0.0 and best_off = ref 0.0 in
-      for seg = 1 to segments do
-        (* Alternate which arm goes first so neither always runs into a
-           fresher scheduler quantum. *)
-        let arms = if seg mod 2 = 1 then [ false; true ] else [ true; false ] in
-        List.iter
-          (fun attr_on ->
-            let e, sh = if attr_on then (e_on, sh_on) else (e_off, sh_off) in
-            let r = Runner.run e sh Runner.workload_a ~ops ~threads:1 in
-            let phase = if attr_on then "attr_on" else "attr_off" in
-            Harness.note_result ~phase e r;
-            let best = if attr_on then best_on else best_off in
-            if r.Runner.kops > !best then best := r.Runner.kops;
-            Printf.printf "  segment %d  attr %-3s %10.1f kops\n%!" seg
-              (if attr_on then "on" else "off")
-              r.Runner.kops)
-          arms
-      done;
-      Harness.note_slow ~phase:"attr_on" e_on;
-      let overhead_pct =
-        if !best_off > 0.0 then (!best_off -. !best_on) /. !best_off *. 100.0 else 0.0
+  Harness.ab ~pairs ~rebuild:false (fun ~on ->
+      let e = Harness.make_engine { h with Harness.on_disk = false; attr_on = on } `Evendb in
+      let shared =
+        Workload.create_shared ~value_bytes:h.Harness.value_bytes (Workload.Zipf_composite 0.99)
+          ~items ~seed:4242
       in
-      Printf.printf
-        "  best: attr off %10.1f kops   attr on %10.1f kops   overhead %+.2f%%\n" !best_off
-        !best_on overhead_pct)
+      Runner.load e shared;
+      ignore (Runner.run e shared Runner.workload_a ~ops ~threads:1);
+      let phase = if on then "attr_on" else "attr_off" in
+      (e, [ (phase, fun () -> Runner.run e shared Runner.workload_a ~ops ~threads:1) ]))

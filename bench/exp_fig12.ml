@@ -7,24 +7,7 @@ open Evendb_core
 open Evendb_ycsb
 
 let run_one (h : Harness.t) cfg dist ~items ~mix ~ops =
-  let env = Evendb_storage.Env.memory () in
-  let db = Db.open_ ~config:cfg env in
-  let e =
-    {
-      Engine.name = "EvenDB";
-      put = Db.put db;
-      get = Db.get db;
-      delete = Db.delete db;
-      scan = (fun ~low ~high ~limit -> Db.scan db ~limit ~low ~high ());
-      maintain = (fun () -> Db.maintain db);
-      close = (fun () -> Db.close db);
-      env;
-      logical_bytes = (fun () -> Db.logical_bytes_written db);
-      metrics = (fun () -> Db.metrics_dump db `Json);
-      attr = (fun () -> Db.attr db);
-      absorbed_failures = (fun () -> 0);
-    }
-  in
+  let e = Engine.evendb ~config:cfg (Evendb_storage.Env.memory ()) in
   Fun.protect
     ~finally:(fun () ->
       Harness.dump_metrics e ~phase:"final";

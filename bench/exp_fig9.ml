@@ -10,22 +10,7 @@ let run_one (h : Harness.t) dist ~items ~ops =
   let env = Env.memory () in
   let cfg = { (Harness.evendb_config h) with Config.collect_read_stats = true } in
   let db = Db.open_ ~config:cfg env in
-  let e =
-    {
-      Engine.name = "EvenDB";
-      put = Db.put db;
-      get = Db.get db;
-      delete = Db.delete db;
-      scan = (fun ~low ~high ~limit -> Db.scan db ~limit ~low ~high ());
-      maintain = (fun () -> Db.maintain db);
-      close = (fun () -> Db.close db);
-      env;
-      logical_bytes = (fun () -> Db.logical_bytes_written db);
-      metrics = (fun () -> Db.metrics_dump db `Json);
-      attr = (fun () -> Db.attr db);
-      absorbed_failures = (fun () -> 0);
-    }
-  in
+  let e = Engine.of_db db env in
   let shared = Workload.create_shared ~value_bytes:h.value_bytes dist ~items ~seed:23 in
   Runner.load e shared;
   ignore (Runner.run e shared Runner.workload_c ~ops:(min 2000 ops) ~threads:1);

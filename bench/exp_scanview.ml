@@ -1,8 +1,9 @@
-(* Unified read path A/B (PR 8 acceptance cell): the shared block
-   cache + per-funk sorted views, on vs. off, over the same
-   spatially-local workload.
+(* Unified read path A/B: the shared block cache + per-funk sorted
+   views, on vs. off, over the same spatially-local workload, in
+   interleaved pairs ([Harness.ab]); every segment builds its arm
+   fresh.
 
-   Phases per arm:
+   Phases per segment:
      cold_scan  — every munk evicted first, so scans hit the funk
                   path where the sorted view replaces the per-scan
                   log fold + sort (and the block cache absorbs
@@ -11,13 +12,13 @@
      point_get  — workload C, guarding against a point-read
                   regression from the new machinery.
 
-   Emits BENCH_scanview.json (schema v2) with engines
-   "EvenDB view=on" / "EvenDB view=off"; CI gates on the cold-scan
-   ratio and the point-get regression. *)
+   Engines are "EvenDB view=on" / "EvenDB view=off"; CI gates the
+   median per-pair cold-scan and point-get ratios. *)
 
 open Evendb_core
-open Evendb_storage
 open Evendb_ycsb
+
+let pairs = 20
 
 let arm_config h ~on =
   let base = Harness.evendb_config h in
@@ -33,108 +34,31 @@ let evict_all db shared =
     (fun i k -> if i mod 8 = 0 then ignore (Db.evict_munk db k))
     (Workload.load_keys shared)
 
-type arm = {
-  a_name : string;
-  a_cold : Runner.result;
-  a_warm : Runner.result;
-  a_get : Runner.result;
-  a_views_built : int;
-  a_view_scans : int;
-  a_view_fallbacks : int;
-  a_cache_hits : int;
-  a_cache_misses : int;
-}
-
-let run_arm (h : Harness.t) ~items ~on =
-  let env = Harness.fresh_env h in
-  let name = if on then "EvenDB view=on" else "EvenDB view=off" in
-  let db = Db.open_ ~config:(arm_config h ~on) env in
-  let e =
-    {
-      Engine.name;
-      put = Db.put db;
-      get = Db.get db;
-      delete = Db.delete db;
-      scan = (fun ~low ~high ~limit -> Db.scan db ~limit ~low ~high ());
-      maintain = (fun () -> Db.maintain db);
-      close = (fun () -> Db.close db);
-      env;
-      logical_bytes = (fun () -> Db.logical_bytes_written db);
-      metrics = (fun () -> Db.metrics_dump db `Json);
-      attr = (fun () -> Db.attr db);
-      absorbed_failures = (fun () -> 0);
-    }
-  in
-  let shared =
-    Workload.create_shared ~value_bytes:h.value_bytes (Workload.Zipf_composite 0.99) ~items
-      ~seed:47
-  in
-  Runner.load e shared;
-  (* Season the funk logs so views span sstable + log, the shape cold
-     chunks have in steady state. *)
-  ignore (Runner.run e shared Runner.workload_a ~ops:(max 1000 (h.ops / 4)) ~threads:h.threads);
-  e.Engine.maintain ();
-  evict_all db shared;
-  let scan_ops = max 500 (h.ops / 8) in
-  let cold = Runner.run e shared scan_mix ~ops:scan_ops ~threads:h.threads in
-  Harness.note_result ~phase:"cold_scan" e cold;
-  Harness.dump_metrics e ~phase:"cold_scan";
-  let warm = Runner.run e shared scan_mix ~ops:scan_ops ~threads:h.threads in
-  Harness.note_result ~phase:"warm_scan" e warm;
-  let gets = Runner.run e shared Runner.workload_c ~ops:h.ops ~threads:h.threads in
-  Harness.note_result ~phase:"point_get" e gets;
-  Harness.note_slow e;
-  let c n = Evendb_obs.Obs.Counter.get (Evendb_obs.Obs.counter (Db.obs db) n) in
-  let hits, misses =
-    match Env.block_cache env with
-    | Some bc -> (Evendb_cache.Block_cache.hits bc, Evendb_cache.Block_cache.misses bc)
-    | None -> (0, 0)
-  in
-  let arm =
-    {
-      a_name = name;
-      a_cold = cold;
-      a_warm = warm;
-      a_get = gets;
-      a_views_built = c "sorted_view.builds";
-      a_view_scans = c "sorted_view.scans";
-      a_view_fallbacks = c "sorted_view.stale_fallbacks";
-      a_cache_hits = hits;
-      a_cache_misses = misses;
-    }
-  in
-  Harness.dump_metrics e ~phase:"final";
-  e.Engine.close ();
-  arm
-
 let run (h : Harness.t) =
   Report.heading "Scan-view A/B: shared block cache + sorted views vs. merge path";
   (* 4x the munk-cache budget: most chunks are munk-less, the regime
      the unified read path exists for. *)
   let items = Harness.items_for h (4 * h.ram_budget) in
-  let on = run_arm h ~items ~on:true in
-  let off = run_arm h ~items ~on:false in
-  let row (a : arm) =
-    [
-      a.a_name;
-      Printf.sprintf "%.1f" a.a_cold.Runner.kops;
-      Printf.sprintf "%.1f" a.a_warm.Runner.kops;
-      Printf.sprintf "%.1f" a.a_get.Runner.kops;
-      string_of_int a.a_views_built;
-      string_of_int a.a_view_scans;
-      string_of_int a.a_view_fallbacks;
-      (let total = a.a_cache_hits + a.a_cache_misses in
-       if total = 0 then "-" else Printf.sprintf "%.1f%%" (100.0 *. float a.a_cache_hits /. float total));
-    ]
-  in
-  Report.table
-    ~header:
-      [ "engine"; "cold kops"; "warm kops"; "get kops"; "views"; "view scans"; "fallbacks"; "cache hit" ]
-    [ row on; row off ];
-  let ratio num den = if den > 0.0 then num /. den else 0.0 in
-  Printf.printf "\ncold-scan speedup (view on/off): %.2fx\n"
-    (ratio on.a_cold.Runner.kops off.a_cold.Runner.kops);
-  Printf.printf "warm-scan speedup (view on/off): %.2fx\n"
-    (ratio on.a_warm.Runner.kops off.a_warm.Runner.kops);
-  Printf.printf "point-get ratio   (view on/off): %.2fx\n"
-    (ratio on.a_get.Runner.kops off.a_get.Runner.kops)
+  Harness.ab ~pairs ~rebuild:true (fun ~on ->
+      let env = Harness.fresh_env h in
+      let db = Db.open_ ~config:(arm_config h ~on) env in
+      let e = Engine.of_db ~name:(if on then "EvenDB view=on" else "EvenDB view=off") db env in
+      let shared =
+        Workload.create_shared ~value_bytes:h.value_bytes (Workload.Zipf_composite 0.99) ~items
+          ~seed:47
+      in
+      Runner.load e shared;
+      (* Season the funk logs so views span sstable + log, the shape
+         cold chunks have in steady state. *)
+      ignore
+        (Runner.run e shared Runner.workload_a ~ops:(max 1000 (h.ops / 4)) ~threads:h.threads);
+      e.Engine.maintain ();
+      evict_all db shared;
+      let scan_ops = max 500 (h.ops / 8) in
+      let scans () = Runner.run e shared scan_mix ~ops:scan_ops ~threads:h.threads in
+      ( e,
+        [
+          ("cold_scan", scans);
+          ("warm_scan", scans);
+          ("point_get", fun () -> Runner.run e shared Runner.workload_c ~ops:h.ops ~threads:h.threads);
+        ] ))

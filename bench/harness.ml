@@ -21,8 +21,9 @@ type t = {
          seed, so runs stay comparable; injected counts appear in the
          per-phase metrics dumps as "faults.injected". *)
   attr_on : bool;
-      (* per-op cause attribution in every engine the harness builds;
-         --attr off measures its own overhead (exp_attr_ab). *)
+      (* per-op cause attribution in every engine the harness builds
+         (--attr); exp_attr_ab ignores it and builds one arm with
+         attribution and one without. *)
 }
 
 let mib = 1024 * 1024
@@ -108,15 +109,7 @@ let mkdir_p dir =
 
 let artifact_dir = ref None
 
-type sample = {
-  sm_engine : string;
-  sm_phase : string;
-  sm_result : Runner.result;
-  sm_write_amp : float;
-  sm_attr : string; (* Attr.to_json at sample time ("{}" if unavailable) *)
-}
-
-let art_samples : sample list ref = ref [] (* newest first *)
+let art_results : string list ref = ref [] (* rendered result rows, newest first *)
 let art_metrics : (string * string * string) list ref = ref []
 let art_slow : string list ref = ref [] (* JSONL fragments, newest first *)
 
@@ -127,17 +120,44 @@ let art_series : (string * string * string) list ref = ref []
 
 let artifacts_on () = !artifact_dir <> None
 
+let art_percentiles h =
+  match Evendb_util.Histogram.percentiles h [ 50.0; 95.0; 99.0 ] with
+  | [ p50; p95; p99 ] -> (p50, p95, p99)
+  | _ -> (0, 0, 0)
+
+(* Render the row now: an experiment may note thousands of runs, and
+   a kept [Runner.result] holds three histograms. *)
 let note_result ?(phase = "run") (e : Engine.t) (r : Runner.result) =
-  if artifacts_on () then
-    art_samples :=
-      {
-        sm_engine = e.Engine.name;
-        sm_phase = phase;
-        sm_result = r;
-        sm_write_amp = Engine.write_amplification e;
-        sm_attr = (try Evendb_obs.Attr.to_json (e.Engine.attr ()) with _ -> "{}");
-      }
-      :: !art_samples
+  if artifacts_on () then begin
+    let buf = Buffer.create 1024 in
+    let bpf fmt = Printf.bprintf buf fmt in
+    let jstr = Evendb_obs.Obs.jstr in
+    let merged = Evendb_util.Histogram.create () in
+    List.iter
+      (fun src -> Evendb_util.Histogram.merge_into ~src ~dst:merged)
+      [ r.Runner.put_hist; r.Runner.get_hist; r.Runner.scan_hist ];
+    let p50, p95, p99 = art_percentiles merged in
+    bpf
+      "{\"engine\": %t, \"phase\": %t, \"ops\": %d, \"seconds\": %.6f, \"throughput_kops\": \
+       %.3f, \"failed_ops\": %d, \"write_amp\": %.4f, \"p50_ns\": %d, \"p95_ns\": %d, \
+       \"p99_ns\": %d, \"min_ns\": %d, \"max_ns\": %d, \"latency\": {"
+      (jstr e.Engine.name) (jstr phase) r.Runner.ops r.Runner.seconds r.Runner.kops
+      r.Runner.failed_ops (Engine.write_amplification e) p50 p95 p99
+      (Evendb_util.Histogram.min_value merged)
+      (Evendb_util.Histogram.max_value merged);
+    List.iteri
+      (fun j (op, hist) ->
+        if j > 0 then bpf ", ";
+        let p50, p95, p99 = art_percentiles hist in
+        bpf "\"%s\": {\"count\": %d, \"p50_ns\": %d, \"p95_ns\": %d, \"p99_ns\": %d, \"max_ns\": %d}"
+          op
+          (Evendb_util.Histogram.count hist)
+          p50 p95 p99
+          (Evendb_util.Histogram.max_value hist))
+      [ ("put", r.Runner.put_hist); ("get", r.Runner.get_hist); ("scan", r.Runner.scan_hist) ];
+    bpf "}, \"attr\": %s}" (try Evendb_obs.Attr.to_json (e.Engine.attr ()) with _ -> "{}");
+    art_results := Buffer.contents buf :: !art_results
+  end
 
 (* Attach a windowed-telemetry series (a JSON array of sampler
    samples) to the artifact under the "series" key. *)
@@ -208,6 +228,74 @@ let with_engine h which f =
     (fun () -> f e)
 
 (* ------------------------------------------------------------------ *)
+(* A/B experiments (attrab, telemab, scanview). [ab ~pairs ~rebuild
+   build] runs [pairs] pairs. [build ~on] builds one arm and returns
+   its engine and its measured phases, (name, run) in the same order on
+   both arms; each phase is one judged on/off throughput ratio. The
+   arms are built once, or fresh for every pair with [~rebuild:true]
+   (for phases that use up the state they measure). Within a pair the
+   arms take turns phase by phase through [Runner.ab_pair], which
+   alternates the arm that goes first; each run starts after a
+   [Gc.minor]: both arms share the heap, and emptying the minor heap
+   keeps one arm's young garbage from being collected inside the
+   other's run. (Neither a [Gc.full_major] per run nor one process per
+   arm measured a lower spread, and both cost more; see CHANGES.md.)
+   Every run is recorded with [note_result]; the last arms
+   leave their slow-op rings and final metrics dumps. One
+   [Runner.verdict] per phase is printed and recorded. *)
+
+let art_verdicts : (string * string * Runner.verdict) list ref = ref []
+
+type phases = (string * (unit -> Runner.result)) list
+
+let ab ~pairs ~rebuild (build : on:bool -> Engine.t * phases) =
+  let close ~last (e, _) =
+    if last then begin
+      note_slow e;
+      dump_metrics e ~phase:"final"
+    end;
+    e.Engine.close ()
+  in
+  let run (e, _) (phase, f) =
+    Gc.minor ();
+    let r = f () in
+    note_result ~phase e r;
+    Printf.printf "  %-16s %-10s %10.1f kops\n%!" e.Engine.name phase r.Runner.kops;
+    r.Runner.kops
+  in
+  let arms = ref None in
+  let figures =
+    List.init pairs (fun pair ->
+        let arm_on, arm_off =
+          match !arms with
+          | Some built when not rebuild -> built
+          | _ ->
+            let arm_on = build ~on:true in
+            let arm_off = build ~on:false in
+            arms := Some (arm_on, arm_off);
+            (arm_on, arm_off)
+        in
+        let figure =
+          List.map2
+            (fun on off ->
+              Runner.ab_pair ~pair (fun ~on:is_on ->
+                  if is_on then run arm_on on else run arm_off off))
+            (snd arm_on) (snd arm_off)
+        in
+        let last = pair = pairs - 1 in
+        if rebuild || last then List.iter (close ~last) [ arm_on; arm_off ];
+        figure)
+  in
+  let (_, on_phases), (_, off_phases) = Option.get !arms in
+  List.iteri
+    (fun i (on_phase, off_phase) ->
+      let v = Runner.verdict (List.map (fun figure -> List.nth figure i) figures) in
+      Printf.printf "verdict %s vs %s: median on/off %.3fx; on won %d, off won %d of %d pairs\n"
+        on_phase off_phase v.Runner.median v.Runner.on_wins v.Runner.off_wins pairs;
+      art_verdicts := (on_phase, off_phase, v) :: !art_verdicts)
+    (List.combine (List.map fst on_phases) (List.map fst off_phases))
+
+(* ------------------------------------------------------------------ *)
 (* Artifact rendering *)
 
 let set_artifact_dir dir =
@@ -216,35 +304,17 @@ let set_artifact_dir dir =
   ignore (mkdir_p dir);
   artifact_dir := Some dir
 
-let art_jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let art_percentiles h =
-  match Evendb_util.Histogram.percentiles h [ 50.0; 95.0; 99.0 ] with
-  | [ p50; p95; p99 ] -> (p50, p95, p99)
-  | _ -> (0, 0, 0)
-
 let flush_artifact (h : t) =
   match !artifact_dir with
   | None -> ()
   | Some dir ->
     let h = Option.value ~default:h !config_override in
     let buf = Buffer.create 8192 in
-    let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+    let bpf fmt = Printf.bprintf buf fmt in
+    let jstr = Evendb_obs.Obs.jstr in
     bpf "{\n";
     bpf "  \"schema_version\": 3,\n";
-    bpf "  \"experiment\": %s,\n" (art_jstr !current_experiment);
+    bpf "  \"experiment\": %t,\n" (jstr !current_experiment);
     bpf
       "  \"config\": {\"scale\": %d, \"threads\": %d, \"value_bytes\": %d, \"ram_budget\": \
        %d, \"ops\": %d, \"on_disk\": %b, \"attr\": %b, \"fault_profile\": %s},\n"
@@ -254,56 +324,42 @@ let flush_artifact (h : t) =
       | Some (seed, rate) -> Printf.sprintf "{\"seed\": %d, \"rate\": %.6f}" seed rate);
     bpf "  \"results\": [";
     List.iteri
-      (fun i s ->
+      (fun i row ->
         if i > 0 then bpf ",";
-        let r = s.sm_result in
-        let merged = Evendb_util.Histogram.create () in
-        List.iter
-          (fun src -> Evendb_util.Histogram.merge_into ~src ~dst:merged)
-          [ r.Runner.put_hist; r.Runner.get_hist; r.Runner.scan_hist ];
-        let p50, p95, p99 = art_percentiles merged in
-        bpf
-          "\n    {\"engine\": %s, \"phase\": %s, \"ops\": %d, \"seconds\": %.6f, \
-           \"throughput_kops\": %.3f, \"failed_ops\": %d, \"write_amp\": %.4f, \"p50_ns\": \
-           %d, \"p95_ns\": %d, \"p99_ns\": %d, \"min_ns\": %d, \"max_ns\": %d, \"latency\": {"
-          (art_jstr s.sm_engine) (art_jstr s.sm_phase) r.Runner.ops r.Runner.seconds
-          r.Runner.kops r.Runner.failed_ops s.sm_write_amp p50 p95 p99
-          (Evendb_util.Histogram.min_value merged)
-          (Evendb_util.Histogram.max_value merged);
-        List.iteri
-          (fun j (op, hist) ->
-            if j > 0 then bpf ", ";
-            let p50, p95, p99 = art_percentiles hist in
-            bpf
-              "\"%s\": {\"count\": %d, \"p50_ns\": %d, \"p95_ns\": %d, \"p99_ns\": %d, \
-               \"max_ns\": %d}"
-              op
-              (Evendb_util.Histogram.count hist)
-              p50 p95 p99
-              (Evendb_util.Histogram.max_value hist))
-          [ ("put", r.Runner.put_hist); ("get", r.Runner.get_hist); ("scan", r.Runner.scan_hist) ];
-        bpf "}, \"attr\": %s}" s.sm_attr)
-      (List.rev !art_samples);
+        bpf "\n    %s" row)
+      (List.rev !art_results);
     bpf "\n  ],\n  \"phase_metrics\": [";
     List.iteri
       (fun i (engine, phase, metrics) ->
         if i > 0 then bpf ",";
-        bpf "\n    {\"engine\": %s, \"phase\": %s, \"metrics\": %s}" (art_jstr engine)
-          (art_jstr phase) metrics)
+        bpf "\n    {\"engine\": %t, \"phase\": %t, \"metrics\": %s}" (jstr engine)
+          (jstr phase) metrics)
       (List.rev !art_metrics);
     bpf "\n  ],\n  \"series\": [";
     List.iteri
       (fun i (engine, phase, series) ->
         if i > 0 then bpf ",";
-        bpf "\n    {\"engine\": %s, \"phase\": %s, \"samples\": %s}" (art_jstr engine)
-          (art_jstr phase) series)
+        bpf "\n    {\"engine\": %t, \"phase\": %t, \"samples\": %s}" (jstr engine)
+          (jstr phase) series)
       (List.rev !art_series);
+    bpf "\n  ],\n  \"verdicts\": [";
+    List.iteri
+      (fun i (on_phase, off_phase, (v : Runner.verdict)) ->
+        if i > 0 then bpf ",";
+        bpf
+          "\n    {\"phase\": %t, \"off_phase\": %t, \"median_ratio\": %.4f, \"on_wins\": %d, \
+           \"off_wins\": %d, \"pairs\": %d, \"ratios\": [%s]}"
+          (jstr on_phase) (jstr off_phase) v.median v.on_wins v.off_wins
+          (List.length v.ratios)
+          (String.concat ", " (List.map (Printf.sprintf "%.4f") v.ratios)))
+      (List.rev !art_verdicts);
     bpf "\n  ]\n}\n";
     let slow = String.concat "" (List.rev !art_slow) in
-    art_samples := [];
+    art_results := [];
     art_metrics := [];
     art_slow := [];
     art_series := [];
+    art_verdicts := [];
     try
       ignore (mkdir_p dir);
       let file = Printf.sprintf "%s/BENCH_%s.json" dir (sanitize !current_experiment) in

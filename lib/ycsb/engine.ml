@@ -15,22 +15,24 @@ type t = {
   absorbed_failures : unit -> int;
 }
 
-let evendb ?config env =
-  let db = Evendb_core.Db.open_ ?config env in
+let of_db ?(name = "EvenDB") db env =
+  let module Db = Evendb_core.Db in
   {
-    name = "EvenDB";
-    put = Evendb_core.Db.put db;
-    get = Evendb_core.Db.get db;
-    delete = Evendb_core.Db.delete db;
-    scan = (fun ~low ~high ~limit -> Evendb_core.Db.scan db ~limit ~low ~high ());
-    maintain = (fun () -> Evendb_core.Db.maintain db);
-    close = (fun () -> Evendb_core.Db.close db);
+    name;
+    put = Db.put db;
+    get = Db.get db;
+    delete = Db.delete db;
+    scan = (fun ~low ~high ~limit -> Db.scan db ~limit ~low ~high ());
+    maintain = (fun () -> Db.maintain db);
+    close = (fun () -> Db.close db);
     env;
-    logical_bytes = (fun () -> Evendb_core.Db.logical_bytes_written db);
-    metrics = (fun () -> Evendb_core.Db.metrics_dump db `Json);
-    attr = (fun () -> Evendb_core.Db.attr db);
+    logical_bytes = (fun () -> Db.logical_bytes_written db);
+    metrics = (fun () -> Db.metrics_dump db `Json);
+    attr = (fun () -> Db.attr db);
     absorbed_failures = (fun () -> 0);
   }
+
+let evendb ?config env = of_db (Evendb_core.Db.open_ ?config env) env
 
 (* Range-sharded front end over the YCSB key space: n shards with
    uniform split keys over [Keys.encode]'s full range, so the scrambled

@@ -23,6 +23,10 @@ type t = {
       (** Operations swallowed by {!fault_tolerant} (0 on a bare engine). *)
 }
 
+val of_db : ?name:string -> Evendb_core.Db.t -> Env.t -> t
+(** Wrap an already-open store that lives in [env] (named ["EvenDB"] by
+    default), for callers that also need the {!Evendb_core.Db.t} itself. *)
+
 val evendb : ?config:Evendb_core.Config.t -> Env.t -> t
 
 val evendb_sharded :

@@ -62,9 +62,13 @@ let max_windows = 65536
 let run ?(window_seconds = 1.0) ?(warmup_ops = 0) (engine : Engine.t) shared mix ~ops ~threads =
   if threads < 1 then invalid_arg "Runner.run: threads < 1";
   let table = mix_table mix in
-  let window_ops = Array.init max_windows (fun _ -> Atomic.make 0) in
   let t0 = ref 0.0 in
-  let do_op w rng put_hist get_hist scan_hist failed op =
+  (* Per-worker state: counts per window (grown on demand; a short run
+     touches one) and the worker's own start and end times, so that
+     spawning and joining its domain is not part of the measured span. *)
+  let windows = Array.init threads (fun _ -> ref [||]) in
+  let spans = Array.make threads (0.0, 0.0) in
+  let do_op w rng put_hist get_hist scan_hist failed window_ops op =
     let t_start = now () in
     (try
        match op with
@@ -94,25 +98,31 @@ let run ?(window_seconds = 1.0) ?(warmup_ops = 0) (engine : Engine.t) shared mix
       Histogram.record put_hist elapsed_ns);
     ignore rng;
     let widx = int_of_float ((now () -. !t0) /. window_seconds) in
-    if widx >= 0 && widx < max_windows then
-      ignore (Atomic.fetch_and_add window_ops.(widx) 1)
+    if widx >= 0 && widx < max_windows then begin
+      let n = Array.length !window_ops in
+      if widx >= n then
+        window_ops := Array.append !window_ops (Array.make (max (widx + 1 - n) n) 0);
+      !window_ops.(widx) <- !window_ops.(widx) + 1
+    end
   in
-  let worker id n_ops =
+  let worker ~slot id n_ops =
     let w = Workload.thread shared ~id in
     let rng = Rng.create (1000 + id) in
     let put_hist = Histogram.create ()
     and get_hist = Histogram.create ()
     and scan_hist = Histogram.create () in
     let failed = ref 0 in
+    let start = now () in
     for _ = 1 to n_ops do
-      do_op w rng put_hist get_hist scan_hist failed table.(Rng.int rng 100)
+      do_op w rng put_hist get_hist scan_hist failed windows.(slot) table.(Rng.int rng 100)
     done;
+    spans.(slot) <- (start, now ());
     (put_hist, get_hist, scan_hist, !failed)
   in
   (* Warmup (cache priming, §5.3): run outside the measured span. *)
   if warmup_ops > 0 then begin
     t0 := now ();
-    ignore (worker 9999 warmup_ops)
+    ignore (worker ~slot:0 9999 warmup_ops)
   end;
   let per_thread = ops / threads in
   (* A fault-tolerant engine wrapper (bench harness with a fault
@@ -121,10 +131,13 @@ let run ?(window_seconds = 1.0) ?(warmup_ops = 0) (engine : Engine.t) shared mix
   let absorbed0 = engine.Engine.absorbed_failures () in
   t0 := now ();
   let domains =
-    List.init threads (fun id -> Domain.spawn (fun () -> worker id per_thread))
+    List.init threads (fun id -> Domain.spawn (fun () -> worker ~slot:id id per_thread))
   in
   let results = List.map Domain.join domains in
-  let seconds = now () -. !t0 in
+  let seconds =
+    Array.fold_left (fun acc (_, stop) -> Float.max acc stop) 0.0 spans
+    -. Array.fold_left (fun acc (start, _) -> Float.min acc start) infinity spans
+  in
   let put_hist = Histogram.create ()
   and get_hist = Histogram.create ()
   and scan_hist = Histogram.create () in
@@ -141,7 +154,9 @@ let run ?(window_seconds = 1.0) ?(warmup_ops = 0) (engine : Engine.t) shared mix
     let acc = ref [] in
     let last = int_of_float (seconds /. window_seconds) in
     for i = min last (max_windows - 1) downto 0 do
-      let n = Atomic.get window_ops.(i) in
+      let n =
+        Array.fold_left (fun acc w -> if i < Array.length !w then acc + !w.(i) else acc) 0 windows
+      in
       acc := ((float_of_int (i + 1) *. window_seconds), float_of_int n /. window_seconds /. 1000.0) :: !acc
     done;
     !acc
@@ -155,4 +170,32 @@ let run ?(window_seconds = 1.0) ?(warmup_ops = 0) (engine : Engine.t) shared mix
     scan_hist;
     windows;
     failed_ops = !failed_ops + (engine.Engine.absorbed_failures () - absorbed0);
+  }
+
+let ab_pair ~pair segment =
+  if pair mod 2 = 0 then
+    let on = segment ~on:true in
+    (on, segment ~on:false)
+  else
+    let off = segment ~on:false in
+    (segment ~on:true, off)
+
+type verdict = { median : float; on_wins : int; off_wins : int; ratios : float list }
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n = 0 then invalid_arg "Runner.median: no values"
+  else if n mod 2 = 1 then a.(n / 2)
+  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+let verdict figures =
+  let ratios = List.map (fun (on, off) -> on /. off) figures in
+  let count p = List.length (List.filter p figures) in
+  {
+    median = median ratios;
+    on_wins = count (fun (on, off) -> on > off);
+    off_wins = count (fun (on, off) -> on < off);
+    ratios;
   }

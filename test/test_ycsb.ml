@@ -150,6 +150,46 @@ let runner_end_to_end () =
       ("flsm", Engine.flsm ?config:None);
     ]
 
+(* ---- A/B verdicts ---- *)
+
+let feq = Alcotest.float 1e-9
+
+let verdict_median () =
+  (* (on, off) figures whose ratios are 0.5, 2.0, 1.0 and 4.0. *)
+  let odd = Runner.verdict [ (1.0, 2.0); (4.0, 2.0); (3.0, 3.0) ] in
+  Alcotest.check feq "odd N: middle ratio" 1.0 odd.Runner.median;
+  let even = Runner.verdict [ (1.0, 2.0); (4.0, 2.0); (3.0, 3.0); (8.0, 2.0) ] in
+  Alcotest.check feq "even N: mean of the middle two" 1.5 even.Runner.median;
+  Alcotest.(check int) "pairs" 4 (List.length even.Runner.ratios);
+  (* A median of ratios, not a ratio of medians (or of totals): here
+     the on arm is 10% slower in every pair but one, whose huge off
+     figure would drag the ratio of totals far below 0.9. *)
+  let v = Runner.verdict [ (90.0, 100.0); (9.0, 10.0); (90.0, 100.0); (1.0, 1000.0); (45.0, 50.0) ] in
+  Alcotest.check feq "median of per-pair ratios" 0.9 v.Runner.median
+
+let verdict_ties () =
+  let v = Runner.verdict [ (2.0, 2.0); (3.0, 2.0); (1.0, 2.0); (5.0, 5.0); (4.0, 2.0) ] in
+  Alcotest.(check int) "on wins" 2 v.Runner.on_wins;
+  Alcotest.(check int) "off wins" 1 v.Runner.off_wins;
+  Alcotest.(check int) "pairs" 5 (List.length v.Runner.ratios)
+
+let ab_pair_alternates () =
+  let calls = ref [] in
+  let figures =
+    List.init 4 (fun pair ->
+        Runner.ab_pair ~pair (fun ~on ->
+            calls := (pair, on) :: !calls;
+            if on then pair else -pair))
+  in
+  Alcotest.(check (list (pair int bool)))
+    "the first arm alternates pair by pair"
+    [ (0, true); (0, false); (1, false); (1, true); (2, true); (2, false); (3, false); (3, true) ]
+    (List.rev !calls);
+  Alcotest.(check (list (pair int int)))
+    "results come back as (on, off)"
+    [ (0, 0); (1, -1); (2, -2); (3, -3) ]
+    figures
+
 let suite =
   [
     ( "keys",
@@ -176,6 +216,12 @@ let suite =
         Alcotest.test_case "heavy tail" `Quick trace_heavy_tail;
       ] );
     ("runner", [ Alcotest.test_case "end to end, all engines" `Quick runner_end_to_end ]);
+    ( "ab",
+      [
+        Alcotest.test_case "verdict median" `Quick verdict_median;
+        Alcotest.test_case "verdict ties count for neither" `Quick verdict_ties;
+        Alcotest.test_case "pairs alternate the first arm" `Quick ab_pair_alternates;
+      ] );
   ]
 
 (* Differential testing: all three engines must agree with each other
