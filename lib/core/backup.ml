@@ -165,7 +165,7 @@ let verify env name = ignore (read_archive env name)
 (* Ship                                                                *)
 
 let meta_members =
-  [ Manifest.file_name; Checkpoint_file.file_name; Recovery_table.file_name; "MODE" ]
+  [ Manifest.file_name; Checkpoint_file.file_name; Recovery_table.file_name; Snapshot.mode_name ]
 
 let ship ?obs ~src ~dest ~snapshot_id ?base_id () =
   let snap =

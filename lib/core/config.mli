@@ -83,8 +83,9 @@ val default : t
 
 val validate : t -> unit
 (** Reject nonsensical knob values with [Invalid_argument] — e.g. a
-    group-commit batch or formation wait below 1, or an empty munk
-    cache. Called by {!Db.open_} before touching storage. *)
+    group-commit batch below 1, a negative snapshot retention cap or
+    an empty munk cache. Called by {!Db.open_} before touching
+    storage. *)
 
 val scaled : ?factor:int -> unit -> t
 (** [scaled ~factor ()] divides all size thresholds by [factor]

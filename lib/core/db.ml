@@ -40,7 +40,7 @@ type t = {
   last_checkpoint : int Atomic.t; (* packed; -1 before the first *)
   next_funk_id : int Atomic.t;
   next_chunk_id : int Atomic.t;
-  live_funks : (int, unit) Hashtbl.t; (* guarded by [structural] *)
+  live_funks : (int, Funk.t) Hashtbl.t; (* the manifest's set; guarded by [structural] *)
   structural : Mutex.t; (* chunk list, index, manifest; leaf lock *)
   checkpoint_mutex : Mutex.t;
   rstats : Read_stats.t;
@@ -153,11 +153,11 @@ let swap_funks db ~add ~replace ~flip =
       Mutex.protect db.structural (fun () ->
           let live =
             Hashtbl.fold
-              (fun id () acc -> if List.mem id dropped then acc else id :: acc)
+              (fun id _ acc -> if List.mem id dropped then acc else id :: acc)
               db.live_funks added
           in
           Manifest.store db.env { next_id = Atomic.get db.next_funk_id; live };
-          List.iter (fun id -> Hashtbl.replace db.live_funks id ()) added;
+          List.iter (fun f -> Hashtbl.replace db.live_funks (Funk.id f) f) add;
           List.iter (Hashtbl.remove db.live_funks) dropped));
   flip ();
   List.iter Funk.retire replace
@@ -909,19 +909,26 @@ let set_commit_hook db hook = Atomic.set db.commit_hook hook
 (* ------------------------------------------------------------------ *)
 (* Scan (§3.3)                                                         *)
 
+(* The version cut of §3.3, shared by scans and snapshots: announce the
+   range in the PO array, take a version, publish it and wait out the
+   puts below it. While [f] runs, the slot keeps every version visible
+   at the cut from being discarded by a munk put or a compaction. *)
+let with_cut db ~low ~high f =
+  let slot = Pending_ops.begin_scan db.po ~low ~high in
+  Fun.protect
+    ~finally:(fun () -> Pending_ops.finish db.po slot)
+    (fun () ->
+      let gv = Atomic.fetch_and_add db.gv 1 in
+      Pending_ops.publish_scan_version db.po slot ~low ~high ~version:gv;
+      (* Waiting out in-flight puts below the cut is the scan-side lock
+         wait of the paper's §3.3 protocol. *)
+      Attr.timed Attr.Lock_wait (fun () -> Pending_ops.wait_pending_puts db.po ~low ~high ~upto:gv);
+      f gv)
+
 let scan_internal db ?limit ~low ~high () =
   if String.compare low high > 0 then []
-  else begin
-    let slot = Pending_ops.begin_scan db.po ~low ~high:(Some high) in
-    Fun.protect
-      ~finally:(fun () -> Pending_ops.finish db.po slot)
-      (fun () ->
-        let gv = Atomic.fetch_and_add db.gv 1 in
-        Pending_ops.publish_scan_version db.po slot ~low ~high:(Some high) ~version:gv;
-        (* Waiting out in-flight puts below the scan version is the
-           scan-side lock wait of the paper's §3.3 protocol. *)
-        Attr.timed Attr.Lock_wait (fun () ->
-            Pending_ops.wait_pending_puts db.po ~low ~high:(Some high) ~upto:gv);
+  else
+    with_cut db ~low ~high:(Some high) (fun gv ->
         let acc = ref [] in
         let count = ref 0 in
         let max_count = match limit with None -> max_int | Some l -> l in
@@ -1018,7 +1025,6 @@ let scan_internal db ?limit ~low ~high () =
         in
         over_chunks low (lookup_read db low);
         List.rev !acc)
-  end
 
 let scan db ?limit ~low ~high () =
   Attr.with_op db.attr Attr.Scan db.tm_scan (fun () -> scan_internal db ?limit ~low ~high ())
@@ -1030,7 +1036,7 @@ let scan db ?limit ~low ~high () =
    incarnation ran synchronously — in that case its funks reflect every
    completed update (§3.5) and the whole epoch is visible, checkpoint
    or not. *)
-let mode_file = "MODE"
+let mode_file = Snapshot.mode_name
 
 let store_mode env (mode : Config.persistence) =
   Meta_file.publish env ~name:mode_file
@@ -1092,41 +1098,19 @@ let register_probes db =
   p "cache.lfu.hits" (fun () -> Lfu.hits db.lfu);
   p "cache.lfu.misses" (fun () -> Lfu.misses db.lfu);
   p "cache.lfu.evictions" (fun () -> Lfu.evictions db.lfu);
-  (* The block cache may be shared store-wide (one budget across every
-     shard of a range-sharded front end); these probes then report the
-     shared cache's totals from each shard's registry. *)
-  let with_bc f = match Env.block_cache db.env with Some bc -> f bc | None -> 0 in
-  p "blockcache.hits" (fun () -> with_bc Block_cache.hits);
-  p "blockcache.misses" (fun () -> with_bc Block_cache.misses);
-  p "blockcache.fills" (fun () -> with_bc Block_cache.fills);
-  p "blockcache.evictions" (fun () -> with_bc Block_cache.evictions);
-  p "blockcache.bytes" (fun () -> with_bc Block_cache.resident_bytes);
+  List.iter (fun (name, read) -> p name read) (Env.counters db.env);
   p "db.chunks" (fun () -> chunk_count db);
   p "db.munks" (fun () -> munk_count db);
   p "db.log_bytes" (fun () -> log_space db);
-  p "db.logical_bytes_written" (fun () -> Atomic.get db.logical_written);
-  p "faults.injected" (fun () -> Env.faults_injected db.env);
-  p "io.corruptions" (fun () -> Env.corruptions_detected db.env);
-  p "log.resyncs" (fun () -> Env.log_resyncs db.env);
-  let st = Env.stats db.env in
-  List.iter
-    (fun kind ->
-      let kn = Io_stats.kind_name kind in
-      p
-        (Printf.sprintf "io.%s.bytes_written" kn)
-        (fun () -> (Io_stats.snapshot_kind st kind).Io_stats.bytes_written);
-      p
-        (Printf.sprintf "io.%s.bytes_read" kn)
-        (fun () -> (Io_stats.snapshot_kind st kind).Io_stats.bytes_read))
-    Io_stats.all_kinds
+  p "db.logical_bytes_written" (fun () -> Atomic.get db.logical_written)
 
-let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoint ~next_funk_id ~live =
+let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoint ~next_funk_id =
   let lfu = Lfu.create ~capacity:cfg.Config.munk_cache_capacity () in
   List.iter
     (fun c -> if Chunk.munk c <> None then ignore (Lfu.force_insert lfu c))
     chunks;
   let live_funks = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace live_funks id ()) live;
+  List.iter (fun c -> Hashtbl.replace live_funks (Funk.id (Chunk.funk c)) (Chunk.funk c)) chunks;
   List.iter (Obs.Trace.declare (Obs.trace obs)) span_names;
   let db = {
     env;
@@ -1284,7 +1268,7 @@ let open_internal config ~committer env =
     store_mode env config.Config.persistence;
     let chunk = Chunk.create ~id:0 ~min_key:"" ~funk ~munk:(Some (Munk.of_sorted [])) in
     make_db env config ~obs ~committer ~head:chunk ~chunks:[ chunk ] ~gv:(Version.pack ~epoch:0 ~seq:0)
-      ~rt:Recovery_table.empty ~epoch:0 ~last_checkpoint:(-1) ~next_funk_id:1 ~live:[ 0 ]
+      ~rt:Recovery_table.empty ~epoch:0 ~last_checkpoint:(-1) ~next_funk_id:1
   | Some manifest ->
     (* Recovery (§3.5): bump the epoch, record the previous epoch's
        checkpoint in the recovery table, rebuild chunk metadata from
@@ -1379,8 +1363,7 @@ let open_internal config ~committer env =
     Obs.Trace.add_attr recovery_sp "bytes"
       (List.fold_left (fun acc f -> acc + Funk.total_bytes f) 0 funks);
     make_db env config ~obs ~committer ~head ~chunks ~gv:(Version.pack ~epoch ~seq:0) ~rt ~epoch
-      ~last_checkpoint:last_ckpt ~next_funk_id:manifest.Manifest.next_id
-      ~live:manifest.Manifest.live)
+      ~last_checkpoint:last_ckpt ~next_funk_id:manifest.Manifest.next_id)
 
 let open_ ?(config = Config.default) ?committer env =
   Config.validate config;
@@ -1406,131 +1389,49 @@ let unfence db =
   Env.delete db.env fence_marker;
   Atomic.set db.fenced false
 
-let copy_file env ~src ~dst ~len =
-  let out = Env.create env dst in
-  (try
-     let step = 64 * 1024 in
-     let rec go off =
-       if off < len then begin
-         let n = min step (len - off) in
-         Env.append out (Env.read_at env src ~off ~len:n);
-         go (off + n)
-       end
-     in
-     go 0;
-     Env.fsync out;
-     Env.close_file out
-   with exn ->
-     Env.close_file out;
-     (try Env.delete env dst with _ -> ());
-     raise exn)
+(* Pin the manifest's live set. [swap_funks] drops a funk from the set
+   under [structural] before it retires it, so every member is
+   unretired here and its pin cannot fail. *)
+let pin_live_funks db =
+  Mutex.protect db.structural (fun () ->
+      Hashtbl.fold
+        (fun _ f acc ->
+          let pinned = Funk.acquire f in
+          assert pinned;
+          f :: acc)
+        db.live_funks [])
+  |> List.sort (fun a b -> String.compare (Funk.min_key a) (Funk.min_key b))
 
-(* Pin one funk per chunk so no file in the set can be deleted while it
-   is being copied. A funk that retires mid-walk (rebalance/split racing
-   the pin) restarts the walk against the refreshed index. *)
-let pin_funks db =
-  let rec attempt tries =
-    if tries > 64 then failwith "Db.snapshot: funk set would not stabilize";
-    let chunks = Chunk_index.chunks (Atomic.get db.index) in
-    let rec pin acc = function
-      | [] -> Some (List.rev acc)
-      | c :: rest ->
-        let rec try_pin spins =
-          if spins > 64 then None
-          else begin
-            let f = Chunk.funk c in
-            if Funk.acquire f then Some f
-            else begin
-              (* The funk was retired under us (swap in flight); the
-                 chunk will shortly expose its replacement — or is
-                 itself retired, in which case restart from the index. *)
-              Domain.cpu_relax ();
-              if Chunk.retired c then None else try_pin (spins + 1)
-            end
-          end
-        in
-        (match try_pin 0 with
-        | Some f -> pin (f :: acc) rest
-        | None ->
-          List.iter Funk.release acc;
-          None)
-    in
-    match pin [] chunks with
-    | Some fs -> fs
-    | None ->
-      Domain.cpu_relax ();
-      attempt (tries + 1)
-  in
-  attempt 0
+let count_dropped db n = Obs.Counter.add (Obs.counter db.obs "snapshot.dropped") n
 
-let enforce_snapshot_retention db =
-  let cap = db.cfg.Config.snapshot_max_retained in
-  if cap > 0 then begin
-    let infos = Snapshot.list db.env in
-    let excess = List.length infos - cap in
-    if excess > 0 then
-      List.iteri
-        (fun i (s : Snapshot.info) ->
-          if i < excess then begin
-            Snapshot.drop db.env ~id:s.Snapshot.id;
-            Obs.Counter.incr (Obs.counter db.obs "snapshot.dropped")
-          end)
-        infos
-  end
-
+(* A snapshot is a whole-range scan that keeps its files: its cut holds
+   a PO scan slot until the live set is pinned, so no version visible
+   at the cut is compacted away first. The copy runs after the slot is
+   released and does not hold back compaction floors. *)
 let snapshot db ~id =
   Snapshot.validate_id id;
   if Snapshot.exists db.env ~id then
     invalid_arg (Printf.sprintf "Db.snapshot: snapshot %S already exists" id);
-  Mutex.lock db.checkpoint_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock db.checkpoint_mutex)
-    (fun () ->
-      (* The same consistent cut as a checkpoint: bump the version and
-         wait for every put below it to finish. Records above the cut
-         may still leak into the copied logs; the snapshot's own
-         checkpoint/recovery-table pair makes them invisible. *)
-      let v = Atomic.fetch_and_add db.gv 1 in
-      Pending_ops.wait_pending_puts db.po ~low:"" ~high:None ~upto:v;
-      let pinned = pin_funks db in
-      Fun.protect
-        ~finally:(fun () -> List.iter Funk.release pinned)
-        (fun () ->
-          let members =
-            List.map
-              (fun f ->
-                let fid = Funk.id f in
-                let log_len = Funk.log_size f in
-                let sst = Funk.sst_name fid and log = Funk.log_name fid in
-                copy_file db.env ~src:sst ~dst:(Snapshot.member ~id sst)
-                  ~len:(Env.size db.env sst);
-                copy_file db.env ~src:log ~dst:(Snapshot.member ~id log) ~len:log_len;
-                (fid, log_len))
-              pinned
-          in
-          let next_id = Atomic.get db.next_funk_id in
-          Manifest.store ~name:(Snapshot.member ~id Manifest.file_name) db.env
-            { Manifest.next_id; live = List.map fst members };
-          Recovery_table.store ~name:(Snapshot.member ~id Recovery_table.file_name) db.env
-            db.rt;
-          Checkpoint_file.store ~name:(Snapshot.member ~id Checkpoint_file.file_name) db.env
-            ~version:v;
-          (* MODE is pinned to async regardless of the source's mode: a
-             store restored from these files must clip visibility at the
-             snapshot checkpoint, never trust whole logs. *)
-          Meta_file.publish db.env ~name:(Snapshot.member ~id mode_file) "async";
-          let info = { Snapshot.id; version = v; next_id; funks = members } in
-          Snapshot.store_complete db.env info;
-          Obs.Counter.incr (Obs.counter db.obs "snapshot.created");
-          enforce_snapshot_retention db;
-          info))
+  Mutex.protect db.checkpoint_mutex (fun () ->
+      let version, pinned = with_cut db ~low:"" ~high:None (fun v -> (v, pin_live_funks db)) in
+      let info =
+        Fun.protect
+          ~finally:(fun () -> List.iter Funk.release pinned)
+          (fun () ->
+            Snapshot.publish db.env ~id ~version ~next_id:(Atomic.get db.next_funk_id) ~rt:db.rt
+              pinned)
+      in
+      Obs.Counter.incr (Obs.counter db.obs "snapshot.created");
+      count_dropped db
+        (Snapshot.enforce_retention db.env ~max_retained:db.cfg.Config.snapshot_max_retained);
+      info)
 
 let list_snapshots db = Snapshot.list db.env
 
 let drop_snapshot db ~id =
   if Snapshot.exists db.env ~id then begin
     Snapshot.drop db.env ~id;
-    Obs.Counter.incr (Obs.counter db.obs "snapshot.dropped")
+    count_dropped db 1
   end
 
 let chunk_weights db =

@@ -65,9 +65,13 @@ val checkpoint : t -> unit
 
     [snapshot] publishes a read-only view of the store at a consistent
     version cut under the ["snapshots/<id>/"] namespace of the store's
-    environment: the funk set is pinned and copied together with the
-    manifest, checkpoint and recovery table, and a CRC-trailered
-    [COMPLETE] marker is written last (tmp + fsync + rename) — a crash
+    environment. A snapshot is a whole-range scan that keeps its
+    files: the cut is a scan's (§3.3), a PO-array scan slot over the
+    whole key range, held until the manifest's live funk set is
+    pinned, so no version visible at the cut is compacted away first.
+    {!Snapshot.publish} then copies the pinned set together with the
+    manifest, checkpoint and recovery table and writes a CRC-trailered
+    [COMPLETE] marker last (tmp + fsync + rename) — a crash
     mid-publish leaves no marker and recovery sweeps the debris. Read
     a published snapshot with {!Snapshot.open_reader}; back it up with
     {!Backup}. *)

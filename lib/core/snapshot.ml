@@ -119,6 +119,63 @@ let sweep_orphans env =
     0 (all_ids env)
 
 (* ------------------------------------------------------------------ *)
+(* Publish: copy the pinned funk set, then the metadata, COMPLETE last *)
+
+let copy_file env ~src ~dst ~len =
+  let out = Env.create env dst in
+  (try
+     let step = 64 * 1024 in
+     let rec go off =
+       if off < len then begin
+         let n = min step (len - off) in
+         Env.append out (Env.read_at env src ~off ~len:n);
+         go (off + n)
+       end
+     in
+     go 0;
+     Env.fsync out;
+     Env.close_file out
+   with exn ->
+     Env.close_file out;
+     (try Env.delete env dst with _ -> ());
+     raise exn)
+
+(* The store's persistence-mode marker (see [Db]). A snapshot's always
+   reads "async": a store restored from these files must clip
+   visibility at the snapshot checkpoint, never trust whole logs. *)
+let mode_name = "MODE"
+
+let publish env ~id ~version ~next_id ~rt funks =
+  let members =
+    List.map
+      (fun f ->
+        let fid = Funk.id f in
+        let log_len = Funk.log_size f in
+        let sst = Funk.sst_name fid and log = Funk.log_name fid in
+        copy_file env ~src:sst ~dst:(member ~id sst) ~len:(Env.size env sst);
+        copy_file env ~src:log ~dst:(member ~id log) ~len:log_len;
+        (fid, log_len))
+      funks
+  in
+  Manifest.store ~name:(member ~id Manifest.file_name) env
+    { Manifest.next_id; live = List.map fst members };
+  Recovery_table.store ~name:(member ~id Recovery_table.file_name) env rt;
+  Checkpoint_file.store ~name:(member ~id Checkpoint_file.file_name) env ~version;
+  Meta_file.publish env ~name:(member ~id mode_name) "async";
+  let info = { id; version; next_id; funks = members } in
+  store_complete env info;
+  info
+
+let enforce_retention env ~max_retained =
+  if max_retained <= 0 then 0
+  else begin
+    let infos = list env in
+    let excess = List.length infos - max_retained in
+    List.iteri (fun i s -> if i < excess then drop env ~id:s.id) infos;
+    max 0 excess
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Reader: a point-in-time read-only view over the pinned files        *)
 
 type reader = {

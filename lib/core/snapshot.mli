@@ -1,12 +1,17 @@
 (** Published point-in-time snapshots (ROADMAP item 5).
 
-    {!Db.snapshot} pins the store's manifest, checkpoint, recovery
-    table and funk set at a consistent version cut and copies them
-    under the ["snapshots/<id>/"] namespace of the same environment
-    (see {!Evendb_storage.Env.snapshots_prefix}). This module owns the
-    on-disk layout: the [COMPLETE] publish marker (written last, via
-    tmp + fsync + rename, CRC-trailered), namespace enumeration and
-    garbage collection, and a read-only point-in-time {!reader}.
+    A snapshot is a whole-range scan that keeps its files. {!Db.snapshot}
+    takes the scan's version cut (§3.3): a PO-array scan slot over the
+    whole key range, held until the pin is done, so no munk put or
+    compaction drops a version visible at the cut. Under the same slot
+    it pins the manifest's live funk set; {!publish} then copies that
+    set and the store's metadata under the ["snapshots/<id>/"]
+    namespace of the same environment (see
+    {!Evendb_storage.Env.snapshots_prefix}). This module owns the
+    on-disk layout: the copies, the [COMPLETE] publish marker (written
+    last, via tmp + fsync + rename, CRC-trailered), namespace
+    enumeration, retention and garbage collection, and a read-only
+    point-in-time {!reader}.
 
     Records newer than the cut may physically appear in the copied
     logs (writers race the publish); they are invisible both to the
@@ -33,7 +38,6 @@ type info = {
   funks : (int * int) list;  (** Funk id and clipped log length. *)
 }
 
-val store_complete : Env.t -> info -> unit
 val load_complete : Env.t -> id:string -> info option
 (** [None] when the marker is absent; raises [Corruption] when present
     but damaged (a half-published snapshot that {!sweep_orphans} will
@@ -58,6 +62,23 @@ val sweep_orphans : Env.t -> int
 (** Delete every snapshot directory without a valid [COMPLETE] marker
     (a crash between pin and publish) plus leftover member [*.tmp]
     files; returns the number of snapshots swept. Called by recovery. *)
+
+(** {2 Publishing} *)
+
+val mode_name : string
+(** The store's persistence-mode marker, ["MODE"]. *)
+
+val publish :
+  Env.t -> id:string -> version:int -> next_id:int -> rt:Recovery_table.t -> Funk.t list -> info
+(** Copy the pinned funks (each log clipped at its current length) and
+    write the snapshot's MANIFEST, RECOVERY_TABLE ([rt]), CHECKPOINT
+    ([version], the cut) and MODE (always ["async"]), then the
+    [COMPLETE] marker. The caller keeps the funks pinned throughout. A
+    failure leaves members without a marker for {!sweep_orphans}. *)
+
+val enforce_retention : Env.t -> max_retained:int -> int
+(** Drop the oldest published snapshots beyond [max_retained] (no cap
+    when [<= 0]); returns how many were dropped. *)
 
 (** {2 Point-in-time reads} *)
 

@@ -489,20 +489,7 @@ module Make (P : POLICY) = struct
   let setup_obs env =
     let obs = Obs.create () in
     List.iter (Obs.Trace.declare (Obs.trace obs)) P.span_names;
-    let st = Env.stats env in
-    List.iter
-      (fun kind ->
-        let kn = Io_stats.kind_name kind in
-        Obs.probe obs
-          (Printf.sprintf "io.%s.bytes_written" kn)
-          (fun () -> (Io_stats.snapshot_kind st kind).Io_stats.bytes_written);
-        Obs.probe obs
-          (Printf.sprintf "io.%s.bytes_read" kn)
-          (fun () -> (Io_stats.snapshot_kind st kind).Io_stats.bytes_read))
-      Io_stats.all_kinds;
-    Obs.probe obs "faults.injected" (fun () -> Env.faults_injected env);
-    Obs.probe obs "io.corruptions" (fun () -> Env.corruptions_detected env);
-    Obs.probe obs "log.resyncs" (fun () -> Env.log_resyncs env);
+    List.iter (fun (name, read) -> Obs.probe obs name read) (Env.counters env);
     obs
 
   (* Snapshot-time level shape, next to the byte-flow counters above. *)
@@ -511,18 +498,7 @@ module Make (P : POLICY) = struct
     for i = 0 to P.max_levels - 1 do
       Obs.probe t.obs (Printf.sprintf "level%d.bytes" i) (fun () -> total_bytes (level i));
       Obs.probe t.obs (Printf.sprintf "level%d.files" i) (fun () -> List.length (level i))
-    done;
-    let with_bc f =
-      match Env.block_cache t.env with
-      | Some bc -> f bc
-      | None -> 0
-    in
-    let module B = Evendb_cache.Block_cache in
-    Obs.probe t.obs "blockcache.hits" (fun () -> with_bc B.hits);
-    Obs.probe t.obs "blockcache.misses" (fun () -> with_bc B.misses);
-    Obs.probe t.obs "blockcache.fills" (fun () -> with_bc B.fills);
-    Obs.probe t.obs "blockcache.evictions" (fun () -> with_bc B.evictions);
-    Obs.probe t.obs "blockcache.bytes" (fun () -> with_bc B.resident_bytes)
+    done
 
   (* Reopen the files the manifest lists, sweep what it does not, and
      replay the WAL (an LSM must; contrast §3.5). Returns the recovered

@@ -272,6 +272,79 @@ module Reader = struct
     Env.note_corruption env;
     Io_error.raise_corruption ~file:name ~detail
 
+  (* The structural decoders, shared by [open_] (strict) and [salvage]
+     (lenient). Each raises [Bad] naming the defect it checked for; a
+     stray decode or range failure surfaces as [Invalid_argument]. *)
+  exception Bad of string
+
+  (* Header: magic, min-key length, min key, CRC of the min key.
+     Returns the min key and the header's length. *)
+  let decode_header env name ~file_len =
+    let header = Env.read_at env name ~off:0 ~len:(min file_len 4096) in
+    if String.sub header 0 8 <> magic then raise (Bad "bad magic");
+    let min_key_len, p = Varint.read header 8 in
+    let fits = p + min_key_len + 4 <= String.length header in
+    let min_key =
+      if fits then String.sub header p min_key_len
+      else
+        (* pathological: huge min key spilling past the probe read *)
+        Env.read_at env name ~off:p ~len:min_key_len
+    in
+    let crc_str =
+      if fits then String.sub header (p + min_key_len) 4
+      else Env.read_at env name ~off:(p + min_key_len) ~len:4
+    in
+    if Crc32c.string min_key <> Crc32c.unmask (read_u32_le crc_str 0) then
+      raise (Bad "header checksum mismatch");
+    (min_key, p + min_key_len + 4)
+
+  type footer = {
+    index_off : int;
+    index_len : int;
+    bloom_off : int;
+    bloom_len : int;
+    index_crc : int32;
+    bloom_crc : int32;
+  }
+
+  let decode_footer env name ~file_len =
+    let footer = Env.read_at env name ~off:(file_len - footer_size) ~len:footer_size in
+    if String.sub footer (footer_size - 8) 8 <> footer_magic then raise (Bad "bad footer magic");
+    {
+      index_off = read_u64_le footer 0;
+      index_len = read_u64_le footer 8;
+      bloom_off = read_u64_le footer 16;
+      bloom_len = read_u64_le footer 24;
+      index_crc = Crc32c.unmask (read_u32_le footer 32);
+      bloom_crc = Crc32c.unmask (read_u32_le footer 36);
+    }
+
+  (* The block index, verified against the footer's checksum: the
+     entry count and each block's metadata, in file order. *)
+  let decode_index env name ~file_len f =
+    if f.index_off < 0 || f.index_len < 0 || f.index_off + f.index_len > file_len then
+      raise (Bad "index out of range");
+    let index_str =
+      if f.index_len = 0 then "" else Env.read_at env name ~off:f.index_off ~len:f.index_len
+    in
+    if Crc32c.string index_str <> f.index_crc then raise (Bad "index checksum mismatch");
+    let n_blocks, p = Varint.read index_str 0 in
+    let count, p = Varint.read index_str p in
+    let pos = ref p in
+    let blocks =
+      Array.init n_blocks (fun _ ->
+          let klen, p = Varint.read index_str !pos in
+          let first_key = String.sub index_str p klen in
+          let p = p + klen in
+          let offset, p = Varint.read index_str p in
+          let length, p = Varint.read index_str p in
+          let entries, p = Varint.read index_str p in
+          let crc = Crc32c.unmask (read_u32_le index_str p) in
+          pos := p + 4;
+          { first_key; offset; length; entries; crc })
+    in
+    (count, blocks)
+
   let open_ env name =
     let corrupt detail = corrupt env name detail in
     let file_len =
@@ -279,72 +352,29 @@ module Reader = struct
     in
     if file_len < footer_size + String.length magic then corrupt "file too small";
     match
-      (* Header *)
-      let header = Env.read_at env name ~off:0 ~len:(min file_len 4096) in
-      if String.sub header 0 8 <> magic then corrupt "bad magic";
-      let min_key_len, p = Varint.read header 8 in
-      let chunk_min_key =
-        if p + min_key_len + 4 <= String.length header then String.sub header p min_key_len
-        else
-          (* pathological: huge min key spilling past the probe read *)
-          Env.read_at env name ~off:p ~len:min_key_len
-      in
-      let header_crc_str =
-        if p + min_key_len + 4 <= String.length header then String.sub header (p + min_key_len) 4
-        else Env.read_at env name ~off:(p + min_key_len) ~len:4
-      in
-      let header_crc = Crc32c.unmask (read_u32_le header_crc_str 0) in
-      if Crc32c.string chunk_min_key <> header_crc then corrupt "header checksum mismatch";
-      let header_len = p + min_key_len + 4 in
-      (* Footer *)
-      let footer = Env.read_at env name ~off:(file_len - footer_size) ~len:footer_size in
-      if String.sub footer (footer_size - 8) 8 <> footer_magic then corrupt "bad footer magic";
-      let index_off = read_u64_le footer 0 in
-      let index_len = read_u64_le footer 8 in
-      let bloom_off = read_u64_le footer 16 in
-      let bloom_len = read_u64_le footer 24 in
-      let index_crc = Crc32c.unmask (read_u32_le footer 32) in
-      let bloom_crc = Crc32c.unmask (read_u32_le footer 36) in
+      let chunk_min_key, header_len = decode_header env name ~file_len in
+      let f = decode_footer env name ~file_len in
       (* The three sections must tile the file exactly: blocks from the
          end of the header to bloom_off, bloom to index_off, index to
          the footer. A flipped byte in any footer offset breaks this. *)
-      if bloom_off < header_len || bloom_off + bloom_len <> index_off
-         || index_off + index_len + footer_size <> file_len
+      if f.bloom_off < header_len || f.bloom_off + f.bloom_len <> f.index_off
+         || f.index_off + f.index_len + footer_size <> file_len
       then corrupt "footer offsets inconsistent";
-      let index_str =
-        if index_len = 0 then "" else Env.read_at env name ~off:index_off ~len:index_len
+      let count, blocks = decode_index env name ~file_len f in
+      let blocks_end =
+        Array.fold_left
+          (fun expected_off b ->
+            if b.offset <> expected_off then corrupt "blocks not contiguous";
+            b.offset + b.length)
+          header_len blocks
       in
-      if Crc32c.string index_str <> index_crc then corrupt "index checksum mismatch";
-      let n_blocks, p = Varint.read index_str 0 in
-      let count, p = Varint.read index_str p in
-      let pos = ref p in
-      let expected_off = ref header_len in
-      let blocks =
-        Array.init n_blocks (fun _ ->
-            let klen, p = Varint.read index_str !pos in
-            let first_key = String.sub index_str p klen in
-            let p = p + klen in
-            let offset, p = Varint.read index_str p in
-            let length, p = Varint.read index_str p in
-            let entries, p = Varint.read index_str p in
-            let crc = Crc32c.unmask (read_u32_le index_str p) in
-            pos := p + 4;
-            if offset <> !expected_off then corrupt "blocks not contiguous";
-            expected_off := offset + length;
-            { first_key; offset; length; entries; crc })
+      if blocks_end <> f.bloom_off then corrupt "blocks do not reach bloom section";
+      let bloom_str =
+        if f.bloom_len = 0 then "" else Env.read_at env name ~off:f.bloom_off ~len:f.bloom_len
       in
-      if !expected_off <> bloom_off then corrupt "blocks do not reach bloom section";
-      let bloom =
-        if bloom_len = 0 then begin
-          if Crc32c.string "" <> bloom_crc then corrupt "bloom checksum mismatch";
-          None
-        end
-        else begin
-          let bloom_str = Env.read_at env name ~off:bloom_off ~len:bloom_len in
-          if Crc32c.string bloom_str <> bloom_crc then corrupt "bloom checksum mismatch";
-          Some (Bloom.deserialize bloom_str)
-        end
-      in
+      if Crc32c.string bloom_str <> f.bloom_crc then corrupt "bloom checksum mismatch";
+      let bloom = if f.bloom_len = 0 then None else Some (Bloom.deserialize bloom_str) in
+      let n_blocks = Array.length blocks in
       let block_rank = Array.make n_blocks 0 in
       for i = 1 to n_blocks - 1 do
         block_rank.(i) <- block_rank.(i - 1) + blocks.(i - 1).entries
@@ -352,6 +382,7 @@ module Reader = struct
       { env; name; chunk_min_key; blocks; block_rank; count; bloom }
     with
     | t -> t
+    | exception Bad detail -> corrupt detail
     | exception Invalid_argument _ ->
       (* A stray decode/range failure while parsing means a mangled
          structure the explicit checks didn't name. *)
@@ -535,78 +566,31 @@ module Reader = struct
     | None -> (None, [])
     | Some file_len when file_len < footer_size + String.length magic -> (None, [])
     | Some file_len ->
-      let min_key =
-        try_opt (fun () ->
-            let header = Env.read_at env name ~off:0 ~len:(min file_len 4096) in
-            if String.sub header 0 8 <> magic then raise Exit;
-            let min_key_len, p = Varint.read header 8 in
-            let k =
-              if p + min_key_len <= String.length header then String.sub header p min_key_len
-              else Env.read_at env name ~off:p ~len:min_key_len
-            in
-            let crc_str =
-              if p + min_key_len + 4 <= String.length header then
-                String.sub header (p + min_key_len) 4
-              else Env.read_at env name ~off:(p + min_key_len) ~len:4
-            in
-            if Crc32c.string k <> Crc32c.unmask (read_u32_le crc_str 0) then raise Exit;
-            k)
+      let min_key = try_opt (fun () -> fst (decode_header env name ~file_len)) in
+      let blocks =
+        try_opt (fun () -> snd (decode_index env name ~file_len (decode_footer env name ~file_len)))
       in
       let entries =
-        match
-          try_opt (fun () ->
-              let footer = Env.read_at env name ~off:(file_len - footer_size) ~len:footer_size in
-              if String.sub footer (footer_size - 8) 8 <> footer_magic then raise Exit;
-              let index_off = read_u64_le footer 0 in
-              let index_len = read_u64_le footer 8 in
-              if index_off < 0 || index_len < 0 || index_off + index_len > file_len then
-                raise Exit;
-              let index_str =
-                if index_len = 0 then "" else Env.read_at env name ~off:index_off ~len:index_len
-              in
-              if Crc32c.string index_str <> Crc32c.unmask (read_u32_le footer 32) then raise Exit;
-              index_str)
-        with
-        | None -> []
-        | Some index_str -> (
-          match
-            try_opt (fun () ->
-                let n_blocks, p = Varint.read index_str 0 in
-                let _count, p = Varint.read index_str p in
-                let pos = ref p in
-                List.init n_blocks (fun _ ->
-                    let klen, p = Varint.read index_str !pos in
-                    let first_key = String.sub index_str p klen in
-                    let p = p + klen in
-                    let offset, p = Varint.read index_str p in
-                    let length, p = Varint.read index_str p in
-                    let entries, p = Varint.read index_str p in
-                    let crc = Crc32c.unmask (read_u32_le index_str p) in
-                    pos := p + 4;
-                    { first_key; offset; length; entries; crc }))
-          with
-          | None -> []
-          | Some blocks ->
-            List.concat_map
-              (fun b ->
-                match
-                  try_opt (fun () ->
-                      if b.offset < 0 || b.length < 0 || b.offset + b.length > file_len then
-                        raise Exit;
-                      let data = Env.read_at env name ~off:b.offset ~len:b.length in
-                      if Crc32c.string data <> b.crc then raise Exit;
-                      let out = ref [] in
-                      let pos = ref 0 in
-                      for _ = 1 to b.entries do
-                        let e, next = decode_entry data !pos in
-                        out := e :: !out;
-                        pos := next
-                      done;
-                      List.rev !out)
-                with
-                | Some es -> es
-                | None -> [])
-              blocks)
+        List.concat_map
+          (fun b ->
+            match
+              try_opt (fun () ->
+                  if b.offset < 0 || b.length < 0 || b.offset + b.length > file_len then
+                    raise Exit;
+                  let data = Env.read_at env name ~off:b.offset ~len:b.length in
+                  if Crc32c.string data <> b.crc then raise Exit;
+                  let out = ref [] in
+                  let pos = ref 0 in
+                  for _ = 1 to b.entries do
+                    let e, next = decode_entry data !pos in
+                    out := e :: !out;
+                    pos := next
+                  done;
+                  List.rev !out)
+            with
+            | Some es -> es
+            | None -> [])
+          (match blocks with Some bs -> Array.to_list bs | None -> [])
       in
       (min_key, entries)
 end

@@ -143,6 +143,30 @@ let sub t ~prefix =
   child
 
 let block_cache t = t.block_cache
+
+let counters t =
+  let cache read () = match t.block_cache with Some bc -> read bc | None -> 0 in
+  let module B = Evendb_cache.Block_cache in
+  List.concat_map
+    (fun kind ->
+      let kn = Io_stats.kind_name kind in
+      [
+        ( Printf.sprintf "io.%s.bytes_written" kn,
+          fun () -> (Io_stats.snapshot_kind t.st kind).Io_stats.bytes_written );
+        ( Printf.sprintf "io.%s.bytes_read" kn,
+          fun () -> (Io_stats.snapshot_kind t.st kind).Io_stats.bytes_read );
+      ])
+    Io_stats.all_kinds
+  @ [
+      ("faults.injected", fun () -> faults_injected t);
+      ("io.corruptions", fun () -> corruptions_detected t);
+      ("log.resyncs", fun () -> log_resyncs t);
+      ("blockcache.hits", cache B.hits);
+      ("blockcache.misses", cache B.misses);
+      ("blockcache.fills", cache B.fills);
+      ("blockcache.evictions", cache B.evictions);
+      ("blockcache.bytes", cache B.resident_bytes);
+    ]
 let cache_space t = t.cache_space
 let set_block_cache t bc = t.block_cache <- bc
 

@@ -189,6 +189,15 @@ val install_block_cache : t -> capacity_bytes:int -> unit
 val set_block_cache : t -> Evendb_cache.Block_cache.t option -> unit
 val block_cache : t -> Evendb_cache.Block_cache.t option
 
+val counters : t -> (string * (unit -> int)) list
+(** The environment's counters as named readers, for an engine to
+    register as metrics probes (this layer does not depend on the
+    metrics registry): [io.<kind>.bytes_written] and
+    [io.<kind>.bytes_read] per file kind, [faults.injected],
+    [io.corruptions], [log.resyncs] and the block cache's
+    [blockcache.hits|misses|fills|evictions|bytes] (0 without a cache;
+    a shared cache reports its store-wide totals). *)
+
 val cache_space : t -> int
 (** This environment's cache-key namespace (process-globally unique). *)
 

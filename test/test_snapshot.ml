@@ -8,7 +8,10 @@
    - crash between pin and publish: a half-published snapshot (no
      COMPLETE marker) is swept at recovery, published ones survive;
    - the retention cap drops oldest-first;
-   - identifiers are validated and collisions rejected. *)
+   - identifiers are validated and collisions rejected;
+   - the cut protects every version it sees until the pin: a flush
+     racing a cut that waits on a stalled writer, and a writer domain
+     churning under a stream of snapshots, lose no key. *)
 
 open Evendb_storage
 module Db = Evendb_core.Db
@@ -167,10 +170,104 @@ let drop_and_metrics () =
   Alcotest.(check int) "snapshot.dropped" 1 (count "snapshot.dropped");
   Db.close db
 
+let flushes db = Evendb_obs.Obs.Counter.get (Evendb_obs.Obs.counter (Db.obs db) "funk.flushes")
+
+(* The cut must protect what it sees until the pin: writer B parks
+   inside its append to the first chunk, so the snapshot's cut waits on
+   B; meanwhile [k], in the last (munk-resident) chunk, is overwritten
+   until that chunk flushes. Without a scan slot behind the cut, the
+   overwrites discard [k]'s pre-cut version in the munk and the flush
+   writes a funk without it, which the snapshot then pins. *)
+let cut_survives_flush () =
+  let stalled, latched, entered, packed = Test_group_commit.latch_backend () in
+  let env = Env.of_backend packed in
+  (* A munk cache large enough that no eviction needs B's chunk lock. *)
+  let db = Db.open_ ~config:{ config with munk_cache_capacity = 64 } env in
+  let filler = String.make 200 'f' in
+  for i = 0 to 199 do
+    Db.put db (key_of i) filler
+  done;
+  Alcotest.(check bool) "preload split the store" true (Db.chunk_count db >= 2);
+  let k = key_of 199 in
+  Db.put db k "before";
+  let b =
+    Domain.spawn (fun () ->
+        Atomic.set stalled (Domain.self () :> int);
+        Db.put db "a-stalled" "b")
+  in
+  while not (Atomic.get entered) do
+    Unix.sleepf 1e-4
+  done;
+  let v0 = Db.current_version db in
+  let snap = Domain.spawn (fun () -> Db.snapshot db ~id:"cut") in
+  while Db.current_version db = v0 do
+    Unix.sleepf 1e-4
+  done;
+  (* Not [Db.maintain]: it would block on B's chunk lock. The put path
+     flushes the chunk inline. *)
+  let f0 = flushes db in
+  let i = ref 0 in
+  while flushes db = f0 do
+    incr i;
+    Db.put db k (Printf.sprintf "after%d" !i)
+  done;
+  Atomic.set latched false;
+  Domain.join b;
+  let info = Domain.join snap in
+  Alcotest.(check int) "cut taken while B was in flight" v0 info.Snapshot.version;
+  let r = Snapshot.open_reader env ~id:"cut" in
+  Alcotest.(check (option string)) "pre-cut value of k" (Some "before") (Snapshot.get r k);
+  Alcotest.(check (option string)) "B's put, below the cut" (Some "b") (Snapshot.get r "a-stalled");
+  Db.close db
+
+(* One writer domain overwrites every key under tiny thresholds (munk
+   rebalances, flushes, splits) while this domain takes and reads back
+   snapshots. Every key is written before the first cut and never
+   deleted, so each snapshot must hold all of them. *)
+let no_lost_keys persistence () =
+  let env = Env.memory () in
+  let db = Db.open_ ~config:{ config with persistence } env in
+  let n = 200 in
+  for i = 0 to n - 1 do
+    Db.put db (key_of i) "v0"
+  done;
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let round = ref 0 and pad = String.make 64 'p' in
+        while not (Atomic.get stop) do
+          incr round;
+          for i = 0 to n - 1 do
+            Db.put db (key_of i) (Printf.sprintf "r%06d%s" !round pad)
+          done
+        done)
+  in
+  let bad =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join writer)
+      (fun () ->
+        List.filter_map
+          (fun s ->
+            let id = Printf.sprintf "s%03d" s in
+            let info = Db.snapshot db ~id in
+            let held = List.length (snapshot_scan env ~id) in
+            Db.drop_snapshot db ~id;
+            if held = n then None
+            else Some (Printf.sprintf "%s (cut %d): %d of %d keys" id info.Snapshot.version held n))
+          (List.init 300 Fun.id))
+  in
+  Db.close db;
+  Alcotest.(check (list string)) "snapshots missing keys" [] bad
+
 let suite =
   [
     ( "snapshot",
       [
+        Alcotest.test_case "cut survives a flush before the pin" `Quick cut_survives_flush;
+        Alcotest.test_case "no lost keys under churn (sync)" `Quick (no_lost_keys Config.Sync);
+        Alcotest.test_case "no lost keys under churn (async)" `Quick (no_lost_keys Config.Async);
         Alcotest.test_case "isolation at the cut" `Quick isolation;
         Alcotest.test_case "survives rebalance/split/eviction" `Quick survives_churn;
         Alcotest.test_case "half-published swept at recovery" `Quick half_published_swept;
