@@ -73,7 +73,45 @@ let tests (h : Harness.t) =
                 { Evendb_util.Kv_iter.key = "key"; value = Some (String.make 128 'x');
                   version = 1; counter = 0 })))
   in
-  ( [ put_test; get_test; scan_test; flsm_test; bloom_test; log_test ],
+  (* Layers of a block read: CRC-32C of a 4 KiB block, a block-cache
+     hit, and a miss (pread, CRC, insert, evict) through a one-shard
+     cache of 16 blocks fed ever-new indices. *)
+  let kib4 = String.init 4096 (fun i -> Char.chr (i land 255)) in
+  let crc_test =
+    Test.make ~name:"layer: crc32c 4 KiB"
+      (Staged.stage (fun () -> ignore (Evendb_util.Crc32c.string kib4)))
+  in
+  let hit_test =
+    let bc = Evendb_cache.Block_cache.create ~capacity_bytes:(1 lsl 20) () in
+    let block = Evendb_util.Bigslice.of_string kib4 in
+    Test.make ~name:"layer: block-cache hit"
+      (Staged.stage (fun () ->
+           ignore
+             (Evendb_cache.Block_cache.find_or_fill bc ~space:0 ~file:"f" ~index:0 ~fill:(fun () ->
+                  block))))
+  in
+  let miss_test =
+    let blocks = Evendb_storage.Env.memory () in
+    let f = Evendb_storage.Env.create blocks "blocks" in
+    for _ = 1 to 16 do
+      Evendb_storage.Env.append f kib4
+    done;
+    Evendb_storage.Env.fsync f;
+    let bc = Evendb_cache.Block_cache.create ~shards:1 ~capacity_bytes:(16 * 4096) () in
+    let next = ref 0 in
+    Test.make ~name:"layer: block-cache miss (pread, crc, insert, evict)"
+      (Staged.stage (fun () ->
+           incr next;
+           ignore
+             (Evendb_cache.Block_cache.find_or_fill bc ~space:0 ~file:"blocks" ~index:!next
+                ~fill:(fun () ->
+                  let b =
+                    Evendb_storage.Env.pread blocks "blocks" ~off:(!next land 15 * 4096) ~len:4096
+                  in
+                  ignore (Evendb_util.Crc32c.bigslice b ~pos:0 ~len:4096);
+                  b))))
+  in
+  ( [ put_test; get_test; scan_test; flsm_test; bloom_test; log_test; crc_test; hit_test; miss_test ],
     fun () ->
       put_engine.Engine.close ();
       get_engine.Engine.close ();
@@ -155,20 +193,34 @@ let run (h : Harness.t) =
   let tests, cleanup = tests h in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ])
-      in
-      let analyzed =
-        Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          (Instance.monotonic_clock) results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-45s %12.0f ns/op\n" name est
-          | _ -> Printf.printf "  %-45s (no estimate)\n" name)
-        analyzed)
-    tests;
+  let estimates =
+    List.concat_map
+      (fun test ->
+        let results =
+          Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ])
+        in
+        let analyzed =
+          Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
+            (Instance.monotonic_clock) results
+        in
+        Hashtbl.fold
+          (fun name ols acc ->
+            match Analyze.OLS.estimates ols with
+            | Some [ est ] ->
+              Printf.printf "  %-45s %12.0f ns/op\n" name est;
+              (name, est) :: acc
+            | _ ->
+              Printf.printf "  %-45s (no estimate)\n" name;
+              acc)
+          analyzed [])
+      tests
+  in
+  let json = Buffer.create 1024 in
+  Buffer.add_string json "{\"ns_per_op\": {";
+  List.iteri
+    (fun i (name, est) ->
+      Printf.bprintf json "%s%t: %.1f" (if i > 0 then ", " else "") (Evendb_obs.Obs.jstr name) est)
+    estimates;
+  Buffer.add_string json "}}";
+  Harness.note_metrics ~engine:"bechamel" ~phase:"micro" (Buffer.contents json);
   cleanup ()

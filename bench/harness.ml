@@ -177,9 +177,13 @@ let note_slow ?(phase = "run") (e : Engine.t) =
     | jsonl -> art_slow := jsonl :: !art_slow
     | exception _ -> ()
 
+(* Attach a metrics object (JSON) to the artifact's "phase_metrics". *)
+let note_metrics ~engine ~phase metrics =
+  if artifacts_on () then art_metrics := (engine, phase, metrics) :: !art_metrics
+
 let dump_metrics (e : Engine.t) ~phase =
   let metrics = try e.Engine.metrics () with _ -> "{}" in
-  if artifacts_on () then art_metrics := (e.Engine.name, phase, metrics) :: !art_metrics;
+  note_metrics ~engine:e.Engine.name ~phase metrics;
   try
     ignore (mkdir_p metrics_dir);
     let file =

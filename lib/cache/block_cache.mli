@@ -9,7 +9,11 @@
 
     CRC verification happens exactly once, inside the fill closure; a
     hit returns the cached slice without copying or re-verifying.
-    Eviction is LFU-with-decay per shard, like the munk cache's; total
+    Eviction is LFU-with-decay per shard, like the munk cache's: every
+    4096 accesses to a shard halve its frequencies, and the victim is
+    the entry with the lowest frequency, the least recently used of
+    those on a tie. A hit and an eviction each cost O(1): a shard keeps
+    its entries in per-frequency lists, oldest access first. Total
     resident bytes never exceed the configured capacity. *)
 
 type t
@@ -33,7 +37,8 @@ val find_or_fill :
 
 val invalidate_file : t -> space:int -> file:string -> unit
 (** Drop every cached block of the named file — called when the file is
-    deleted, renamed, or created over. *)
+    deleted, renamed, or created over. A shard that holds no block of
+    the file is skipped after one lookup. *)
 
 val invalidate_space : t -> space:int -> unit
 (** Drop every cached block of one environment's namespace (crash
@@ -46,3 +51,13 @@ val hits : t -> int
 val misses : t -> int
 val fills : t -> int
 val evictions : t -> int
+
+(** For tests that check the policy against a model. *)
+module Internal : sig
+  val shard : t -> space:int -> file:string -> index:int -> int
+  (** The index of the shard that holds the block. *)
+
+  val eviction_order : t -> (int * string * int) list array
+  (** Per shard, its resident [(space, file, index)] keys in the order
+      the shard would evict them, next victim first. *)
+end

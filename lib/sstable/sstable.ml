@@ -32,23 +32,10 @@ let encode_entry buf (e : Kv_iter.entry) =
     Buffer.add_string buf v
   | None -> ()
 
-let decode_entry s pos : Kv_iter.entry * int =
-  let op = Char.code s.[pos] in
-  let klen, p = Varint.read s (pos + 1) in
-  let key = String.sub s p klen in
-  let p = p + klen in
-  let version, p = Varint.read s p in
-  let counter, p = Varint.read s p in
-  if op = op_delete then ({ key; value = None; version; counter }, p)
-  else begin
-    let vlen, p = Varint.read s p in
-    ({ key; value = Some (String.sub s p vlen); version; counter }, p + vlen)
-  end
-
-(* Same decoders over a cached (bigarray-backed) block: only the keys
-   and values are materialized as strings; the block itself is never
-   copied. Out-of-bounds access raises [Invalid_argument], like the
-   string decoders, so both paths share their corruption handling. *)
+(* The entry decoder, over a block as read or cached (bigarray-backed):
+   only the keys and values are materialized as strings; the block
+   itself is never copied. Out-of-bounds access raises
+   [Invalid_argument]. *)
 let read_varint_big (b : Bigslice.t) pos =
   let rec go acc shift pos =
     let c = Char.code (Bigslice.get b pos) in
@@ -392,69 +379,46 @@ module Reader = struct
   let chunk_min_key t = t.chunk_min_key
   let entry_count t = t.count
 
-  (* Direct, always-verifying block read: bypasses the shared block
-     cache so [verify] (scrub) checks the bytes actually on disk, not a
-     trusted cached copy. *)
-  let read_block t i =
-    let b = t.blocks.(i) in
-    let data = Env.read_at t.env t.name ~off:b.offset ~len:b.length in
-    if Crc32c.string data <> b.crc then
-      corrupt t.env t.name (Printf.sprintf "block %d checksum mismatch" i);
-    data
+  (* The bytes of block [b] as on disk, or [None] if their checksum
+     does not match. Never through the block cache. *)
+  let read_block env name b =
+    let data = Env.pread env name ~off:b.offset ~len:b.length in
+    if Crc32c.bigslice data ~pos:0 ~len:b.length = b.crc then Some data else None
+
+  let read_block_exn t i =
+    match read_block t.env t.name t.blocks.(i) with
+    | Some data -> data
+    | None -> corrupt t.env t.name (Printf.sprintf "block %d checksum mismatch" i)
 
   (* Serving-path block read through the environment's shared cache:
-     the fill closure verifies the CRC once, a hit returns the cached
-     slice with no copy and no re-verification. *)
+     the fill verifies the CRC once, a hit returns the cached slice
+     with no copy and no re-verification. *)
   let fetch_block t i =
-    let b = t.blocks.(i) in
-    let fill () =
-      let data = Env.pread t.env t.name ~off:b.offset ~len:b.length in
-      if Crc32c.bigslice data ~pos:0 ~len:b.length <> b.crc then
-        corrupt t.env t.name (Printf.sprintf "block %d checksum mismatch" i);
-      data
-    in
     match Env.block_cache t.env with
     | Some bc ->
       Evendb_cache.Block_cache.find_or_fill bc ~space:(Env.cache_space t.env)
-        ~file:t.name ~index:i ~fill
-    | None -> fill ()
+        ~file:t.name ~index:i ~fill:(fun () -> read_block_exn t i)
+    | None -> read_block_exn t i
+
+  (* The [n] entries of a verified block; raises [Invalid_argument] if
+     they do not decode. *)
+  let decode_block data n =
+    let pos = ref 0 in
+    Array.init n (fun _ ->
+        let e, next = decode_entry_big data !pos in
+        pos := next;
+        e)
 
   let block_entries t i =
-    let n = t.blocks.(i).entries in
-    let entries = Array.make n None in
-    match Env.block_cache t.env with
-    | None ->
-      (* No cache installed: the historical string read path. *)
-      let data = read_block t i in
-      (match
-         let pos = ref 0 in
-         for j = 0 to n - 1 do
-           let e, next = decode_entry data !pos in
-           entries.(j) <- Some e;
-           pos := next
-         done
-       with
-      | () -> Array.map Option.get entries
-      | exception Invalid_argument _ ->
-        corrupt t.env t.name (Printf.sprintf "block %d undecodable" i))
-    | Some _ ->
-      let data = fetch_block t i in
-      (match
-         let pos = ref 0 in
-         for j = 0 to n - 1 do
-           let e, next = decode_entry_big data !pos in
-           entries.(j) <- Some e;
-           pos := next
-         done
-       with
-      | () -> Array.map Option.get entries
-      | exception Invalid_argument _ ->
-        corrupt t.env t.name (Printf.sprintf "block %d undecodable" i))
+    let data = fetch_block t i in
+    try decode_block data t.blocks.(i).entries
+    with Invalid_argument _ -> corrupt t.env t.name (Printf.sprintf "block %d undecodable" i)
 
   let verify t =
     (* [open_] already checked header, footer offsets, index and bloom
-       checksums; what remains is every data block. *)
-    Array.iteri (fun i _ -> ignore (read_block t i)) t.blocks
+       checksums; what remains is every data block, read past the
+       cache so scrub checks the bytes on disk, not a trusted copy. *)
+    Array.iteri (fun i _ -> ignore (read_block_exn t i)) t.blocks
 
   let first_key t =
     if Array.length t.blocks = 0 then None else Some t.blocks.(0).first_key
@@ -577,16 +541,9 @@ module Reader = struct
               try_opt (fun () ->
                   if b.offset < 0 || b.length < 0 || b.offset + b.length > file_len then
                     raise Exit;
-                  let data = Env.read_at env name ~off:b.offset ~len:b.length in
-                  if Crc32c.string data <> b.crc then raise Exit;
-                  let out = ref [] in
-                  let pos = ref 0 in
-                  for _ = 1 to b.entries do
-                    let e, next = decode_entry data !pos in
-                    out := e :: !out;
-                    pos := next
-                  done;
-                  List.rev !out)
+                  match read_block env name b with
+                  | Some data -> Array.to_list (decode_block data b.entries)
+                  | None -> raise Exit)
             with
             | Some es -> es
             | None -> [])

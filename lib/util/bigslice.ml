@@ -36,32 +36,17 @@ let sub t ~off ~len =
     invalid_arg "Bigslice.sub: slice out of bounds";
   { buf = t.buf; off = t.off + off; len }
 
-external buf_get64 : buf -> int -> int64 = "%caml_bigstring_get64u"
-external buf_set64 : buf -> int -> int64 -> unit = "%caml_bigstring_set64u"
-external bytes_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
-external bytes_set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+(* Unchecked memcpy in the C stub (evendb_util_stubs.c). Callers check
+   bounds. *)
+external blit_bytes_to_buf :
+  bytes -> (int[@untagged]) -> buf -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "evendb_blit_bytes_to_bigarray_byte" "evendb_blit_bytes_to_bigarray"
+[@@noalloc]
 
-(* Unchecked copies, 8 bytes at a time and then the tail byte by byte.
-   Callers check bounds. *)
-let blit_bytes_to_buf src src_off dst dst_off len =
-  let i = ref 0 in
-  while !i + 8 <= len do
-    buf_set64 dst (dst_off + !i) (bytes_get64 src (src_off + !i));
-    i := !i + 8
-  done;
-  for j = !i to len - 1 do
-    Bigarray.Array1.unsafe_set dst (dst_off + j) (Bytes.unsafe_get src (src_off + j))
-  done
-
-let blit_buf_to_bytes src src_off dst dst_off len =
-  let i = ref 0 in
-  while !i + 8 <= len do
-    bytes_set64 dst (dst_off + !i) (buf_get64 src (src_off + !i));
-    i := !i + 8
-  done;
-  for j = !i to len - 1 do
-    Bytes.unsafe_set dst (dst_off + j) (Bigarray.Array1.unsafe_get src (src_off + j))
-  done
+external blit_buf_to_bytes :
+  buf -> (int[@untagged]) -> bytes -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "evendb_blit_bigarray_to_bytes_byte" "evendb_blit_bigarray_to_bytes"
+[@@noalloc]
 
 let of_string s =
   let n = String.length s in

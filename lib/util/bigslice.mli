@@ -8,8 +8,9 @@ type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1
 
 type t = private { buf : buf; off : int; len : int }
 (** Bytes [\[off, off + len)] of [buf]. The fields are exposed read-only
-    so that byte kernels ({!Crc32c}) can load whole words; slices are
-    only built through the functions below, which check bounds. *)
+    so that byte kernels ({!Crc32c}) can hand the buffer and an offset to
+    C; slices are only built through the functions below, which check
+    bounds. *)
 
 val length : t -> int
 

@@ -3,14 +3,12 @@
     Used to frame on-disk records (funk-log entries, SSTable footers) so
     that torn writes and corruption are detected on recovery.
 
-    The algorithm is table-driven slicing-by-8 (Intel's, as in
-    LevelDB/RocksDB's portable path): one 8x256 table built at module
-    initialization advances the register over 8 input bytes with one
-    word load and eight lookups; a tail shorter than a word goes a byte
-    at a time. The register is held in a native [int], which assumes
-    [int] has 63 bits (a 64-bit platform). All entry points share the
-    table and the word and byte steps, and return the same value for
-    the same bytes. *)
+    The kernel is a C stub. On x86-64 CPUs with SSE4.2 it runs the
+    [crc32] instruction over 8 bytes at a time; elsewhere it runs a
+    portable table-driven slicing-by-8 (Intel's, as in LevelDB/RocksDB's
+    portable path). The choice is made once, by CPUID, when this module
+    is initialised; it is not configurable. Both paths return the same
+    value for the same bytes. *)
 
 val string : ?init:int32 -> string -> int32
 (** [string s] is the CRC-32C of [s]. [init] continues a running
@@ -22,6 +20,12 @@ val bytes : ?init:int32 -> bytes -> pos:int -> len:int -> int32
 val bigslice : ?init:int32 -> Bigslice.t -> pos:int -> len:int -> int32
 (** [bigslice b ~pos ~len] checksums a bigarray-backed slice without
     copying it — the fill-time verification path of the block cache. *)
+
+module Internal : sig
+  val portable : ?init:int32 -> string -> pos:int -> len:int -> int32
+  (** The portable kernel, whatever the CPU; for tests that compare it
+      with a reference on hosts where {!string} takes the hardware path. *)
+end
 
 val mask : int32 -> int32
 (** [mask crc] applies the standard rotation+offset masking (as in

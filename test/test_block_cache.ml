@@ -156,6 +156,125 @@ let concurrent_domains () =
     (Block_cache.hits bc + Block_cache.misses bc);
   Alcotest.(check bool) "resident bound holds at rest" true (Block_cache.resident_bytes bc <= cap)
 
+(* The policy against a naive model: per shard, a list of resident
+   blocks, each with a frequency and the tick of its last access; the
+   victim is the minimum of (frequency, tick), found by a scan, and
+   every 4096 accesses to a shard halve its frequencies. Random
+   find/fill/invalidate sequences over one or two small shards, long
+   enough to cross several decays, must produce the model's hits, its
+   victims in its order and its eviction order at every step, with
+   resident bytes within the budget. *)
+type m_entry = { mkey : int * string * int; mlen : int; mutable freq : int; mutable tick : int }
+
+type m_shard = {
+  mutable entries : m_entry list;
+  mutable resident : int;
+  mutable accesses : int;
+  mutable clock : int;
+}
+
+let model_budget = 4096
+
+let model_access sh e =
+  sh.clock <- sh.clock + 1;
+  e.tick <- sh.clock;
+  sh.accesses <- sh.accesses + 1;
+  if sh.accesses >= 4096 then begin
+    sh.accesses <- 0;
+    List.iter (fun e -> e.freq <- e.freq / 2) sh.entries
+  end
+
+let by_eviction sh = List.sort (fun a b -> compare (a.freq, a.tick) (b.freq, b.tick)) sh.entries
+let model_order sh = List.map (fun e -> e.mkey) (by_eviction sh)
+
+(* Returns [Some victims] on a miss, [None] on a hit. *)
+let model_find_or_fill sh key len =
+  match List.find_opt (fun e -> e.mkey = key) sh.entries with
+  | Some e ->
+    e.freq <- e.freq + 1;
+    model_access sh e;
+    None
+  | None when len > model_budget -> Some []
+  | None ->
+    let victims = ref [] in
+    while sh.resident + len > model_budget do
+      let v = List.hd (by_eviction sh) in
+      sh.entries <- List.filter (fun e -> e != v) sh.entries;
+      sh.resident <- sh.resident - v.mlen;
+      victims := v.mkey :: !victims
+    done;
+    let e = { mkey = key; mlen = len; freq = 1; tick = 0 } in
+    sh.entries <- e :: sh.entries;
+    sh.resident <- sh.resident + len;
+    model_access sh e;
+    Some (List.rev !victims)
+
+let model_remove sh pred =
+  let doomed, kept = List.partition (fun e -> pred e.mkey) sh.entries in
+  sh.entries <- kept;
+  List.iter (fun e -> sh.resident <- sh.resident - e.mlen) doomed
+
+let files = [| "a"; "b"; "c" |]
+
+let model_sequence (shards, steps, seed) =
+  let st = Random.State.make [| seed |] in
+  let bc = Block_cache.create ~shards ~capacity_bytes:(shards * model_budget) () in
+  let model = Array.init shards (fun _ -> { entries = []; resident = 0; accesses = 0; clock = 0 }) in
+  (* 48 blocks of fixed sizes, a few larger than a shard's budget. *)
+  let keys = Array.init 48 (fun i -> (i / 24, files.(i / 8 mod 3), i mod 8)) in
+  let lens =
+    Array.init 48 (fun _ ->
+        if Random.State.int st 20 = 0 then model_budget + 1 else 64 + Random.State.int st 960)
+  in
+  let fail step fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_reportf "step %d: %s" step m) fmt in
+  for step = 1 to steps do
+    let before = Block_cache.Internal.eviction_order bc in
+    (match Random.State.int st 100 with
+    | 0 ->
+      let space = Random.State.int st 2 and file = files.(Random.State.int st 3) in
+      Block_cache.invalidate_file bc ~space ~file;
+      Array.iter (fun sh -> model_remove sh (fun (s, f, _) -> s = space && f = file)) model
+    | 1 ->
+      let space = Random.State.int st 2 in
+      Block_cache.invalidate_space bc ~space;
+      Array.iter (fun sh -> model_remove sh (fun (s, _, _) -> s = space)) model
+    | _ ->
+      (* Skewed, so that frequencies climb and ties are rare but occur. *)
+      let i = min (Random.State.int st 48) (Random.State.int st 48) in
+      let ((space, file, index) as key) = keys.(i) in
+      let s = Block_cache.Internal.shard bc ~space ~file ~index in
+      let filled = ref false in
+      ignore
+        (Block_cache.find_or_fill bc ~space ~file ~index ~fill:(fun () ->
+             filled := true;
+             Bigslice.create lens.(i)));
+      (match model_find_or_fill model.(s) key lens.(i) with
+      | None -> if !filled then fail step "model hit, cache filled"
+      | Some victims ->
+        if not !filled then fail step "model missed, cache hit";
+        let after = (Block_cache.Internal.eviction_order bc).(s) in
+        let evicted = List.filter (fun k -> not (List.mem k after)) before.(s) in
+        if evicted <> victims then fail step "victims differ from the model's"));
+    Array.iteri
+      (fun s sh ->
+        if (Block_cache.Internal.eviction_order bc).(s) <> model_order sh then
+          fail step "shard %d: eviction order differs from the model's" s;
+        if sh.resident > model_budget then fail step "shard %d over budget" s)
+      model;
+    let resident = Array.fold_left (fun acc sh -> acc + sh.resident) 0 model in
+    if Block_cache.resident_bytes bc <> resident then
+      fail step "resident %d, model %d" (Block_cache.resident_bytes bc) resident
+  done;
+  true
+
+(* One case runs up to 10000 operations, so the case count is the
+   byte-kernel count over 1000. *)
+let model_test =
+  QCheck.Test.make ~name:"victims and order match an O(n) model"
+    ~count:(Test_util.kernel_prop_count ~default:20_000 / 1000)
+    QCheck.(triple (int_range 1 2) (int_range 1 10_000) int)
+    model_sequence
+
 let suite =
   [
     ( "block_cache",
@@ -167,5 +286,6 @@ let suite =
         Alcotest.test_case "a failed fill caches nothing" `Quick failed_fill_caches_nothing;
         Alcotest.test_case "invalidation is per-file / per-space" `Quick invalidation_is_surgical;
         Alcotest.test_case "4-domain contention" `Quick concurrent_domains;
+        QCheck_alcotest.to_alcotest model_test;
       ] );
   ]

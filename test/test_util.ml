@@ -91,8 +91,22 @@ let crc_bytes_slice () =
   let b = Bytes.of_string "xxhello worldyy" in
   Alcotest.(check int32) "slice" (Crc32c.string "hello world") (Crc32c.bytes b ~pos:2 ~len:11)
 
-(* The byte-at-a-time CRC-32C over boxed [Int32] that the slicing-by-8
-   kernel replaced, kept here as the reference it must match. *)
+(* RFC 3720 B.4: the iSCSI examples over 32-byte buffers, on the
+   dispatched kernel and on the portable one. *)
+let crc_rfc3720_vectors () =
+  List.iter
+    (fun (name, s, want) ->
+      Alcotest.(check int32) name want (Crc32c.string s);
+      Alcotest.(check int32) (name ^ ", portable") want (Crc32c.Internal.portable s ~pos:0 ~len:32))
+    [
+      ("32 zero bytes", String.make 32 '\000', 0x8a9136aal);
+      ("32 x 0xff", String.make 32 '\255', 0x62a8ab43l);
+      ("ascending", String.init 32 Char.chr, 0x46dd794el);
+      ("descending", String.init 32 (fun i -> Char.chr (31 - i)), 0x113fdb5cl);
+    ]
+
+(* The byte-at-a-time CRC-32C over boxed [Int32], kept as the reference
+   the kernels must match. *)
 let crc_ref_table =
   Array.init 256 (fun i ->
       let c = ref (Int32.of_int i) in
@@ -137,6 +151,31 @@ let crc_matches_reference =
       && Crc32c.bigslice ~init slice ~pos ~len = expected
       && Crc32c.string ~init:(Crc32c.string (String.sub s 0 cut)) (String.sub s cut (n - cut))
          = Crc32c.string s)
+
+(* The portable kernel, which [Crc32c.string] does not run on a CPU with
+   SSE4.2: every start alignment 0-7, lengths up to 9000 (every tail
+   length, past two 4 KiB blocks), and a checksum continued with
+   [~init] from a cut inside the slice. *)
+let crc_portable_input =
+  let gen =
+    let open QCheck.Gen in
+    let* pos = int_range 0 7 in
+    let* len = oneof [ int_range 0 64; int_range 0 9000 ] in
+    let* s = string_size ~gen:char (return (pos + len)) in
+    let* cut = int_range 0 len in
+    let* init = ui32 in
+    return (s, pos, len, cut, init)
+  in
+  QCheck.make gen ~print:(fun (s, pos, len, cut, init) ->
+      Printf.sprintf "pos %d, len %d, cut %d, init %ld: %S" pos len cut init s)
+
+let crc_portable_matches_reference =
+  QCheck.Test.make ~name:"crc32c: the portable kernel matches the byte-at-a-time reference"
+    ~count:(kernel_prop_count ~default:300) crc_portable_input (fun (s, pos, len, cut, init) ->
+      let portable = Crc32c.Internal.portable in
+      let expected = crc_ref ~init s ~pos ~len in
+      portable ~init s ~pos ~len = expected
+      && portable ~init:(portable ~init s ~pos ~len:cut) s ~pos:(pos + cut) ~len:(len - cut) = expected)
 
 let crc_bounds () =
   let b = Bytes.create 8 and slice = Bigslice.create 8 in
@@ -629,10 +668,12 @@ let suite =
     ( "crc32c",
       [
         Alcotest.test_case "known vectors" `Quick crc_known_vectors;
+        Alcotest.test_case "RFC 3720 vectors" `Quick crc_rfc3720_vectors;
         Alcotest.test_case "bytes slice" `Quick crc_bytes_slice;
         qtest crc_mask_roundtrip;
         qtest crc_detects_flip;
         qtest crc_matches_reference;
+        qtest crc_portable_matches_reference;
         Alcotest.test_case "bounds checked" `Quick crc_bounds;
       ] );
     ( "bigslice",
