@@ -49,7 +49,20 @@
    committer, and every completion broadcasts, so a waiting member
    always eventually resumes. [max_batch = 1] degenerates to today's
    behaviour exactly: every put is its own batch and fsyncs alone (one
-   fsync per put, serialized per funk). *)
+   fsync per put, serialized per funk).
+
+   Park or fsync: a batch saves fsyncs by parking its members, and a
+   parked member pays a wake-up — the time from the fsync it waited
+   behind returning to it running again. When an fsync costs less than that
+   (a memory device: ~0.4µs against 1.3-5.9µs), sharing it only adds
+   latency, so [sync] fsyncs the writer's own log directly instead of
+   joining: it compares the running fsync cost with a running mean of
+   measured wake-ups. Until a wake-up has been measured, and on every
+   device whose fsync costs more than a wake-up, the batch protocol
+   above runs unchanged. A direct fsync covers the writer's own append,
+   which returned before it started, and the put is acked only after
+   it succeeds, so acked <=> durable holds the same way; it counts as
+   a one-member batch. *)
 
 open Evendb_obs
 
@@ -78,15 +91,22 @@ type t = {
   in_flight : int Atomic.t; (* sync mutations currently inside [track] *)
   mutable prev_size : int; (* last committed batch's member count *)
   max_batch : int;
-  mutable fsync_est_ns : int;
+  fsync_est_ns : int Atomic.t;
       (* running mean of [tm_fsync]'s samples: what one more fsync
          costs, hence the formation wait's budget; 0 until the first *)
+  wake_est_ns : int Atomic.t;
+      (* running mean of parked members' wake-ups (see [note_wake]);
+         0 until the first *)
   mutable sleep_min_ns : int;
       (* shortest poll sleep the leader has measured; 0 until the first *)
-  mutable last_finish_ns : int; (* when the previous batch completed *)
+  last_finish_ns : int Atomic.t;
+      (* when the previous batch completed; a direct fsync, a batch of
+         its own, sets it without the mutex *)
+  mutable last_fsync_ns : int; (* when the latest batch fsync returned *)
   ctr_batches : Obs.Counter.t;
   ctr_fsyncs : Obs.Counter.t;
   ctr_fsyncs_saved : Obs.Counter.t; (* members beyond the first per funk *)
+  ctr_direct : Obs.Counter.t; (* fsyncs run without joining a batch *)
   tm_batch_size : Obs.Timer.t; (* histogram of members per batch *)
   tm_fsync : Obs.Timer.t; (* duration of each log fsync *)
   tm_reform : Obs.Timer.t;
@@ -107,22 +127,62 @@ let create ~max_batch obs =
     in_flight = Atomic.make 0;
     prev_size = 1;
     max_batch;
-    fsync_est_ns = 0;
+    fsync_est_ns = Atomic.make 0;
+    wake_est_ns = Atomic.make 0;
     sleep_min_ns = 0;
-    last_finish_ns = 0;
+    last_finish_ns = Atomic.make 0;
+    last_fsync_ns = 0;
     ctr_batches = Obs.counter obs "commit.batches";
     ctr_fsyncs = Obs.counter obs "commit.fsyncs";
     ctr_fsyncs_saved = Obs.counter obs "commit.fsyncs_saved";
+    ctr_direct = Obs.counter obs "commit.direct_fsyncs";
     tm_batch_size = Obs.timer obs "commit.batch_size";
     tm_fsync = Obs.timer obs "commit.fsync";
     tm_reform = Obs.timer obs "commit.reform";
   }
 
+(* Exponentially weighted, 1/8 per sample: tracks a device that speeds
+   up or slows down within a few batches, while one outlier fsync moves
+   the budget by only an eighth of its excess. Both estimates are read
+   without the mutex (the direct path takes none); two samples landing
+   at once may lose one, which an estimate can afford. *)
+let note_fsync t took =
+  let f = Atomic.get t.fsync_est_ns in
+  Atomic.set t.fsync_est_ns (if f = 0 then took else f + ((took - f) / 8))
+
+(* On a host with more runnable threads than CPUs one waiter can be
+   descheduled for milliseconds, and no single such wake-up may flip
+   [sync] to direct fsyncs on its own. So the mean starts from zero
+   rather than from the first sample, and a sample counts for at most
+   twice the larger of the two estimates: while wake-ups are cheaper
+   than fsyncs (a disk) it takes about five wakes above twice the fsync
+   to flip the rule, and once they cost more (memory) the mean still
+   climbs, by at most an eighth per sample, to what they really cost,
+   so the rule does not sit on the edge of an fsync that varies. *)
+let note_wake t ns =
+  let w = Atomic.get t.wake_est_ns in
+  let s = min ns (2 * max w (Atomic.get t.fsync_est_ns)) in
+  Atomic.set t.wake_est_ns (w + ((s - w) / 8))
+
+(* A batch sealed at [now]: the gap since the previous one completed. *)
+let note_reform t now =
+  let last = Atomic.get t.last_finish_ns in
+  if last > 0 then Obs.Timer.record_ns t.tm_reform (max 0 (now - last))
+
+(* Park until the next broadcast. A member parks behind an fsync — its
+   own batch's, or the committing batch's that it must outwait to lead
+   the next — so when one completed meanwhile, the time from its return
+   to this thread running again is a wake-up sample. *)
+let park t =
+  let t0 = Obs.now_ns () in
+  Attr.timed Attr.Commit_wait (fun () -> Condition.wait t.cond t.mutex);
+  if t.last_fsync_ns > t0 then note_wake t (Obs.now_ns () - t.last_fsync_ns)
+
 (* Complete the sealed batch [b]: called with [t.mutex] held by the
    thread whose fsync was the last outstanding one. *)
 let finish t b =
   b.b_done <- true;
-  t.last_finish_ns <- Obs.now_ns ();
+  Atomic.set t.last_finish_ns (Obs.now_ns ());
   t.leader_active <- false;
   t.prev_size <- max 1 b.b_count;
   Obs.Counter.incr t.ctr_batches;
@@ -142,14 +202,11 @@ let fsync_one t b p =
      until this completion wakes it. *)
   let t0 = Obs.now_ns () in
   let err = (try Funk.fsync_log p.p_funk; None with e -> Some e) in
-  let took = Obs.now_ns () - t0 in
-  Obs.Timer.record_ns t.tm_fsync took;
+  let t1 = Obs.now_ns () in
+  Obs.Timer.record_ns t.tm_fsync (t1 - t0);
+  note_fsync t (t1 - t0);
   Mutex.lock t.mutex;
-  (* Exponentially weighted, 1/8 per sample: tracks a device that
-     speeds up or slows down within a few batches, while one outlier
-     fsync moves the budget by only an eighth of its excess. *)
-  t.fsync_est_ns <-
-    (if t.fsync_est_ns = 0 then took else t.fsync_est_ns + ((took - t.fsync_est_ns) / 8));
+  t.last_fsync_ns <- t1;
   p.p_err <- err;
   p.p_done <- true;
   b.b_left <- b.b_left - 1;
@@ -189,13 +246,12 @@ let commit t b p =
   t.wait_target <- 0;
   b.b_todo <- b.b_pend;
   b.b_left <- List.length b.b_pend;
-  if t.last_finish_ns > 0 then
-    Obs.Timer.record_ns t.tm_reform (Obs.now_ns () - t.last_finish_ns);
+  note_reform t (Obs.now_ns ());
   Condition.broadcast t.cond;
   if claim_own b p then fsync_one t b p;
   help t b;
   while not p.p_done do
-    Attr.timed Attr.Commit_wait (fun () -> Condition.wait t.cond t.mutex)
+    park t
   done
 
 (* Lead the forming batch [b] as a member on [p]: wait for it to fill,
@@ -243,10 +299,11 @@ let lead t b p =
      about the next — a mean could climb above the budget and, the
      leader then never sleeping, never come down. *)
   let target = min t.max_batch (max t.prev_size (Atomic.get t.in_flight)) in
-  if b.b_count < target && t.fsync_est_ns > 0 then begin
+  let fsync_est = Atomic.get t.fsync_est_ns in
+  if b.b_count < target && fsync_est > 0 then begin
     t.wait_target <- target;
     Attr.timed Attr.Commit_wait (fun () ->
-        let deadline = Obs.now_ns () + t.fsync_est_ns in
+        let deadline = Obs.now_ns () + fsync_est in
         while t.forming == b && b.b_count < target && Obs.now_ns () + t.sleep_min_ns < deadline do
           Mutex.unlock t.mutex;
           let t0 = Obs.now_ns () in
@@ -265,7 +322,7 @@ let lead t b p =
     while not p.p_done do
       if claim_own b p then fsync_one t b p
       else if b.b_todo <> [] then help t b
-      else Attr.timed Attr.Commit_wait (fun () -> Condition.wait t.cond t.mutex)
+      else park t
     done
 
 (* Join the forming batch (waiting out a full one), with the mutex
@@ -275,7 +332,7 @@ let rec join t funk =
   if b.b_count >= t.max_batch then begin
     (* Full: its leader (current or promoted) will rotate [forming]
        when it seals; park until then so no batch exceeds the bound. *)
-    Attr.timed Attr.Commit_wait (fun () -> Condition.wait t.cond t.mutex);
+    park t;
     join t funk
   end
   else begin
@@ -288,7 +345,25 @@ let rec join t funk =
       (b, p)
   end
 
-let sync t funk =
+(* Fsync [funk]'s log without joining a batch: a one-member batch that
+   takes no shared lock. *)
+let direct t funk =
+  let t0 = Obs.now_ns () in
+  note_reform t t0;
+  let err = (try Funk.fsync_log funk; None with e -> Some e) in
+  let t1 = Obs.now_ns () in
+  Atomic.set t.last_finish_ns t1;
+  Obs.Timer.record_ns t.tm_fsync (t1 - t0);
+  note_fsync t (t1 - t0);
+  Obs.Counter.incr t.ctr_batches;
+  Obs.Counter.incr t.ctr_fsyncs;
+  Obs.Counter.incr t.ctr_direct;
+  Obs.Timer.record_ns t.tm_batch_size 1;
+  match err with Some e -> raise e | None -> ()
+
+(* Join the forming batch and return once a covering fsync of [funk]'s
+   log completed. *)
+let batched t funk =
   if not (Mutex.try_lock t.mutex) then
     Attr.timed Attr.Commit_wait (fun () -> Mutex.lock t.mutex);
   let b, p = join t funk in
@@ -316,12 +391,23 @@ let sync t funk =
         t.leader_active <- true;
         lead t b p
       end
-      else Attr.timed Attr.Commit_wait (fun () -> Condition.wait t.cond t.mutex)
+      else park t
     done;
   let err = p.p_err in
   Mutex.unlock t.mutex;
   match err with Some e -> raise e | None -> ()
 
+let sync t funk =
+  let fsync_est = Atomic.get t.fsync_est_ns in
+  if fsync_est > 0 && fsync_est < Atomic.get t.wake_est_ns then direct t funk
+  else batched t funk
+
 let track t f =
   Atomic.incr t.in_flight;
-  Fun.protect ~finally:(fun () -> Atomic.decr t.in_flight) f
+  match f () with
+  | v ->
+    Atomic.decr t.in_flight;
+    v
+  | exception e ->
+    Atomic.decr t.in_flight;
+    raise e

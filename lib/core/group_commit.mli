@@ -28,12 +28,22 @@
     fsync — acked <=> durable at every batch boundary — and an fsync
     failure propagates to exactly the members whose appends that fsync
     was covering. [max_batch = 1] degenerates to per-op fsync,
-    serialized per committer. *)
+    serialized per committer.
+
+    Park or fsync: a batch member parks until a covering fsync
+    completes, and waking it costs time too. The committer keeps a
+    running mean of that wake-up latency next to the fsync's; while an
+    fsync costs less than a wake-up (an in-memory device), a sync put
+    fsyncs its own log directly instead of joining a batch, and counts
+    as a one-member batch. Before the first wake-up is measured, and on
+    devices whose fsync costs more than a wake-up, the protocol above
+    runs unchanged. *)
 
 type t
 
 val create : max_batch:int -> Evendb_obs.Obs.t -> t
-(** Registers [commit.batches], [commit.fsyncs], [commit.fsyncs_saved]
+(** Registers [commit.batches], [commit.fsyncs], [commit.fsyncs_saved],
+    [commit.direct_fsyncs] (fsyncs run without joining a batch)
     counters and the [commit.batch_size] (members per batch),
     [commit.fsync] (per-fsync latency) and [commit.reform] (gap between
     one batch finishing and the next sealing) timers in the registry. *)

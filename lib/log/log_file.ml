@@ -8,23 +8,35 @@ module Record = struct
   let op_put = 0
   let op_delete = 1
 
-  let encode_payload buf (e : Kv_iter.entry) =
-    Buffer.add_char buf (Char.chr (match e.value with Some _ -> op_put | None -> op_delete));
-    Varint.write buf (String.length e.key);
-    Buffer.add_string buf e.key;
-    Varint.write buf e.version;
-    Varint.write buf e.counter;
-    match e.value with
-    | Some v ->
-      Varint.write buf (String.length v);
-      Buffer.add_string buf v
-    | None -> ()
+  let payload_size (e : Kv_iter.entry) =
+    let klen = String.length e.key in
+    1 + Varint.encoded_size klen + klen + Varint.encoded_size e.version
+    + Varint.encoded_size e.counter
+    + match e.value with Some v -> Varint.encoded_size (String.length v) + String.length v | None -> 0
 
-  let add_u32_le buf (v : int32) =
-    Buffer.add_char buf (Char.chr (Int32.to_int v land 0xff));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xff));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 16) land 0xff));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xff))
+  let size e =
+    let n = payload_size e in
+    4 + Varint.encoded_size n + n
+
+  let put_string b p s =
+    let p = Varint.write_bytes b p (String.length s) in
+    Bytes.blit_string s 0 b p (String.length s);
+    p + String.length s
+
+  (* The frame is built in place: payload after a 4-byte hole, then the
+     payload's checksum into the hole — no intermediate string. *)
+  let encode b (e : Kv_iter.entry) =
+    let n = payload_size e in
+    if Bytes.length b < 4 + Varint.encoded_size n + n then
+      invalid_arg "Log_file.Record.encode: buffer too small";
+    let start = Varint.write_bytes b 4 n in
+    Bytes.set b start (Char.chr (match e.value with Some _ -> op_put | None -> op_delete));
+    let p = put_string b (start + 1) e.key in
+    let p = Varint.write_bytes b p e.version in
+    let p = Varint.write_bytes b p e.counter in
+    let fin = match e.value with Some v -> put_string b p v | None -> p in
+    Bytes.set_int32_le b 0 (Crc32c.mask (Crc32c.bytes b ~pos:start ~len:n));
+    fin
 
   let read_u32_le s pos =
     let b i = Int32.of_int (Char.code s.[pos + i]) in
@@ -32,14 +44,6 @@ module Record = struct
       (Int32.logor
          (Int32.shift_left (b 1) 8)
          (Int32.logor (Int32.shift_left (b 2) 16) (Int32.shift_left (b 3) 24)))
-
-  let encode ~scratch buf e =
-    Buffer.clear scratch;
-    encode_payload scratch e;
-    let payload = Buffer.contents scratch in
-    add_u32_le buf (Crc32c.mask (Crc32c.string payload));
-    Varint.write buf (String.length payload);
-    Buffer.add_string buf payload
 
   let decode_payload s pos len : Kv_iter.entry =
     let fin = pos + len in
@@ -77,60 +81,51 @@ end
 module Writer = struct
   type t = {
     file : Env.file;
-    buf : Buffer.t;
-    scratch : Buffer.t; (* payload of the record being framed *)
+    mutable frame : bytes; (* the record being framed; grows, never shrinks *)
     mutex : Mutex.t;
     mutable pos : int;
     mutable appends : int;
   }
 
-  let create env name =
-    {
-      file = Env.create env name;
-      buf = Buffer.create 1024;
-      scratch = Buffer.create 1024;
-      mutex = Mutex.create ();
-      pos = 0;
-      appends = 0;
-    }
+  let make file =
+    { file; frame = Bytes.create 256; mutex = Mutex.create (); pos = Env.file_size file; appends = 0 }
 
-  let open_append env name =
-    let file = Env.open_append env name in
-    {
-      file;
-      buf = Buffer.create 1024;
-      scratch = Buffer.create 1024;
-      mutex = Mutex.create ();
-      pos = Env.file_size file;
-      appends = 0;
-    }
+  let create env name = make (Env.create env name)
+  let open_append env name = make (Env.open_append env name)
 
   (* Append and fsync charge themselves to the calling op's attribution
      frame (Attr.timed is a no-op off the op hot path), so WAL/funk-log
      cost shows up as Log_append/Fsync without this layer holding any
      Attr handle. The append charge includes the writer mutex wait:
      serialization behind a contended log IS log-append stall. *)
+  let append_locked t e =
+    let size = Record.size e in
+    if Bytes.length t.frame < size then
+      t.frame <- Bytes.create (max size (2 * Bytes.length t.frame));
+    let len = Record.encode t.frame e in
+    let start = t.pos in
+    (try Env.append_bytes t.file t.frame ~pos:0 ~len
+     with exn ->
+       (* A failed append may be torn: some prefix of the record
+          reached the backend. Resync to what actually landed so the
+          next record starts after the garbage — readers skip it by
+          CRC resynchronization. *)
+       t.pos <- Env.file_size t.file;
+       raise exn);
+    t.pos <- start + len;
+    t.appends <- t.appends + 1;
+    start
+
   let append t e =
     Evendb_obs.Attr.timed Evendb_obs.Attr.Log_append @@ fun () ->
     Mutex.lock t.mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mutex)
-      (fun () ->
-        let start = t.pos in
-        Buffer.clear t.buf;
-        Record.encode ~scratch:t.scratch t.buf e;
-        let len = Buffer.length t.buf in
-        (try Env.append t.file (Buffer.contents t.buf)
-         with exn ->
-           (* A failed append may be torn: some prefix of the record
-              reached the backend. Resync to what actually landed so
-              the next record starts after the garbage — readers skip
-              it by CRC resynchronization. *)
-           t.pos <- Env.file_size t.file;
-           raise exn);
-        t.pos <- start + len;
-        t.appends <- t.appends + 1;
-        start)
+    match append_locked t e with
+    | start ->
+      Mutex.unlock t.mutex;
+      start
+    | exception exn ->
+      Mutex.unlock t.mutex;
+      raise exn
 
   let size t = t.pos
 

@@ -17,9 +17,13 @@ open Evendb_util
 open Evendb_storage
 
 module Record : sig
-  val encode : scratch:Buffer.t -> Buffer.t -> Kv_iter.entry -> unit
-  (** Append the full framed record for one entry. [scratch] is cleared
-      and holds the payload while it is checksummed. *)
+  val size : Kv_iter.entry -> int
+  (** Length of the framed record for one entry. *)
+
+  val encode : bytes -> Kv_iter.entry -> int
+  (** [encode b e] frames [e]'s record in place at the start of [b] and
+      returns its length ({!size}). Raises [Invalid_argument] if [b] is
+      shorter than that. *)
 
   val decode : string -> pos:int -> (Kv_iter.entry * int) option
   (** [decode s ~pos] returns the entry starting at [pos] and the

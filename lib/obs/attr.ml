@@ -3,7 +3,9 @@
 
    One frame per domain, preallocated and reused: with_op flips it
    live, timed charges the outermost cause section into a small int
-   array, and close folds the array into the instance under one mutex.
+   array, and close folds the array into the calling domain's shard of
+   the instance's totals (Per_domain), so client domains do not share a
+   lock per op. Only slow ops take the instance mutex, for the ring.
    The frame is domain-local state, NOT instance state — leaf layers
    (Log_file, Munk) call [timed] without any handle, and whichever
    instance opened the frame receives the charge. *)
@@ -76,14 +78,19 @@ type slow_op = {
   so_spans : (string * int) list;
 }
 
+(* One shard of the cumulative totals, in one array: cause ns at
+   [kind * n_causes + cause], then op wall ns per kind at
+   [op_total_at + kind], then op counts per kind at [op_count_at + kind]. *)
+let op_total_at = n_kinds * n_causes
+let op_count_at = op_total_at + n_kinds
+let totals_len = op_count_at + n_kinds
+
 type t = {
   a_enabled : bool;
   mutable a_threshold_ns : int; (* plain int: single-word reads/writes are atomic *)
   a_trace : Obs.Trace.t;
-  a_mutex : Mutex.t; (* guards everything below *)
-  a_cause_total : int array; (* kind * n_causes + cause, cumulative ns *)
-  a_op_total : int array; (* per kind, cumulative op wall ns *)
-  a_op_count : int array;
+  a_totals : int array Per_domain.t;
+  a_mutex : Mutex.t; (* guards the slow-op ring below *)
   a_ring : slow_op option array;
   mutable a_head : int;
   mutable a_slow_seen : int;
@@ -96,22 +103,31 @@ type frame = {
   mutable fr_live : bool;
   mutable fr_kind : int;
   mutable fr_depth : int;
+  mutable fr_dur : int; (* set at close, for the fold into the totals *)
   fr_causes : int array;
 }
 
 let frame_key =
   Domain.DLS.new_key (fun () ->
-      { fr_live = false; fr_kind = 0; fr_depth = 0; fr_causes = Array.make n_causes 0 })
+      {
+        fr_live = false;
+        fr_kind = 0;
+        fr_depth = 0;
+        fr_dur = 0;
+        fr_causes = Array.make n_causes 0;
+      })
+
+(* The totals summed over every shard. *)
+let totals t =
+  Per_domain.fold t.a_totals
+    (fun acc sh ->
+      Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) sh;
+      acc)
+    (Array.make totals_len 0)
 
 let cause_total_ns t cause =
-  Mutex.lock t.a_mutex;
-  let i = cause_index cause in
-  let acc = ref 0 in
-  for k = 0 to n_kinds - 1 do
-    acc := !acc + t.a_cause_total.((k * n_causes) + i)
-  done;
-  Mutex.unlock t.a_mutex;
-  !acc
+  let tot = totals t in
+  List.fold_left (fun acc k -> acc + tot.((kind_index k * n_causes) + cause_index cause)) 0 all_kinds
 
 let create ?(enabled = true) ?(threshold_ns = 1_000_000) ?(ring = 256) obs =
   if ring <= 0 then invalid_arg "Attr.create: ring <= 0";
@@ -121,10 +137,8 @@ let create ?(enabled = true) ?(threshold_ns = 1_000_000) ?(ring = 256) obs =
       a_enabled = enabled;
       a_threshold_ns = threshold_ns;
       a_trace = Obs.trace obs;
+      a_totals = Per_domain.create (fun () -> Array.make totals_len 0);
       a_mutex = Mutex.create ();
-      a_cause_total = Array.make (n_kinds * n_causes) 0;
-      a_op_total = Array.make n_kinds 0;
-      a_op_count = Array.make n_kinds 0;
       a_ring = Array.make ring None;
       a_head = 0;
       a_slow_seen = 0;
@@ -150,18 +164,26 @@ let threshold_ns t = t.a_threshold_ns
 (* ------------------------------------------------------------------ *)
 (* Hot path                                                            *)
 
+(* The section's exit, also on exception; a named function, not a
+   [Fun.protect] closure, so charging a cause allocates nothing. *)
+let charge fr cause t0 =
+  let d = Obs.now_ns () - t0 in
+  fr.fr_depth <- 0;
+  let i = cause_index cause in
+  fr.fr_causes.(i) <- fr.fr_causes.(i) + if d > 0 then d else 0
+
 let timed cause f =
   let fr = Domain.DLS.get frame_key in
   if fr.fr_live && fr.fr_depth = 0 then begin
     fr.fr_depth <- 1;
     let t0 = Obs.now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        let d = Obs.now_ns () - t0 in
-        fr.fr_depth <- 0;
-        let i = cause_index cause in
-        fr.fr_causes.(i) <- fr.fr_causes.(i) + if d > 0 then d else 0)
-      f
+    match f () with
+    | v ->
+      charge fr cause t0;
+      v
+    | exception e ->
+      charge fr cause t0;
+      raise e
   end
   else f ()
 
@@ -182,23 +204,27 @@ let overlapping_spans t ~t0 ~t1 =
     (Obs.Trace.recent t.a_trace)
   |> List.sort compare
 
+let add_frame sh fr =
+  let kind = fr.fr_kind in
+  let base = kind * n_causes in
+  for i = 0 to n_causes - 1 do
+    let v = fr.fr_causes.(i) in
+    if v > 0 then sh.(base + i) <- sh.(base + i) + v
+  done;
+  sh.(op_total_at + kind) <- sh.(op_total_at + kind) + fr.fr_dur;
+  sh.(op_count_at + kind) <- sh.(op_count_at + kind) + 1
+
 let close_op t fr ~t0 ~t1 ~tid =
   let dur = if t1 > t0 then t1 - t0 else 0 in
   let kind = fr.fr_kind in
   let threshold = t.a_threshold_ns in
-  let slow = dur >= threshold in
-  (* Trace.recent takes the trace mutex; do it before a_mutex so lock
-     order stays trace-free inside attribution. *)
-  let spans = if slow then overlapping_spans t ~t0 ~t1 else [] in
-  Mutex.lock t.a_mutex;
-  let base = kind * n_causes in
-  for i = 0 to n_causes - 1 do
-    let v = fr.fr_causes.(i) in
-    if v > 0 then t.a_cause_total.(base + i) <- t.a_cause_total.(base + i) + v
-  done;
-  t.a_op_total.(kind) <- t.a_op_total.(kind) + dur;
-  t.a_op_count.(kind) <- t.a_op_count.(kind) + 1;
-  if slow then begin
+  fr.fr_dur <- dur;
+  Per_domain.update t.a_totals add_frame fr;
+  if dur >= threshold then begin
+    (* Trace.recent takes the trace mutex; do it before a_mutex so lock
+       order stays trace-free inside attribution. *)
+    let spans = overlapping_spans t ~t0 ~t1 in
+    Mutex.lock t.a_mutex;
     let causes = ref [] in
     for i = n_causes - 1 downto 0 do
       if fr.fr_causes.(i) > 0 then
@@ -217,9 +243,15 @@ let close_op t fr ~t0 ~t1 ~tid =
           so_spans = spans;
         };
     t.a_head <- (t.a_head + 1) mod Array.length t.a_ring;
-    t.a_slow_seen <- t.a_slow_seen + 1
-  end;
-  Mutex.unlock t.a_mutex
+    t.a_slow_seen <- t.a_slow_seen + 1;
+    Mutex.unlock t.a_mutex
+  end
+
+let end_op t fr timer ~t0 ~tid =
+  let t1 = Obs.now_ns () in
+  fr.fr_live <- false;
+  Obs.Timer.record_ns timer (t1 - t0);
+  close_op t fr ~t0 ~t1 ~tid
 
 let with_op t kind timer f =
   if not t.a_enabled then Obs.Timer.time timer f
@@ -233,13 +265,13 @@ let with_op t kind timer f =
       Array.fill fr.fr_causes 0 n_causes 0;
       let tid = Thread.id (Thread.self ()) in
       let t0 = Obs.now_ns () in
-      Fun.protect
-        ~finally:(fun () ->
-          let t1 = Obs.now_ns () in
-          fr.fr_live <- false;
-          Obs.Timer.record_ns timer (t1 - t0);
-          close_op t fr ~t0 ~t1 ~tid)
-        f
+      match f () with
+      | v ->
+        end_op t fr timer ~t0 ~tid;
+        v
+      | exception e ->
+        end_op t fr timer ~t0 ~tid;
+        raise e
     end
   end
 
@@ -258,17 +290,8 @@ let set_threshold_ns t ns =
   clear_ring_locked t;
   Mutex.unlock t.a_mutex
 
-let op_count t kind =
-  Mutex.lock t.a_mutex;
-  let v = t.a_op_count.(kind_index kind) in
-  Mutex.unlock t.a_mutex;
-  v
-
-let op_total_ns t kind =
-  Mutex.lock t.a_mutex;
-  let v = t.a_op_total.(kind_index kind) in
-  Mutex.unlock t.a_mutex;
-  v
+let op_count t kind = (totals t).(op_count_at + kind_index kind)
+let op_total_ns t kind = (totals t).(op_total_at + kind_index kind)
 
 let slow_ops t =
   Mutex.lock t.a_mutex;
@@ -289,10 +312,8 @@ let slow_seen t =
   v
 
 let reset t =
+  Per_domain.iter t.a_totals (fun sh -> Array.fill sh 0 totals_len 0);
   Mutex.lock t.a_mutex;
-  Array.fill t.a_cause_total 0 (Array.length t.a_cause_total) 0;
-  Array.fill t.a_op_total 0 n_kinds 0;
-  Array.fill t.a_op_count 0 n_kinds 0;
   clear_ring_locked t;
   Mutex.unlock t.a_mutex
 
@@ -361,11 +382,9 @@ let chrome_events t =
 
 let to_json t =
   let slow = slow_ops t in
+  let tot = totals t in
   Mutex.lock t.a_mutex;
   let threshold = t.a_threshold_ns in
-  let op_total = Array.copy t.a_op_total in
-  let op_count = Array.copy t.a_op_count in
-  let cause_total = Array.copy t.a_cause_total in
   let slow_seen_n = t.a_slow_seen in
   Mutex.unlock t.a_mutex;
   let buf = Buffer.create 1024 in
@@ -404,9 +423,9 @@ let to_json t =
                    fun buf ->
                      Obs.add_json_obj buf
                        [
-                         ("count", Obs.jint op_count.(ki));
-                         ("total_ns", Obs.jint op_total.(ki));
-                         ("causes", causes_obj cause_total (ki * n_causes));
+                         ("count", Obs.jint tot.(op_count_at + ki));
+                         ("total_ns", Obs.jint tot.(op_total_at + ki));
+                         ("causes", causes_obj tot (ki * n_causes));
                        ] ))
                all_kinds) );
       ( "slow",

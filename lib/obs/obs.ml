@@ -32,42 +32,36 @@ module Gauge = struct
   let reset t = Atomic.set t 0
 end
 
+(* One histogram per domain shard: the op timers are recorded by every
+   client domain on every op, and one shared lock would serialize them. *)
 module Timer = struct
-  type t = { mutex : Mutex.t; hist : Histogram.t }
+  type t = Histogram.t Per_domain.t
 
-  let make () = { mutex = Mutex.create (); hist = Histogram.create () }
-
-  let record_ns t ns =
-    Mutex.lock t.mutex;
-    Histogram.record t.hist ns;
-    Mutex.unlock t.mutex
+  let make () : t = Per_domain.create Histogram.create
+  let record_ns t ns = Per_domain.update t Histogram.record ns
 
   let time t f =
     let t0 = now_ns () in
-    Fun.protect ~finally:(fun () -> record_ns t (now_ns () - t0)) f
+    match f () with
+    | v ->
+      record_ns t (now_ns () - t0);
+      v
+    | exception e ->
+      record_ns t (now_ns () - t0);
+      raise e
 
-  let count t =
-    Mutex.lock t.mutex;
-    let n = Histogram.count t.hist in
-    Mutex.unlock t.mutex;
-    n
+  let count t = Per_domain.fold t (fun n h -> n + Histogram.count h) 0
 
-  (* (count, mean, [p50; p95; p99], min, max, buckets) under the lock. *)
+  (* (count, mean, [p50; p95; p99], min, max, buckets) of the shards
+     merged. *)
   let summary t =
-    Mutex.lock t.mutex;
-    let n = Histogram.count t.hist in
-    let mean = Histogram.mean t.hist in
-    let ps = Histogram.percentiles t.hist [ 50.0; 95.0; 99.0 ] in
-    let mn = Histogram.min_value t.hist in
-    let mx = Histogram.max_value t.hist in
-    let buckets = Histogram.buckets t.hist in
-    Mutex.unlock t.mutex;
-    (n, mean, ps, mn, mx, buckets)
+    let h = Histogram.create () in
+    Per_domain.iter t (fun src -> Histogram.merge_into ~src ~dst:h);
+    let ps = Histogram.percentiles h [ 50.0; 95.0; 99.0 ] in
+    (Histogram.count h, Histogram.mean h, ps, Histogram.min_value h, Histogram.max_value h,
+     Histogram.buckets h)
 
-  let reset t =
-    Mutex.lock t.mutex;
-    Histogram.reset t.hist;
-    Mutex.unlock t.mutex
+  let reset t = Per_domain.iter t Histogram.reset
 end
 
 (* ------------------------------------------------------------------ *)

@@ -46,7 +46,9 @@ module Timer : sig
   type t
 
   val record_ns : t -> int -> unit
-  (** Fold one duration (nanoseconds) into the timer's histogram. *)
+  (** Fold one duration (nanoseconds) into the calling domain's shard
+      of the timer's histogram (see {!Per_domain}): concurrent domains
+      do not share a lock. *)
 
   val time : t -> (unit -> 'a) -> 'a
   (** Run the function and record its wall-clock duration (also on
@@ -55,8 +57,8 @@ module Timer : sig
   val count : t -> int
 
   val summary : t -> int * float * int list * int * int * (int * int) list
-  (** [(count, mean_ns, [p50; p95; p99], min_ns, max_ns, buckets)],
-      read atomically under the timer's lock. *)
+  (** [(count, mean_ns, [p50; p95; p99], min_ns, max_ns, buckets)] of
+      the shards merged, each read under its own lock. *)
 end
 
 (** {2 Event tracing} *)

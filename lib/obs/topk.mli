@@ -9,7 +9,11 @@
 
     Used to watch the hot key-prefix distribution live on the engine
     read/write paths — the spatial-locality skew EvenDB bets on.
-    Thread-safe; [observe] is O(1) for monitored keys. *)
+    Thread-safe; [observe] is O(1) for monitored keys. Each writer
+    domain feeds its own shard's sketch (see {!Per_domain}), so
+    concurrent writers take no common lock; {!entries} merges the
+    shards, and a sketch fed by one domain reads exactly as a single
+    Space-Saving sketch. *)
 
 type t
 

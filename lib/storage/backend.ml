@@ -24,48 +24,104 @@ end
 
 type packed = B : (module BACKEND with type handle = 'h) -> packed
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+let with_lock = Mutex.protect
 
 (* ------------------------------------------------------------------ *)
 (* Memory backend: an in-process filesystem that models crashes — each
    file tracks its last-synced length and [crash] drops every unsynced
-   suffix.                                                             *)
+   suffix.
+
+   A file's bytes live in segments that are never copied once written:
+   segment [k] holds 256 B << k up to 64 KiB, and every later one
+   64 KiB, so a small file stays small and growing a large one costs no
+   copy of what it already holds. Segments past [len] (left by a crash)
+   are reused by the next appends.                                     *)
 
 type mem_file = {
-  mutable data : Bytes.t;
+  mutable segs : Bytes.t array; (* the first [n_segs] are allocated *)
+  mutable n_segs : int;
   mutable len : int;
   mutable synced : int;
   mf_mutex : Mutex.t;
 }
+
+let seg_min = 256
+let seg_max = 65536
+let seg_doublings = 8 (* seg_min lsl seg_doublings = seg_max *)
+let seg_size k = if k < seg_doublings then seg_min lsl k else seg_max
+
+let flat_start = seg_min * ((1 lsl seg_doublings) - 1) (* where 64 KiB segments begin *)
+
+let seg_start k =
+  if k <= seg_doublings then seg_min * ((1 lsl k) - 1)
+  else flat_start + ((k - seg_doublings) * seg_max)
+
+(* The segment holding byte [off]. *)
+let seg_of off =
+  if off >= flat_start then seg_doublings + ((off - flat_start) / seg_max)
+  else begin
+    let k = ref 0 in
+    while seg_start (!k + 1) <= off do
+      incr k
+    done;
+    !k
+  end
+
+(* Allocate segments until [need] bytes fit. *)
+let mem_ensure mf need =
+  while seg_start mf.n_segs < need do
+    if mf.n_segs = Array.length mf.segs then begin
+      let segs = Array.make (max 8 (2 * mf.n_segs)) Bytes.empty in
+      Array.blit mf.segs 0 segs 0 mf.n_segs;
+      mf.segs <- segs
+    end;
+    mf.segs.(mf.n_segs) <- Bytes.create (seg_size mf.n_segs);
+    mf.n_segs <- mf.n_segs + 1
+  done
+
+let mem_append mf b ~pos ~len =
+  mem_ensure mf (mf.len + len);
+  let pos = ref pos and left = ref len in
+  while !left > 0 do
+    let k = seg_of mf.len in
+    let within = mf.len - seg_start k in
+    let n = min !left (seg_size k - within) in
+    Bytes.blit b !pos mf.segs.(k) within n;
+    mf.len <- mf.len + n;
+    pos := !pos + n;
+    left := !left - n
+  done
+
+(* [blit seg seg_off dst_off n] for each segment piece of [off, off+len). *)
+let mem_read mf ~off ~len blit =
+  if off + len > mf.len then invalid_arg "Env.read_at: range beyond end of file";
+  let rec go off dst len =
+    if len > 0 then begin
+      let k = seg_of off in
+      let within = off - seg_start k in
+      let n = min len (seg_size k - within) in
+      blit mf.segs.(k) within dst n;
+      go (off + n) (dst + n) (len - n)
+    end
+  in
+  go off 0 len
+
+let new_mem_file () = { segs = [||]; n_segs = 0; len = 0; synced = 0; mf_mutex = Mutex.create () }
 
 let memory_of_files init : packed =
   let files : (string, mem_file) Hashtbl.t = Hashtbl.create 64 in
   let ns_mutex = Mutex.create () in
   List.iter
     (fun (name, contents) ->
-      let len = String.length contents in
-      let data = Bytes.create (max 256 len) in
-      Bytes.blit_string contents 0 data 0 len;
-      Hashtbl.replace files name { data; len; synced = len; mf_mutex = Mutex.create () })
+      let mf = new_mem_file () in
+      mem_append mf (Bytes.unsafe_of_string contents) ~pos:0 ~len:(String.length contents);
+      mf.synced <- mf.len;
+      Hashtbl.replace files name mf)
     init;
-  let new_mem_file () =
-    { data = Bytes.create 256; len = 0; synced = 0; mf_mutex = Mutex.create () }
-  in
   let find name =
     match with_lock ns_mutex (fun () -> Hashtbl.find_opt files name) with
     | Some mf -> mf
     | None -> raise Not_found
-  in
-  let mem_ensure mf extra =
-    let need = mf.len + extra in
-    if need > Bytes.length mf.data then begin
-      let cap = max need (2 * Bytes.length mf.data) in
-      let data = Bytes.create cap in
-      Bytes.blit mf.data 0 data 0 mf.len;
-      mf.data <- data
-    end
   in
   B
     (module struct
@@ -87,12 +143,7 @@ let memory_of_files init : packed =
               Hashtbl.replace files name mf;
               mf)
 
-      let append mf b ~pos ~len =
-        with_lock mf.mf_mutex (fun () ->
-            mem_ensure mf len;
-            Bytes.blit b pos mf.data mf.len len;
-            mf.len <- mf.len + len)
-
+      let append mf b ~pos ~len = with_lock mf.mf_mutex (fun () -> mem_append mf b ~pos ~len)
       let handle_size mf = with_lock mf.mf_mutex (fun () -> mf.len)
       let fsync mf = with_lock mf.mf_mutex (fun () -> mf.synced <- mf.len)
       let close _mf = ()
@@ -101,22 +152,20 @@ let memory_of_files init : packed =
       let read_at name ~off ~len =
         let mf = find name in
         with_lock mf.mf_mutex (fun () ->
-            if off + len > mf.len then
-              invalid_arg "Env.read_at: range beyond end of file";
-            Bytes.sub_string mf.data off len)
+            let dst = Bytes.create len in
+            mem_read mf ~off ~len (fun seg src_off dst_off n -> Bytes.blit seg src_off dst dst_off n);
+            Bytes.unsafe_to_string dst)
 
       (* Partial read mirroring [Disk.pread]: the slice is a private
-         copy (the backing [Bytes.t] is mutable), taken under the same
-         lock and with the same bounds contract as [read_at], so the
-         block cache behaves identically under crash simulation. *)
+         copy, taken under the same lock and with the same bounds
+         contract as [read_at], so the block cache behaves identically
+         under crash simulation. *)
       let pread name ~off ~len =
         let mf = find name in
         with_lock mf.mf_mutex (fun () ->
-            if off + len > mf.len then
-              invalid_arg "Env.read_at: range beyond end of file";
             let slice = Evendb_util.Bigslice.create len in
-            Evendb_util.Bigslice.blit_from_bytes mf.data ~src_off:off slice
-              ~dst_off:0 ~len;
+            mem_read mf ~off ~len (fun seg src_off dst_off n ->
+                Evendb_util.Bigslice.blit_from_bytes seg ~src_off slice ~dst_off ~len:n);
             slice)
 
       let exists name = with_lock ns_mutex (fun () -> Hashtbl.mem files name)

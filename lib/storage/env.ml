@@ -81,9 +81,7 @@ and file = {
   mutable closed : bool;
 }
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+let with_lock = Mutex.protect
 
 let stats t = t.st
 let faults t = t.faults

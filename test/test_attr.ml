@@ -281,6 +281,69 @@ let prometheus_hygiene () =
         Alcotest.fail "raw newline inside label value")
     out
 
+(* ------------------------------------------------------------------ *)
+(* Four domains close ops into per-domain shards of the totals. With a
+   1 ns threshold every op also lands in the slow ring, one record per
+   op under the ring's lock: the merged totals must equal what the ring
+   says, op by op, while a fifth domain reads them throughout. *)
+
+let sharded_totals_match_ring () =
+  let obs = Obs.create () in
+  let attr = Attr.create ~threshold_ns:1 ~ring:1_024 obs in
+  let timer = Obs.timer obs "op" in
+  let per_domain = 200 in
+  let kinds = [| Attr.Put; Attr.Get; Attr.Scan; Attr.Delete |] in
+  let causes = [| Attr.Log_append; Attr.Fsync; Attr.Disk_read |] in
+  let stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let reads = ref 0 in
+        while not (Atomic.get stop) do
+          ignore (Json.parse (Attr.to_json attr));
+          ignore (Attr.op_count attr Attr.Put, Attr.cause_total_ns attr Attr.Fsync);
+          ignore (Obs.snapshot obs);
+          incr reads
+        done;
+        !reads)
+  in
+  let writers =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to per_domain - 1 do
+              Attr.with_op attr kinds.((d + i) mod 4) timer (fun () ->
+                  Attr.timed causes.(i mod 3) (fun () -> busy_ns 2_000);
+                  busy_ns 500)
+            done))
+  in
+  List.iter Domain.join writers;
+  Atomic.set stop true;
+  Alcotest.(check bool) "the reader ran" true (Domain.join reader > 0);
+  let slow = Attr.slow_ops attr in
+  Alcotest.(check int) "every op kept in the ring" (4 * per_domain) (List.length slow);
+  Array.iter
+    (fun kind ->
+      let name = Attr.kind_name kind in
+      let mine = List.filter (fun s -> s.Attr.so_kind = name) slow in
+      Alcotest.(check int) (name ^ " count") (List.length mine) (Attr.op_count attr kind);
+      Alcotest.(check int)
+        (name ^ " total")
+        (List.fold_left (fun acc s -> acc + s.Attr.so_dur_ns) 0 mine)
+        (Attr.op_total_ns attr kind))
+    kinds;
+  List.iter
+    (fun cause ->
+      let name = Attr.cause_name cause in
+      Alcotest.(check int)
+        (name ^ " total")
+        (List.fold_left
+           (fun acc s -> acc + Option.value ~default:0 (List.assoc_opt name s.Attr.so_causes))
+           0 slow)
+        (Attr.cause_total_ns attr cause))
+    Attr.all_causes;
+  Alcotest.(check int) "timer saw every op" (4 * per_domain) (Obs.Timer.count timer);
+  Attr.reset attr;
+  Alcotest.(check int) "reset empties every shard" 0 (Attr.op_count attr Attr.Put)
+
 let suite =
   [
     ( "attr",
@@ -290,6 +353,7 @@ let suite =
         Alcotest.test_case "slow-op JSONL round-trip" `Quick jsonl_roundtrip;
         Alcotest.test_case "fsync dominates sync-put tail (disk)" `Quick fsync_dominates_sync_tail;
         Alcotest.test_case "timer min/max exact" `Quick timer_min_max_exact;
+        Alcotest.test_case "sharded totals = slow ring (4 domains)" `Quick sharded_totals_match_ring;
         Alcotest.test_case "prometheus HELP/TYPE + label escaping" `Quick prometheus_hygiene;
       ] );
   ]

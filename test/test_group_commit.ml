@@ -217,7 +217,11 @@ let coalesces_on_slow_fsync () =
   in
   List.iter Domain.join workers;
   let puts = domains * per_domain in
-  let fsyncs = counter_value (Obs.snapshot (Db.obs db)) "commit.fsyncs" in
+  let snap = Obs.snapshot (Db.obs db) in
+  let fsyncs = counter_value snap "commit.fsyncs" in
+  (* A 1.5ms fsync costs far more than waking a parked member, so no
+     writer ever fsyncs alone. *)
+  Alcotest.(check int) "no direct fsyncs" 0 (counter_value snap "commit.direct_fsyncs");
   (* Four writers against a 1.5ms fsync: the leader's budget is one
      fsync, ample for the cohort to append and join, so batches span
      most of it (about 0.26 fsyncs per put). Committing with no
@@ -228,6 +232,64 @@ let coalesces_on_slow_fsync () =
     Alcotest.(check (option string)) (key d 0) (Some (value d 0)) (Db.get db (key d 0))
   done;
   Db.close db
+
+(* On a memory device an fsync costs less than waking a parked member,
+   so once wake-ups have been measured the writers fsync their own logs
+   directly instead of parking in batches. Two stores share one
+   committer, the sharded front end's topology. The writers first
+   share one store's log, where they join each other's batches and
+   park; then each writes its own store, so that neither writer's
+   fsync waits on the other's appends to the same file. *)
+let cheap_fsync_stops_parking () =
+  let obs = Obs.create () in
+  let committer = Group_commit.create ~max_batch:64 obs in
+  let env = Env.memory () in
+  let config = { Config.default with persistence = Config.Sync } in
+  let dbs = Array.init 2 (fun d -> Db.open_ ~config ~committer (Env.sub env ~prefix:(Printf.sprintf "s%d." d))) in
+  let counters () =
+    let snap = Obs.snapshot obs in
+    (counter_value snap "commit.direct_fsyncs", counter_value snap "commit.batches")
+  in
+  let run ~shared round n =
+    let workers =
+      List.init 2 (fun d ->
+          Domain.spawn (fun () ->
+              for i = 0 to n - 1 do
+                Db.put dbs.(if shared then 0 else d) (Printf.sprintf "r%d-d%d-%05d" round d i) "v"
+              done))
+    in
+    List.iter Domain.join workers
+  in
+  (* Alternate a shared round, in which the writers join each other's
+     batches, park and measure their wake-ups, with a round on separate
+     logs, until most of a separate round's puts fsync directly. It
+     normally takes one or two; a host busy enough to stretch fsyncs
+     (a descheduled or collecting writer) turns batching back on for a
+     while, and the next shared round measures wake-ups again. *)
+  let rec settle round =
+    run ~shared:true round 500;
+    let direct0, batches0 = counters () in
+    run ~shared:false (round + 1) 1000;
+    let direct1, batches1 = counters () in
+    let direct = direct1 - direct0 and batches = batches1 - batches0 in
+    if direct * 2 >= 2000 then (round + 1, direct, batches)
+    else if round >= 40 then
+      Alcotest.failf "only %d of 2000 puts fsynced directly after %d shared rounds" direct
+        ((round / 2) + 1)
+    else settle (round + 2)
+  in
+  let last, direct, batches = settle 0 in
+  Alcotest.(check bool) "every direct fsync is counted as a batch" true (batches >= direct);
+  let snap = Obs.snapshot obs in
+  Alcotest.(check int)
+    "members = fsyncs + saved"
+    ((last + 1) * 1500)
+    (counter_value snap "commit.fsyncs" + counter_value snap "commit.fsyncs_saved");
+  Array.iteri
+    (fun d db ->
+      Alcotest.(check (option string)) "last put" (Some "v") (Db.get db (Printf.sprintf "r%d-d%d-00999" last d));
+      Db.close db)
+    dbs
 
 (* A memory device on which every append by the domain recorded in
    [stalled] blocks while [latched] is set; [entered] reports that the
@@ -334,6 +396,7 @@ let suite =
         Alcotest.test_case "fsync error fans out to all members" `Quick
           fsync_error_fans_out;
         Alcotest.test_case "coalesces on a slow fsync" `Quick coalesces_on_slow_fsync;
+        Alcotest.test_case "a cheap fsync stops parking" `Quick cheap_fsync_stops_parking;
         Alcotest.test_case "a fast fsync never waits for a stalled writer" `Quick
           fast_fsync_never_waits;
         Alcotest.test_case "crash explorer: drop" `Slow

@@ -50,6 +50,82 @@ let random_roundtrip =
       let read = List.map snd (Log_file.Reader.entries env "r.log") in
       read = written)
 
+(* The record format written out from its spec, one byte at a time:
+   [masked crc32c of payload : 4B LE] [payload_len : LEB128] [payload],
+   payload = [op] [klen] [key] [version] [counter] and, for puts,
+   [vlen] [value]. *)
+let reference_record (e : Kv_iter.entry) =
+  let leb buf n =
+    let rec go n =
+      if n < 0x80 then Buffer.add_char buf (Char.chr n)
+      else begin
+        Buffer.add_char buf (Char.chr (n land 0x7f lor 0x80));
+        go (n lsr 7)
+      end
+    in
+    go n
+  in
+  let payload = Buffer.create 64 in
+  Buffer.add_char payload (if e.value = None then '\001' else '\000');
+  leb payload (String.length e.key);
+  Buffer.add_string payload e.key;
+  leb payload e.version;
+  leb payload e.counter;
+  Option.iter
+    (fun v ->
+      leb payload (String.length v);
+      Buffer.add_string payload v)
+    e.value;
+  let payload = Buffer.contents payload in
+  let crc = Int32.to_int (Crc32c.mask (Crc32c.string payload)) in
+  let out = Buffer.create (String.length payload + 9) in
+  for i = 0 to 3 do
+    Buffer.add_char out (Char.chr ((crc lsr (8 * i)) land 0xff))
+  done;
+  leb out (String.length payload);
+  Buffer.add_string out payload;
+  Buffer.contents out
+
+let encoder_matches_reference =
+  (* Strings empty, short, and long enough for 2- and 3-byte length
+     varints; ints of every varint width from 1 to 9 bytes. *)
+  let str =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return "");
+          (3, string_size (int_range 1 40));
+          (1, string_size (int_range 128 600));
+          (1, string_size (int_range 16_384 17_000));
+        ])
+  in
+  let width_int = QCheck.Gen.(int_range 0 62 >>= fun bits -> int_range 0 ((1 lsl bits) - 1)) in
+  let entry_gen =
+    QCheck.Gen.(
+      map
+        (fun (key, value, version, counter) : Kv_iter.entry -> { key; value; version; counter })
+        (quad str (opt str) width_int width_int))
+  in
+  let print (e : Kv_iter.entry) =
+    Printf.sprintf "key %d B, value %s, version %d, counter %d" (String.length e.key)
+      (match e.value with None -> "delete" | Some v -> string_of_int (String.length v) ^ " B")
+      e.version e.counter
+  in
+  QCheck.Test.make ~name:"encoder matches a reference encoder" ~count:200
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 1 8) entry_gen))
+    (fun entries ->
+      let env = Env.memory () in
+      let w = Log_file.Writer.create env "enc.log" in
+      List.iter (fun e -> ignore (Log_file.Writer.append w e)) entries;
+      let expected = String.concat "" (List.map reference_record entries) in
+      List.for_all
+        (fun e ->
+          let b = Bytes.create (Log_file.Record.size e) in
+          let n = Log_file.Record.encode b e in
+          n = Bytes.length b && Bytes.to_string b = reference_record e)
+        entries
+      && Env.read_all env "enc.log" = expected)
+
 let torn_tail () =
   let env = Env.memory () in
   let w = Log_file.Writer.create env "torn.log" in
@@ -169,6 +245,7 @@ let suite =
         Alcotest.test_case "size tracking" `Quick size_tracks_appends;
         Alcotest.test_case "concurrent writers" `Quick concurrent_writers;
         qtest random_roundtrip;
+        qtest encoder_matches_reference;
       ] );
   ]
 

@@ -33,6 +33,114 @@ let concurrent_bumps () =
   Alcotest.(check int) "gauge" (8 * per_domain) (Obs.Gauge.get g);
   Alcotest.(check int) "timer count" (4 * per_domain) (Obs.Timer.count tm)
 
+(* Run [writers] on four domains while a fifth reads [read] in a loop;
+   a read that raises fails the test. *)
+let with_concurrent_reads ~writer ~read =
+  let stop = Atomic.make false and reads = Atomic.make 0 in
+  let reader =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          read ();
+          Atomic.incr reads
+        done)
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (fun () -> writer d)) in
+  List.iter Domain.join domains;
+  Atomic.set stop true;
+  Domain.join reader;
+  Alcotest.(check bool) "the reader ran" true (Atomic.get reads > 0)
+
+(* Each domain writes its own shard: the merged timer must read exactly
+   as one timer fed every sample from one thread. *)
+let sharded_timer_matches_model () =
+  let obs = Obs.create () in
+  let tm = Obs.timer obs "t" in
+  let value d i = ((d * 7_919) + (i * 104_729)) mod 5_000_000 in
+  let per_domain = 5_000 in
+  let last_count = ref 0 in
+  with_concurrent_reads
+    ~writer:(fun d ->
+      for i = 0 to per_domain - 1 do
+        Obs.Timer.record_ns tm (value d i)
+      done)
+    ~read:(fun () ->
+      let n, _, _, _, _, _ = Obs.Timer.summary tm in
+      if n < !last_count then Alcotest.failf "count went back from %d to %d" !last_count n;
+      last_count := n;
+      ignore (Obs.to_json obs));
+  let model = Obs.timer (Obs.create ()) "model" in
+  for d = 0 to 3 do
+    for i = 0 to per_domain - 1 do
+      Obs.Timer.record_ns model (value d i)
+    done
+  done;
+  let n, mean, ps, mn, mx, buckets = Obs.Timer.summary tm in
+  let n', mean', ps', mn', mx', buckets' = Obs.Timer.summary model in
+  Alcotest.(check int) "count" n' n;
+  Alcotest.(check (float 0.0)) "mean" mean' mean;
+  Alcotest.(check (list int)) "percentiles" ps' ps;
+  Alcotest.(check int) "min" mn' mn;
+  Alcotest.(check int) "max" mx' mx;
+  Alcotest.(check (list (pair int int))) "histogram" buckets' buckets;
+  Obs.reset obs;
+  Alcotest.(check int) "reset empties every shard" 0 (Obs.Timer.count tm)
+
+(* Keys within capacity, so no shard evicts: the merged sketch must
+   equal one sketch fed the whole stream, with exact counts. *)
+let sharded_topk_matches_model () =
+  let sketch = Topk.create ~capacity:64 () in
+  let key d i = Printf.sprintf "k%02d" (((d * 13) + (i * i)) mod 40) in
+  let per_domain = 4_000 in
+  with_concurrent_reads
+    ~writer:(fun d ->
+      for i = 0 to per_domain - 1 do
+        Topk.observe sketch (key d i)
+      done)
+    ~read:(fun () ->
+      let entries = Topk.entries sketch in
+      if List.length entries > 64 then Alcotest.fail "more entries than capacity";
+      ignore (Topk.total sketch));
+  let model = Topk.create ~capacity:64 () in
+  for d = 0 to 3 do
+    for i = 0 to per_domain - 1 do
+      Topk.observe model (key d i)
+    done
+  done;
+  Alcotest.(check int) "total" (Topk.total model) (Topk.total sketch);
+  Alcotest.(check (list (triple string int int))) "entries" (Topk.entries model) (Topk.entries sketch);
+  List.iter
+    (fun (k, lo, hi) -> if lo <> hi then Alcotest.failf "%s: inexact count [%d, %d]" k lo hi)
+    (Topk.entries sketch);
+  (* 500 skewed keys into shards of 64: every shard evicts, and the
+     merged counts must still bracket the truth within N/m. *)
+  let sketch = Topk.create ~capacity:64 () in
+  let key d i = Printf.sprintf "z%03d" (((i * 7) + d) mod (1 + ((i * 31) mod 500))) in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to per_domain - 1 do
+              Topk.observe sketch (key d i)
+            done))
+  in
+  List.iter Domain.join domains;
+  let truth = Hashtbl.create 512 in
+  for d = 0 to 3 do
+    for i = 0 to per_domain - 1 do
+      let k = key d i in
+      Hashtbl.replace truth k (1 + Option.value ~default:0 (Hashtbl.find_opt truth k))
+    done
+  done;
+  let n = Topk.total sketch in
+  Alcotest.(check int) "total with eviction" (4 * per_domain) n;
+  let entries = Topk.entries sketch in
+  Alcotest.(check bool) "at most capacity entries" true (List.length entries <= 64);
+  List.iter
+    (fun (k, lo, hi) ->
+      let t = Option.value ~default:0 (Hashtbl.find_opt truth k) in
+      if not (lo <= t && t <= hi) then Alcotest.failf "%s: true %d outside [%d, %d]" k t lo hi;
+      if hi - lo > n / 64 then Alcotest.failf "%s: error %d above N/m = %d" k (hi - lo) (n / 64))
+    entries
+
 let registration_idempotent () =
   let obs = Obs.create () in
   let a = Obs.counter obs "same" in
@@ -222,6 +330,8 @@ let suite =
     ( "obs",
       [
         Alcotest.test_case "concurrent bumps (4 domains)" `Quick concurrent_bumps;
+        Alcotest.test_case "sharded timer = one-thread model" `Quick sharded_timer_matches_model;
+        Alcotest.test_case "sharded top-k = one-thread model" `Quick sharded_topk_matches_model;
         Alcotest.test_case "idempotent racy registration" `Quick registration_idempotent;
         Alcotest.test_case "reset semantics" `Quick reset_semantics;
         Alcotest.test_case "span attrs accumulate" `Quick span_attrs_accumulate;

@@ -238,6 +238,101 @@ let parse_profile_roundtrip () =
       with Invalid_argument _ -> ())
     [ "bogus"; "1:"; ":0.5"; "1:2.0"; "1:-0.1" ]
 
+(* ---- memory backend segments ---- *)
+
+(* Segment boundaries of the memory backend: 256 B doubling to 64 KiB
+   (ends at 256, 768, ..., 65280), then every 64 KiB. *)
+let boundaries = [ 256; 768; 1792; 32_512; 65_280; 65_280 + 65_536 ]
+
+(* A byte pattern with no period that lines up with a segment. *)
+let pattern n = String.init n (fun i -> Char.chr ((i * 7 + (i / 251)) land 0xff))
+
+let segment_crossing_appends () =
+  let env = Env.memory () in
+  let f = Env.create env "s.dat" in
+  let p = pattern 200_000 in
+  (* Pieces of 1 B to 70 KB, so some appends end exactly on a boundary,
+     some straddle one and one spans several segments at once. *)
+  let cuts = [ 0; 200; 256; 300; 767; 769; 1800; 1801; 70_000; 140_000; 200_000 ] in
+  let rec go = function
+    | a :: (b :: _ as rest) ->
+      Env.append f (String.sub p a (b - a));
+      go rest
+    | _ -> ()
+  in
+  go cuts;
+  Alcotest.(check int) "size" 200_000 (Env.file_size f);
+  Alcotest.(check bool) "contents" true (Env.read_all env "s.dat" = p);
+  Env.close_file f
+
+let crash_inside_segment () =
+  let env = Env.memory () in
+  let f = Env.create env "c.dat" in
+  let p = pattern 4_000 in
+  (* Synced up to 300, inside the second segment; the unsynced suffix
+     fills that segment and two more. *)
+  Env.append f (String.sub p 0 300);
+  Env.fsync f;
+  Env.append f (String.sub p 300 2_000);
+  Env.crash env;
+  Alcotest.(check int) "back to synced" 300 (Env.size env "c.dat");
+  let f = Env.open_append env "c.dat" in
+  Env.append f (String.sub p 2_300 1_700);
+  Alcotest.(check bool)
+    "new appends land after the synced prefix" true
+    (Env.read_all env "c.dat" = String.sub p 0 300 ^ String.sub p 2_300 1_700);
+  Env.close_file f
+
+let reads_span_segments () =
+  let env = Env.memory () in
+  let f = Env.create env "r.dat" in
+  let n = 200_000 in
+  let p = pattern n in
+  Env.append f p;
+  Env.close_file f;
+  let ranges =
+    List.concat_map
+      (fun b -> [ (b - 1, 2); (b - 10, 300); (b, 1); (b - 1, 1) ])
+      boundaries
+    @ [ (0, n); (0, 0); (100, 100_000); (n - 1, 1); (n, 0) ]
+  in
+  List.iter
+    (fun (off, len) ->
+      let expected = String.sub p off len in
+      let what = Printf.sprintf "[%d, +%d)" off len in
+      Alcotest.(check bool) ("read_at " ^ what) true (Env.read_at env "r.dat" ~off ~len = expected);
+      Alcotest.(check bool)
+        ("pread " ^ what) true
+        (Evendb_util.Bigslice.to_string (Env.pread env "r.dat" ~off ~len) = expected))
+    ranges;
+  (* pread hands out a private copy: later appends and writes to the
+     slice leave the file and each other alone. *)
+  let s = Env.pread env "r.dat" ~off:250 ~len:10 in
+  Evendb_util.Bigslice.set s 0 'X';
+  Alcotest.(check string) "file unchanged" (String.sub p 250 10) (Env.read_at env "r.dat" ~off:250 ~len:10)
+
+let memory_of_files_roundtrip () =
+  let files = [ ("empty", ""); ("small", "abc"); ("big", pattern 150_000) ] in
+  let env = Env.of_backend (Backend.memory_of_files files) in
+  Alcotest.(check (list string))
+    "names" [ "big"; "empty"; "small" ]
+    (List.sort compare (Env.list_files env));
+  List.iter
+    (fun (name, contents) ->
+      Alcotest.(check int) (name ^ " size") (String.length contents) (Env.size env name);
+      Alcotest.(check bool) (name ^ " contents") true (Env.read_all env name = contents))
+    files;
+  (* Loaded files count as synced: a crash keeps them, and appends to
+     one continue from its end. *)
+  let f = Env.open_append env "big" in
+  Env.append f "tail";
+  Env.crash env;
+  Alcotest.(check bool) "loaded contents survive a crash" true (Env.read_all env "big" = List.assoc "big" files);
+  let copy = Env.of_backend (Backend.memory_of_files (List.map (fun n -> (n, Env.read_all env n)) (Env.list_files env))) in
+  List.iter
+    (fun (name, contents) -> Alcotest.(check bool) (name ^ " copied") true (Env.read_all copy name = contents))
+    files
+
 let suite =
   [
     ( "env",
@@ -256,6 +351,13 @@ let suite =
         Alcotest.test_case "fsync_all makes durable" `Quick fsync_all_marks_everything;
         Alcotest.test_case "disk backend rejects crash" `Quick crash_disk_rejected;
         Alcotest.test_case "concurrent appends" `Quick concurrent_appends;
+      ] );
+    ( "memory segments",
+      [
+        Alcotest.test_case "appends cross segment boundaries" `Quick segment_crossing_appends;
+        Alcotest.test_case "crash inside a segment, then appends" `Quick crash_inside_segment;
+        Alcotest.test_case "read_at and pread span segments" `Quick reads_span_segments;
+        Alcotest.test_case "memory_of_files round trip" `Quick memory_of_files_roundtrip;
       ] );
     ( "fault middleware",
       [
