@@ -28,7 +28,7 @@
    workload is pure puts (the paper's ingestion mix) because
    durability cost only exists on the write path.
 
-     dune exec bench/main.exe -- scaling --threads 8 --ops 6000 --json *)
+     dune exec bench/main.exe -- --threads 8 --ops 6000 --json scaling *)
 
 open Evendb_ycsb
 

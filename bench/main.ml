@@ -29,7 +29,7 @@ let experiments =
     ("micro", "bechamel micro-benchmarks", Exp_micro.run);
     ("attrab", "attribution overhead A/B (attr on vs off)", Exp_attr_ab.run);
     ("telemab", "telemetry sampler+endpoint overhead A/B (telemetry on vs off)", Exp_telem_ab.run);
-    ("scanview", "unified read path A/B (block cache + sorted views on vs off)", Exp_scanview.run);
+    ("scanview", "block-cache A/B (shared sstable block cache on vs off)", Exp_scanview.run);
   ]
 
 (* Aliases share a runner; dedupe so `main.exe` runs each once. *)
@@ -37,7 +37,7 @@ let default_set =
   [ "fig1"; "fig3"; "fig5"; "fig6"; "fig8"; "fig9"; "fig10"; "table4"; "fig11"; "fig12"; "ablation"; "micro" ]
 
 let run_selected scale threads ops disk fault_profile attr_on json names =
-  Option.iter Harness.set_artifact_dir json;
+  if json then Harness.set_artifact_dir "bench_artifacts";
   let fault_profile =
     Option.map
       (fun s ->
@@ -111,13 +111,12 @@ let attr_arg =
 let json_arg =
   Arg.(
     value
-    & opt ~vopt:(Some "bench_artifacts") (some string) None
-    & info [ "json" ] ~docv:"DIR"
+    & flag
+    & info [ "json" ]
         ~doc:
           "Write one machine-readable BENCH_<exp>.json per experiment (harness config, \
            per-run throughput / write-amp / p50-p95-p99 latency, per-phase metrics \
-           snapshots) into $(docv) (default ./bench_artifacts; use --json=DIR for an \
-           explicit directory).")
+           snapshots) into ./bench_artifacts.")
 
 let names_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiments to run (default: all).")

@@ -31,7 +31,7 @@ module Tbl = Hashtbl.Make (struct
 end)
 
 (* Resident blocks per [(space, file)]: most files that are created,
-   renamed or deleted (logs, views, temporaries, new tables) have none
+   renamed or deleted (logs, temporaries, new tables) have none
    cached, and invalidating them then costs a lookup per shard, not a
    pass over it. *)
 module Files = Hashtbl.Make (struct

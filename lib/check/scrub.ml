@@ -37,7 +37,6 @@ let is_clean r = errors r = []
 type file_class =
   | Funk_sst of int
   | Funk_log of int
-  | Funk_view of int  (* derived sorted-view sidecar *)
   | Baseline_sst  (* lsm_*.sst / flsm_*.sst *)
   | Baseline_log  (* lsm_wal_*.log / flsm_wal_*.log *)
   | Evendb_manifest
@@ -86,9 +85,6 @@ and classify_flat name =
       match Scanf.sscanf_opt name "funk_%8d.log%!" (fun id -> id) with
       | Some id -> Funk_log id
       | None ->
-        (match Scanf.sscanf_opt name "funk_%8d.view%!" (fun id -> id) with
-        | Some id -> Funk_view id
-        | None ->
         if
           Scanf.sscanf_opt name "lsm_wal_%d.log%!" (fun g -> g) <> None
           || Scanf.sscanf_opt name "flsm_wal_%d.log%!" (fun g -> g) <> None
@@ -97,7 +93,7 @@ and classify_flat name =
           Scanf.sscanf_opt name "lsm_%d.sst%!" (fun f -> f) <> None
           || Scanf.sscanf_opt name "flsm_%d.sst%!" (fun f -> f) <> None
         then Baseline_sst
-        else Unknown))
+        else Unknown)
 
 (* ------------------------------------------------------------------ *)
 (* Checks                                                              *)
@@ -128,25 +124,6 @@ let check_log env name =
       })
     (Log_file.Reader.garbage_regions env name)
 
-(* A sorted view is healthy when structurally sound — magic, trailer
-   CRC, parseable layout. Staleness (valid view of an older log state)
-   is NOT a finding: the loader rejects stale views at open and the
-   next eviction rebuilds them; flagging them would make every
-   post-crash scrub noisy for files that cannot lose data. *)
-let check_view env name =
-  if Sorted_view.well_formed (Env.read_all env name) then []
-  else begin
-    Env.note_corruption env;
-    [
-      {
-        f_file = name;
-        f_severity = Error;
-        f_kind = Bad_checksum;
-        f_detail = "sorted view fails structural check (magic/CRC/layout)";
-      };
-    ]
-  end
-
 let check_mode env name =
   match Env.read_all env name with
   | "sync" | "async" -> []
@@ -170,7 +147,6 @@ let check_snapshot_member env name ~member =
   match classify_flat member with
   | Funk_sst _ | Baseline_sst -> check_sst env name
   | Funk_log _ | Baseline_log -> check_log env name
-  | Funk_view _ -> check_view env name
   | Evendb_manifest | Checkpoint | Recovery_table -> check_crc_trailer env name
   | Mode -> check_mode env name
   | _ ->
@@ -242,7 +218,6 @@ let scrub_findings env =
         match classify name with
         | Funk_sst _ | Baseline_sst -> check_sst env name
         | Funk_log _ | Baseline_log -> check_log env name
-        | Funk_view _ -> check_view env name
         | Evendb_manifest -> (
           match Manifest.load env with
           | Some m -> check_manifest_refs env m ~funk_ssts ~funk_logs
@@ -374,20 +349,6 @@ let rewrite_log env name =
   Log_file.Writer.close w;
   Printf.sprintf "quarantined and rewrote %d valid records" (List.length entries)
 
-(* Views are derived data: repair is always regeneration from the
-   sstable + log (both already repaired — repairs run in file-name
-   order and ".log" < ".sst" < ".view"). The bad copy is quarantined
-   as evidence like every other repair; a companion-repair may already
-   have deleted it, in which case there is nothing to preserve. *)
-let regen_view env name ~id =
-  if Env.exists env name then quarantine env name;
-  match Sstable.Reader.open_ env (Funk.sst_name id) with
-  | sst ->
-    Sorted_view.build env ~sst ~log_name:(Funk.log_name id) ~view_name:name;
-    "regenerated from SSTable + log (derived data; no loss possible)"
-  | exception Env.Corruption _ ->
-    "quarantined; SSTable unreadable — the view rebuilds at the next eviction"
-
 let rewrite_mode env =
   Meta_file.publish env ~name:"MODE" "async";
   "reset to \"async\" (conservative: only checkpointed data is trusted)"
@@ -501,20 +462,10 @@ let repair env =
         let name = f.f_file in
         match (classify name, f.f_kind) with
         | Funk_sst id, Missing_file ->
-          act name (rebuild_missing_sst env name ~companion_log:(Some (Funk.log_name id)));
-          (* The repaired table no longer matches the old view; drop
-             the (derived) sidecar rather than leave it stale. *)
-          Env.delete env (Funk.view_name id)
-        | Funk_sst id, _ ->
-          act name (rebuild_sst env name ~companion_log:(Some (Funk.log_name id)));
-          Env.delete env (Funk.view_name id)
-        | Funk_log id, Missing_file ->
-          act name "treated as empty (recovery recreates it)";
-          Env.delete env (Funk.view_name id)
-        | Funk_log id, _ ->
-          act name (rewrite_log env name);
-          Env.delete env (Funk.view_name id)
-        | Funk_view id, _ -> act name (regen_view env name ~id)
+          act name (rebuild_missing_sst env name ~companion_log:(Some (Funk.log_name id)))
+        | Funk_sst id, _ -> act name (rebuild_sst env name ~companion_log:(Some (Funk.log_name id)))
+        | Funk_log _, Missing_file -> act name "treated as empty (recovery recreates it)"
+        | Funk_log _, _ -> act name (rewrite_log env name)
         | Baseline_sst, _ -> act name (rebuild_sst env name ~companion_log:None)
         | Baseline_log, _ -> act name (rewrite_log env name)
         | Evendb_manifest, (Bad_checksum | Structural) -> manifest_needs_rebuild := true

@@ -19,7 +19,6 @@ type t = {
   attr_enabled : bool;
   group_commit_max_batch : int;
   block_cache_bytes : int;
-  sorted_view_enabled : bool;
   snapshot_max_retained : int;
   repl_window : int;
   repl_retry_backoff_ns : int;
@@ -47,7 +46,6 @@ let default =
     attr_enabled = true;
     group_commit_max_batch = 64;
     block_cache_bytes = 32 * mib;
-    sorted_view_enabled = true;
     snapshot_max_retained = 0;
     repl_window = 64;
     repl_retry_backoff_ns = 1_000_000;

@@ -60,12 +60,6 @@ type t = {
           store's environment (default 32MiB; 0 disables it and reads
           take the historical uncached path). Shards opened over one
           parent environment share a single budget. *)
-  sorted_view_enabled : bool;
-      (** Serve munk-less scans through the persistent sorted view
-          (rebuilt at flush/eviction) instead of re-merging log +
-          SSTable per scan (default [true]; disable for A/B). Scans
-          fall back to the merge path whenever a view is missing or
-          stale, so flipping this is always safe. *)
   snapshot_max_retained : int;
       (** Retention cap enforced after {!Db.snapshot} publishes: when
           more than this many snapshots exist, the oldest (lowest

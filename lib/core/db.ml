@@ -67,10 +67,6 @@ type t = {
   ctr_funk_merges : Obs.Counter.t;
   ctr_io_errors : Obs.Counter.t; (* maintenance/checkpoint I/O failures absorbed *)
   ctr_maint_failures : Obs.Counter.t; (* unexpected maintainer-domain exceptions *)
-  ctr_view_builds : Obs.Counter.t;
-  ctr_view_loads : Obs.Counter.t;
-  ctr_view_scans : Obs.Counter.t;
-  ctr_view_fallbacks : Obs.Counter.t;
   opened_at_ns : int;
 }
 
@@ -205,18 +201,6 @@ let build_bloom db funk =
     (Funk.log_offsets_for_bloom funk ~visible:(visible db));
   bloom
 
-(* Rebuild a funk's sorted view. Views are derived data, so storage
-   failures are absorbed: the view simply stays missing (or stale) and
-   scans keep using the merge path. Callers hold the funk exclusively
-   (same discipline as bloom rebuilds). *)
-let rebuild_view db funk =
-  if db.cfg.sorted_view_enabled then
-    Attr.timed Attr.View_build (fun () ->
-        try
-          Funk.build_view funk;
-          Obs.Counter.incr db.ctr_view_builds
-        with Env.Io_error _ -> Obs.Counter.incr db.ctr_io_errors)
-
 (* Lazily create the bloom filter of a munk-less chunk (recovery leaves
    them absent). Takes the chunk's rebalance lock exclusively so no put
    can append a record the new filter would miss. *)
@@ -304,14 +288,11 @@ let evict_munk_chunk db c =
         if Funk.log_size (Chunk.funk c) > db.cfg.funk_log_limit_no_munk then
           flush_munk_locked db c munk;
         Chunk.set_munk c None;
-        (* Bloom filters are re-created on munk eviction (§2.2); the
-           sorted view alongside them — the chunk is now cold and its
-           scans shift to the funk. *)
+        (* Bloom filters are re-created on munk eviction (§2.2): the
+           chunk is now cold and its reads shift to the funk. *)
         Funk.with_pin
           ~current:(fun () -> Chunk.funk c)
-          (fun funk ->
-            Chunk.set_bloom c (Some (build_bloom db funk));
-            rebuild_view db funk);
+          (fun funk -> Chunk.set_bloom c (Some (build_bloom db funk)));
         Lfu.drop_cached db.lfu c;
         true
       | Some _ -> false)
@@ -471,10 +452,9 @@ let build_halves db ~min_key left right =
    child owns its funk from the moment it becomes visible: unlike the
    paper's split, the children never share the parent's funk, whose
    crash window lost the second child's data (see DESIGN.md). A
-   munk-less child gets its bloom filter and sorted view before the
-   swap. Caller holds c's rebalance lock exclusively; the retired [c]
-   keeps its munk so that readers holding stale references are still
-   served. *)
+   munk-less child gets its bloom filter before the swap. Caller holds
+   c's rebalance lock exclusively; the retired [c] keeps its munk so
+   that readers holding stale references are still served. *)
 let split_into db c (funk1, munk1) (funk2, munk2) =
   let counter = Chunk.counter_base c and freq = Chunk.freq c in
   let child funk munk =
@@ -482,10 +462,7 @@ let split_into db c (funk1, munk1) (funk2, munk2) =
       Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:(Funk.min_key funk) ~funk ~munk
         ~counter ~freq
     in
-    if munk = None then begin
-      Chunk.set_bloom ch (Some (build_bloom db funk));
-      rebuild_view db funk
-    end;
+    if munk = None then Chunk.set_bloom ch (Some (build_bloom db funk));
     ch
   in
   let c1, c2 =
@@ -630,13 +607,11 @@ let cold_funk_rebalance db c =
                 Log_file.Reader.fold ~lo:log_end db.env (Funk.log_name (Funk.id funk)) ~init:()
                   ~f:(fun () _off e -> ignore (Funk.append (target_of e.K.key) e));
                 List.iter (fun f -> if Funk.log_size f > 0 then Funk.fsync_log f) funks);
-            (* Blooms and views are built after the divert so they
-               cover it. *)
+            (* Blooms are built after the divert so they cover it. *)
             match built with
             | Right (funk1, funk2) -> split_into db c (funk1, None) (funk2, None)
             | Left funk' ->
               let bloom = discarding funks (fun () -> build_bloom db funk') in
-              rebuild_view db funk';
               swap_funks db ~add:funks ~replace:[ funk ] ~flip:(fun () ->
                   Chunk.set_funk c funk';
                   Chunk.set_bloom c (Some bloom))
@@ -934,9 +909,9 @@ let scan_internal db ?limit ~low ~high () =
         let max_count = match limit with None -> max_int | Some l -> l in
         (* One chunk's walk: pull visible rows until the stream ends or
            the limit is reached, then commit them. A walk that raises
-           (a stale view, a corrupt block) commits nothing, so the
-           caller can retry the chunk another way without duplicating
-           or skipping rows. *)
+           (a corrupt block) commits nothing, so the chunk can be
+           retried from its log alone without duplicating or skipping
+           rows. *)
         let consume it =
           let filtered =
             K.dedup (K.filter (fun (e : K.entry) -> e.version <= gv && visible db e.version) it)
@@ -972,47 +947,26 @@ let scan_internal db ?limit ~low ~high () =
                 Funk.with_pin
                   ~current:(fun () -> Chunk.funk c)
                   (fun funk ->
-                    (* Unified read path: walk the persistent sorted
-                       view (one pre-merged cursor seeked to [lo],
-                       blocks through the shared cache) and fall back
-                       to re-merging log + SSTable when the view is
-                       absent or stale. Both paths stream, so a scan
-                       reads only up to its limit. *)
-                    let via_view =
-                      db.cfg.Config.sorted_view_enabled
-                      && Attr.timed Attr.Cache_read @@ fun () ->
-                         match
-                           Funk.load_view funk
-                             ~on_load:(fun () -> Obs.Counter.incr db.ctr_view_loads)
-                         with
-                         | None -> false
-                         | Some v -> (
-                           try
-                             consume (Funk.view_cursor funk v ~low:lo ~high);
-                             Obs.Counter.incr db.ctr_view_scans;
-                             true
-                           with Sorted_view.Stale | Env.Corruption _ ->
-                             Funk.invalidate_view funk;
-                             Obs.Counter.incr db.ctr_view_fallbacks;
-                             false)
+                    (* Cold path: merge the log's records in range
+                       with the SSTable seeked to [lo] (blocks through
+                       the shared cache). The SSTable side streams, so
+                       a scan reads only the blocks up to its limit. *)
+                    Attr.timed Attr.Disk_read @@ fun () ->
+                    let log_entries =
+                      Funk.log_entries_in_range funk ~visible:(visible db) ~low:lo ~high
                     in
-                    if not via_view then
-                      Attr.timed Attr.Disk_read @@ fun () ->
-                      let log_entries =
-                        Funk.log_entries_in_range funk ~visible:(visible db) ~low:lo ~high
-                      in
-                      (* A corrupt SSTable block degrades this one chunk
-                         to its log contents instead of aborting the
-                         scan (logs resync past damage and never
-                         raise). *)
-                      try
-                        consume
-                          (K.merge
-                             [
-                               K.of_list log_entries;
-                               K.upto ~high (Sstable.Reader.iter_from (Funk.sst funk) lo);
-                             ])
-                      with Env.Corruption _ -> consume (K.of_list log_entries));
+                    (* A corrupt SSTable block degrades this one chunk
+                       to its log contents instead of aborting the
+                       scan (logs resync past damage and never
+                       raise). *)
+                    try
+                      consume
+                        (K.merge
+                           [
+                             K.of_list log_entries;
+                             K.upto ~high (Sstable.Reader.iter_from (Funk.sst funk) lo);
+                           ])
+                    with Env.Corruption _ -> consume (K.of_list log_entries));
                 false
               with Funk.Stale -> true)
           in
@@ -1052,7 +1006,7 @@ let load_mode env : Config.persistence =
 let fence_marker = "FENCED"
 
 let parse_funk_file name =
-  (* funk_NNNNNNNN.sst / .log / .view *)
+  (* funk_NNNNNNNN.sst / .log, and the .view sidecars of earlier builds *)
   if String.length name >= 17 && String.sub name 0 5 = "funk_" then
     match int_of_string_opt (String.sub name 5 8) with
     | Some id ->
@@ -1172,10 +1126,6 @@ let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoin
     ctr_funk_merges = Obs.counter obs "funk.merges";
     ctr_io_errors = Obs.counter obs "io.errors";
     ctr_maint_failures = Obs.counter obs "maint.failures";
-    ctr_view_builds = Obs.counter obs "sorted_view.builds";
-    ctr_view_loads = Obs.counter obs "sorted_view.loads";
-    ctr_view_scans = Obs.counter obs "sorted_view.scans";
-    ctr_view_fallbacks = Obs.counter obs "sorted_view.stale_fallbacks";
     opened_at_ns = Obs.now_ns ();
   }
   in
@@ -1299,7 +1249,9 @@ let open_internal config ~committer env =
        members are pinned by their own namespace, where only
        half-published snapshots (no COMPLETE marker — a crash between
        pin and publish) are collected; telemetry journal segments are
-       observational history a future sampler resumes over. *)
+       observational history a future sampler resumes over. The sorted-
+       view sidecars ([funk_*.view]) that earlier builds kept next to
+       each funk are no longer read, so they go too, live or not. *)
     let live_set = Hashtbl.create 16 in
     List.iter (fun id -> Hashtbl.replace live_set id ()) manifest.Manifest.live;
     List.iter
@@ -1307,6 +1259,7 @@ let open_internal config ~committer env =
         if not (Env.is_quarantined name || Env.is_snapshot name || Env.is_telemetry name)
         then
           match parse_funk_file name with
+          | Some (_, `View) -> Env.delete env name
           | Some (id, _) when not (Hashtbl.mem live_set id) -> Env.delete env name
           | Some _ -> ()
           | None -> if Filename.check_suffix name ".tmp" then Env.delete env name)

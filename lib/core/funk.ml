@@ -3,12 +3,6 @@ open Evendb_storage
 open Evendb_sstable
 open Evendb_log
 
-(* The cached sorted view. [V_unknown] means "not looked at yet":
-   the first scan attempts a load from disk; a failed load caches
-   [V_none] so scans don't re-read a missing/stale sidecar until a
-   rebuild resets the slot to [V_unknown]. *)
-type view_state = V_unknown | V_none | V_loaded of Sorted_view.t
-
 type t = {
   funk_id : int;
   funk_env : Env.t;
@@ -16,12 +10,10 @@ type t = {
   log : Log_file.Writer.t;
   refs : int Atomic.t; (* one for the owning chunk + one per reader pin *)
   retired : bool Atomic.t;
-  view : view_state Atomic.t;
 }
 
 let sst_name id = Printf.sprintf "funk_%08d.sst" id
 let log_name id = Printf.sprintf "funk_%08d.log" id
-let view_name id = Printf.sprintf "funk_%08d.view" id
 
 let create_from_iter env ~block_bytes ~id ~min_key it =
   let builder =
@@ -56,7 +48,6 @@ let create_from_iter env ~block_bytes ~id ~min_key it =
     log;
     refs = Atomic.make 1;
     retired = Atomic.make false;
-    view = Atomic.make V_unknown;
   }
 
 let open_existing env ~id =
@@ -69,7 +60,6 @@ let open_existing env ~id =
     log;
     refs = Atomic.make 1;
     retired = Atomic.make false;
-    view = Atomic.make V_unknown;
   }
 
 let id t = t.funk_id
@@ -145,38 +135,10 @@ let log_offsets_for_bloom t ~visible =
     (Log_file.Reader.fold t.funk_env (log_name t.funk_id) ~init:[] ~f:(fun acc off e ->
          if visible e.Kv_iter.version then (off, e.Kv_iter.key) :: acc else acc))
 
-(* ------------------------------------------------------------------ *)
-(* Sorted view (sidecar)                                               *)
-
-let build_view t =
-  Sorted_view.build t.funk_env ~sst:t.sst_reader ~log_name:(log_name t.funk_id)
-    ~view_name:(view_name t.funk_id);
-  (* Force the next scan to pick up the fresh file. *)
-  Atomic.set t.view V_unknown
-
-let load_view ?(on_load = fun () -> ()) t =
-  match Atomic.get t.view with
-  | V_loaded v -> Some v
-  | V_none -> None
-  | V_unknown ->
-    let v =
-      Sorted_view.load t.funk_env ~sst:t.sst_reader ~log_name:(log_name t.funk_id)
-        ~view_name:(view_name t.funk_id)
-    in
-    Atomic.set t.view (match v with Some v -> V_loaded v | None -> V_none);
-    if v <> None then on_load ();
-    v
-
-let invalidate_view t = Atomic.set t.view V_unknown
-
-let view_cursor t v ~low ~high =
-  Sorted_view.cursor v t.funk_env ~sst:t.sst_reader ~log_name:(log_name t.funk_id) ~low ~high
-
 let delete_files t =
   Log_file.Writer.close t.log;
   Env.delete t.funk_env (sst_name t.funk_id);
-  Env.delete t.funk_env (log_name t.funk_id);
-  Env.delete t.funk_env (view_name t.funk_id)
+  Env.delete t.funk_env (log_name t.funk_id)
 
 let release t =
   let before = Atomic.fetch_and_add t.refs (-1) in

@@ -23,9 +23,6 @@ type t
 val sst_name : int -> string
 val log_name : int -> string
 
-val view_name : int -> string
-(** The sorted-view sidecar, [funk_<id>.view] (see {!Sorted_view}). *)
-
 val create_from_iter :
   Env.t -> block_bytes:int -> id:int -> min_key:string -> Kv_iter.t -> t
 (** Build a funk whose SSTable holds the iterator's entries (canonical
@@ -75,33 +72,6 @@ val all_entries : ?hi:int -> t -> visible:(int -> bool) -> Kv_iter.t
 val log_offsets_for_bloom : t -> visible:(int -> bool) -> (int * string) list
 (** [(offset, key)] of every valid log record, for rebuilding the
     partitioned bloom filter after munk eviction or recovery. *)
-
-(** {2 Sorted view}
-
-    Each funk may carry a {!Sorted_view} sidecar; the handle caches
-    the loaded view so repeated cold scans skip the load. *)
-
-val build_view : t -> unit
-(** (Re)build and publish the sidecar from the sstable and the log's
-    current contents. The caller must prevent concurrent appends (the
-    chunk's rebalance lock — the same discipline as {!retire}).
-    Raises {!Env.Io_error} on storage failure. *)
-
-val load_view : ?on_load:(unit -> unit) -> t -> Sorted_view.t option
-(** The funk's validated view, loaded and cached on first use. [None]
-    when the sidecar is missing, corrupt or stale; the failure is
-    cached too (no per-scan disk probes) until {!build_view} or
-    {!invalidate_view}. [on_load] fires only when a view was actually
-    read and validated from disk (counter hook). *)
-
-val invalidate_view : t -> unit
-(** Drop the cached view (and cached load failure) so the next scan
-    re-reads the sidecar — after a {!Sorted_view.Stale} mid-walk or an
-    external repair. *)
-
-val view_cursor :
-  t -> Sorted_view.t -> low:string -> high:string -> Kv_iter.t
-(** {!Sorted_view.cursor} over this funk's files. *)
 
 (** {2 Lifecycle} *)
 

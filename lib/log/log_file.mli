@@ -24,11 +24,6 @@ module Record : sig
   (** [encode b e] frames [e]'s record in place at the start of [b] and
       returns its length ({!size}). Raises [Invalid_argument] if [b] is
       shorter than that. *)
-
-  val decode : string -> pos:int -> (Kv_iter.entry * int) option
-  (** [decode s ~pos] returns the entry starting at [pos] and the
-      position after it, or [None] if the data at [pos] is truncated
-      or fails its checksum. *)
 end
 
 module Writer : sig

@@ -47,10 +47,12 @@ type cause =
   | Commit_wait  (** group commit: waiting for a batch to form, for the
                      leader slot, or for another domain's leader to
                      finish the batch's fsync *)
-  | Cache_read  (** munk-less scan served through the sorted view +
-                    shared block cache (the unified read path) *)
-  | View_build  (** sorted-view rebuild paid inline by the op that
-                    triggered the eviction/flush *)
+  | Cache_read  (** never charged (a munk-less scan is [Disk_read]);
+                    kept because BENCHMARK.json's per-layer list
+                    names [attr.cache_read] *)
+  | View_build  (** never charged (the store builds no sorted views);
+                    kept because BENCHMARK.json names
+                    [attr.view_build] *)
   | Repl_ship  (** replication change-stream publish paid inline by the
                    put (enqueue into the shipping stream) *)
 

@@ -98,6 +98,5 @@ module Reader : sig
       across blocks in file order, of the first entry whose key is
       [>= low] ([entry_count t] when there is none), and an iterator
       positioned there. Reads only the block the index names for
-      [low]; later blocks are fetched as [it] is pulled. The sorted
-      view's seek primitive. *)
+      [low]; later blocks are fetched as [it] is pulled. *)
 end

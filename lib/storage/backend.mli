@@ -74,6 +74,21 @@ val disk : string -> packed
     names may carry a ["quarantine/"] prefix (fsck's quarantine
     sub-directory); [list_files] reports those as ["quarantine/x"]. *)
 
+(** {2 Reserved namespaces}
+
+    Directory components that {!prefixed} keeps outermost and that the
+    engines' recovery sweeps leave alone: fsck's quarantine area,
+    published snapshots and the telemetry journal. *)
+
+val quarantine_dir : string
+val snapshots_dir : string
+val telemetry_dir : string
+
+val has_prefix : prefix:string -> string -> bool
+val strip : prefix:string -> string -> string
+(** [strip ~prefix s] drops the first [String.length prefix] bytes of
+    [s]; callers check {!has_prefix} first. *)
+
 val prefixed : prefix:string -> packed -> packed
 (** A flat sub-namespace: every file name is mapped to [prefix ^ name]
     in the inner backend (["quarantine/x"] to ["quarantine/" ^ prefix ^

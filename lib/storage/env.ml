@@ -5,48 +5,41 @@ module type BACKEND = Backend.BACKEND
 
 (* Files that [fsck --repair] moved aside live under this prefix; the
    engines' recovery sweeps and the scrubber must leave them alone. *)
-let quarantine_prefix = "quarantine/"
+let quarantine_prefix = Backend.quarantine_dir
 
 let quarantined name = quarantine_prefix ^ name
 
-let is_quarantined name =
-  (* The bare directory itself shows up in disk listings. *)
-  name = "quarantine"
-  || String.length name >= String.length quarantine_prefix
-     && String.sub name 0 (String.length quarantine_prefix) = quarantine_prefix
+(* A reserved namespace holds its bare directory (which shows up in
+   disk listings) and every name under it. *)
+let in_namespace dir =
+  let bare = String.sub dir 0 (String.length dir - 1) in
+  fun name -> name = bare || Backend.has_prefix ~prefix:dir name
+
+let is_quarantined = in_namespace quarantine_prefix
 
 (* Published point-in-time snapshots live under [snapshots/<id>/...];
    recovery sweeps and the scrubber treat the prefix as a separate
    namespace (a snapshot member is never an orphan of the live store). *)
-let snapshots_prefix = "snapshots/"
+let snapshots_prefix = Backend.snapshots_dir
 
 let snapshot_member ~id name = snapshots_prefix ^ id ^ "/" ^ name
 
-let is_snapshot name =
-  name = "snapshots"
-  || String.length name >= String.length snapshots_prefix
-     && String.sub name 0 (String.length snapshots_prefix) = snapshots_prefix
+let is_snapshot = in_namespace snapshots_prefix
 
 (* Continuous-telemetry artifacts (the windowed metrics journal) live
    under [telemetry/]: observational history, not data — recovery
    sweeps and the live store's orphan logic leave the prefix alone, and
    losing it can never lose user data. *)
-let telemetry_prefix = "telemetry/"
+let telemetry_prefix = Backend.telemetry_dir
 
 let telemetry_member name = telemetry_prefix ^ name
 
-let is_telemetry name =
-  name = "telemetry"
-  || String.length name >= String.length telemetry_prefix
-     && String.sub name 0 (String.length telemetry_prefix) = telemetry_prefix
+let is_telemetry = in_namespace telemetry_prefix
 
 let split_snapshot name =
-  if not (is_snapshot name) || name = "snapshots" then None
+  if not (Backend.has_prefix ~prefix:snapshots_prefix name) then None
   else
-    let rest =
-      String.sub name (String.length snapshots_prefix)
-        (String.length name - String.length snapshots_prefix)
-    in
+    let rest = Backend.strip ~prefix:snapshots_prefix name in
     match String.index_opt rest '/' with
     | None -> None (* the bare per-snapshot directory *)
     | Some i ->

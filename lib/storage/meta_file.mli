@@ -12,8 +12,8 @@ val publish : Env.t -> name:string -> string -> unit
 (** Atomically replace [name] with exactly [data] (no frame): write
     [name ^ ".tmp"], fsync, close, rename. On any failure the tmp file
     is removed, the previous [name] is left intact and the underlying
-    {!Env.Io_error} is re-raised. Unframed markers (MODE, FENCED) and
-    sorted views publish through it. *)
+    {!Env.Io_error} is re-raised. Unframed markers (MODE, FENCED)
+    publish through it. *)
 
 val store : Env.t -> name:string -> string -> unit
 (** Frame and publish [payload] as [name]; raises the underlying

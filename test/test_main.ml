@@ -13,7 +13,7 @@ let () =
          Test_sstable.suite;
          Test_cache.suite;
          Test_block_cache.suite;
-         Test_sorted_view.suite;
+         Test_cold_scan.suite;
          Test_munk.suite;
          Test_config.suite;
          Test_core.suite;

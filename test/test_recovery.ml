@@ -341,6 +341,35 @@ let auto_checkpoint () =
   Alcotest.(check bool) (Printf.sprintf "%d survivors >= 400" survivors) true (survivors >= 400);
   Db.close db
 
+(* Earlier builds kept a sorted-view sidecar, [funk_<id>.view], next to
+   each funk. Recovery sweeps them, live funk or not, so a store written
+   by such a build reopens with the same contents and scrubs clean. *)
+let sweeps_old_view_sidecars () =
+  let env = Env.memory () in
+  let db = Db.open_ ~config:tiny_config env in
+  for i = 0 to 499 do
+    Db.put db (key i) (string_of_int i)
+  done;
+  List.iter (fun (k, _, _) -> ignore (Db.evict_munk db k)) (Db.chunk_weights db);
+  let before = Db.scan db ~low:"" ~high:"zzzz" () in
+  Db.close db;
+  let live = match Manifest.load env with Some m -> m.Manifest.live | None -> [] in
+  Alcotest.(check bool) "a live funk" true (live <> []);
+  let planted = Printf.sprintf "funk_%08d.view" (List.hd live) in
+  let f = Env.create env planted in
+  Env.append f "EVVIEW02 sidecar bytes an earlier build wrote";
+  Env.fsync f;
+  Env.close_file f;
+  let db = Db.open_ ~config:tiny_config env in
+  Alcotest.(check bool) "sidecar swept" false (Env.exists env planted);
+  Alcotest.(check (list (pair string string))) "full scan unchanged" before
+    (Db.scan db ~low:"" ~high:"zzzz" ());
+  Db.close db;
+  let report = Evendb_check.Scrub.scrub env in
+  Alcotest.(check bool) "scrub clean" true (Evendb_check.Scrub.is_clean report);
+  Alcotest.(check (list string)) "no findings" []
+    (List.map (fun f -> f.Evendb_check.Scrub.f_file) report.findings)
+
 let suite =
   [
     ( "recovery",
@@ -354,6 +383,7 @@ let suite =
         Alcotest.test_case "sync mode" `Quick sync_mode_survives_without_checkpoint;
         Alcotest.test_case "recovery after splits" `Quick recovery_after_splits;
         Alcotest.test_case "auto checkpoint" `Quick auto_checkpoint;
+        Alcotest.test_case "old view sidecars are swept" `Quick sweeps_old_view_sidecars;
         Alcotest.test_case "acked writes survive failed funk creates (async)" `Quick
           (sweep_faults ~persistence:Config.Async ~pred:is_funk_sst);
         Alcotest.test_case "acked writes survive failed funk creates (sync)" `Quick
