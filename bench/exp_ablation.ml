@@ -15,8 +15,8 @@ let variants (h : Harness.t) =
   [
     ("full EvenDB", base);
     ( "no munk cache",
-      (* Chunks are never cached wholesale: every read goes to the row
-         cache or disk. *)
+      (* The smallest budget, one full chunk's bytes (a few munks at
+         most): nearly every read goes to the row cache or disk. *)
       { base with Config.munk_cache_capacity = 1 } );
     ("no row cache", { base with Config.row_cache_capacity_per_table = 1 });
     ( "unpartitioned bloom",

@@ -423,6 +423,8 @@ let stat_cmd =
           else begin
             Printf.printf "chunks:              %d\n" (Db.chunk_count db);
             Printf.printf "resident munks:      %d\n" (Db.munk_count db);
+            Printf.printf "resident munk bytes: %d of a %d-byte budget\n" (Db.munk_bytes db)
+              (Db.munk_budget_bytes db);
             Printf.printf "funk log bytes:      %d\n" (Db.log_space db);
             Printf.printf "current epoch:       %d\n" (Db.current_epoch db);
             (match Db.list_snapshots db with
@@ -449,8 +451,10 @@ let stat_cmd =
             Printf.printf "chunks:              %d\n" (Shard.chunk_count s);
             List.iteri
               (fun i db ->
-                Printf.printf "  shard %-2d           %d chunks, %d munks, %d log bytes\n" i
-                  (Db.chunk_count db) (Db.munk_count db) (Db.log_space db))
+                Printf.printf
+                  "  shard %-2d           %d chunks, %d munks (%d of %d budget bytes), %d log bytes\n" i
+                  (Db.chunk_count db) (Db.munk_count db) (Db.munk_bytes db) (Db.munk_budget_bytes db)
+                  (Db.log_space db))
               (List.init n (Shard.shard s));
             let snaps =
               List.init n (fun i -> Evendb_obs.Obs.snapshot (Db.obs (Shard.shard s i)))
@@ -565,6 +569,12 @@ let heat_cmd =
           Buffer.add_string buf (Printf.sprintf "  \"sketch_total\": %d,\n" total);
           Buffer.add_string buf (Printf.sprintf "  \"chunks\": %d,\n" (List.length cstats));
           Buffer.add_string buf (Printf.sprintf "  \"resident_munks\": %d,\n" resident);
+          Buffer.add_string buf
+            (Printf.sprintf "  \"resident_munk_bytes\": %d,\n" (Db.munk_bytes db));
+          Buffer.add_string buf
+            (Printf.sprintf "  \"munk_budget_bytes\": %d,\n" (Db.munk_budget_bytes db));
+          Buffer.add_string buf
+            (Printf.sprintf "  \"max_chunk_bytes\": %d,\n" (Db.config db).max_chunk_bytes);
           Buffer.add_string buf
             (Printf.sprintf "  \"munk_residency_agreement\": %.6f,\n" agreement);
           Buffer.add_string buf "  \"hot_prefixes\": [";

@@ -26,7 +26,11 @@ type t = {
           high, so compaction happens almost exclusively in memory. *)
   bloom_split_factor : int;  (** Log bloom partitions (paper: 16). *)
   bloom_bits_per_key : int;
-  munk_cache_capacity : int;  (** Max resident munks (LFU w/ decay). *)
+  munk_cache_capacity : int;
+      (** The munk cache's budget in full chunks: resident munks may
+          hold [munk_cache_capacity * max_chunk_bytes] bytes (LFU with
+          decay), each charged its size when last built. Chunks split
+          into halves, so the cache holds more munks than this. *)
   row_cache_capacity_per_table : int;
   persistence : persistence;
   checkpoint_every_puts : int;

@@ -65,6 +65,7 @@ type t = {
   ctr_log_appends : Obs.Counter.t;
   ctr_funk_flushes : Obs.Counter.t;
   ctr_funk_merges : Obs.Counter.t;
+  ctr_munk_loads : Obs.Counter.t; (* munk-less chunks whose whole funk was read into a munk *)
   ctr_io_errors : Obs.Counter.t; (* maintenance/checkpoint I/O failures absorbed *)
   ctr_maint_failures : Obs.Counter.t; (* unexpected maintainer-domain exceptions *)
   opened_at_ns : int;
@@ -241,6 +242,13 @@ let chunk_entries ?hi db c funk =
       && match high_excl with None -> true | Some h -> String.compare e.key h < 0)
     (Funk.all_entries ?hi funk ~visible:(visible db))
 
+(* Every munk a chunk takes goes through here, so the cache's resident
+   bytes follow it: a munk is charged what it weighed when built, which
+   holds until its next rebalance however it grows in between. *)
+let install_munk db c m =
+  Chunk.set_munk c (Some m);
+  Lfu.set_weight db.lfu c (Munk.built_bytes m)
+
 let load_munk db c =
   let lock = Chunk.rebalance_lock c in
   Rwlock.lock_exclusive lock;
@@ -253,7 +261,8 @@ let load_munk db c =
           (fun funk ->
             let floor = compaction_floor db c in
             let entries = K.compact ~min_retained_version:floor (chunk_entries db c funk) in
-            Chunk.set_munk c (Some (Munk.of_iter entries)));
+            install_munk db c (Munk.of_iter entries));
+        Obs.Counter.incr db.ctr_munk_loads;
         Chunk.set_bloom c None;
         row_cache_purge db c;
         true
@@ -270,7 +279,7 @@ let flush_munk_locked db c munk =
       Obs.Trace.add_attr sp "entries" (Munk.entry_count compacted);
       let funk' = build_funk db ~min_key:(Chunk.min_key c) (Munk.iter compacted) in
       swap_funks db ~add:[ funk' ] ~replace:[ Chunk.funk c ] ~flip:(fun () ->
-          Chunk.set_munk c (Some compacted);
+          install_munk db c compacted;
           Chunk.set_funk c funk');
       Obs.Counter.incr db.ctr_funk_flushes)
 
@@ -297,9 +306,20 @@ let evict_munk_chunk db c =
         true
       | Some _ -> false)
 
-(* Carry out an eviction the policy decided. *)
-let evict_victim db victim =
-  ignore (Attr.timed Attr.Rebalance (fun () -> evict_munk_chunk db victim))
+(* Carry out the evictions the policy decided. *)
+let evict_victims db victims =
+  List.iter
+    (fun victim -> ignore (Attr.timed Attr.Rebalance (fun () -> evict_munk_chunk db victim)))
+    victims
+
+(* Drain what rebalances, splits and merges added past the cache's
+   band. Called with no chunk lock held: evicting takes the victim's. *)
+let settle db = evict_victims db (Lfu.overflow db.lfu)
+
+(* What a munk-less chunk's munk would weigh: its funk's bytes, which
+   over-count overwritten versions and under-count the munk's
+   per-entry overhead; the load re-charges the real size. *)
+let munk_estimate c = match Chunk.munk c with Some _ -> 0 | None -> Funk.total_bytes (Chunk.funk c)
 
 (* Access-driven munk admission, sampled to keep the LFU off the hot
    path. *)
@@ -310,14 +330,15 @@ let note_access db c =
   incr tick;
   if !tick land 7 = 0 then begin
     try
-      (match Lfu.on_access db.lfu c with
+      (match Lfu.on_access db.lfu c ~weight:(munk_estimate c) with
       | Lfu.Already_cached | Lfu.Skip -> ()
-      | Lfu.Evict_other victim -> evict_victim db victim
-      | Lfu.Admit evictee ->
-        Option.iter (evict_victim db) evictee;
-        if not (Attr.timed Attr.Disk_read (fun () -> load_munk db c)) then
+      | Lfu.Evict_other victims -> evict_victims db victims
+      | Lfu.Admit evictees ->
+        evict_victims db evictees;
+        if Attr.timed Attr.Disk_read (fun () -> load_munk db c) then settle db
+        else if Chunk.munk c = None then
           (* Retired or already loaded elsewhere; keep LFU consistent. *)
-          if Chunk.munk c = None then Lfu.drop_cached db.lfu c)
+          Lfu.drop_cached db.lfu c)
     with Env.Corruption _ ->
       (* Admission is an optimisation; a corrupt funk must not take the
          read path down with it. The get itself degrades separately. *)
@@ -473,7 +494,8 @@ let split_into db c (funk1, munk1) (funk2, munk2) =
   Chunk.set_next c1 (Some c2);
   swap_funks db ~add:[ funk1; funk2 ] ~replace:[ Chunk.funk c ] ~flip:(fun () ->
       splice_chunks db ~old:[ c ] ~first:c1 ~last:c2);
-  Lfu.transfer db.lfu c ~into:[ c1; c2 ];
+  let weight ch = match Chunk.munk ch with Some m -> Munk.built_bytes m | None -> 0 in
+  Lfu.transfer db.lfu c ~into:[ (c1, weight c1); (c2, weight c2) ];
   List.iter Chunk.record_split [ c1; c2 ]
 
 (* Split a chunk whose compacted munk exceeds the chunk size limit
@@ -481,7 +503,7 @@ let split_into db c (funk1, munk1) (funk2, munk2) =
    the freshly rebalanced munk. *)
 let split_chunk_locked db c compacted floor =
   match Munk.split_entries compacted ~min_retained_version:(Some floor) with
-  | _, [] -> Chunk.set_munk c (Some compacted)
+  | _, [] -> install_munk db c compacted
   | left, right ->
     Obs.Trace.with_span (Obs.trace db.obs) ~name:"chunk_split"
       ~attrs:
@@ -550,7 +572,7 @@ let munk_rebalance ?(force = false) db c =
               Obs.Trace.add_attr sp "entries" (Munk.entry_count compacted);
               if Munk.byte_size compacted > db.cfg.max_chunk_bytes then
                 split_chunk_locked db c compacted floor
-              else Chunk.set_munk c (Some compacted)))
+              else install_munk db c compacted))
 
 (* Funk rebalance for a munk-less (cold) chunk: merge SSTable + log
    into a fresh funk — two, splitting the chunk, if the merged content
@@ -595,8 +617,10 @@ let cold_funk_rebalance db c =
       Fun.protect
         ~finally:(fun () -> Rwlock.unlock_exclusive lock)
         (fun () ->
-          if Chunk.retired c || Chunk.munk c <> None then
-            (* Lost a race with a split or a munk load; discard the
+          if Chunk.retired c || Chunk.munk c <> None || Chunk.funk c != funk then
+            (* Lost a race with a split, a munk load, or a load and an
+               eviction that flushed the munk into a new funk (whose
+               log has records this merge never saw); discard the
                rebuilt funks (they never entered the manifest). *)
             List.iter Funk.retire funks
           else begin
@@ -657,10 +681,15 @@ let needs_munk_rebalance db c =
 
 let needs_funk_rebalance db c = Funk.log_size (Chunk.funk c) > funk_log_limit db c
 
+(* A rebalance re-weighs the chunk's munk (a split weighs both
+   halves), so it is followed by draining the cache. *)
 let maybe_maintain db c =
   if not (Chunk.retired c) then begin
-    if needs_munk_rebalance db c then munk_rebalance db c;
-    if (not (Chunk.retired c)) && needs_funk_rebalance db c then funk_rebalance db c
+    let munk = needs_munk_rebalance db c in
+    if munk then munk_rebalance db c;
+    let funk = (not (Chunk.retired c)) && needs_funk_rebalance db c in
+    if funk then funk_rebalance db c;
+    if munk || funk then settle db
   end
 
 (* ------------------------------------------------------------------ *)
@@ -689,8 +718,8 @@ let needs_merge db c =
 (* Merge [c] with its successor [n]. Exclusive locks are taken in list
    order (as every multi-chunk operation does), so merges cannot
    deadlock against each other or against splits. The merged chunk
-   takes a munk; the munk the policy evicts to make room for it is
-   dropped once both locks are released, since its chunk may precede
+   takes a munk; the munks the policy evicts to make room for it are
+   dropped once both locks are released, since their chunks may precede
    [c] in the list. *)
 let merge_chunks db c n =
   let lc = Chunk.rebalance_lock c in
@@ -701,14 +730,14 @@ let merge_chunks db c n =
       let still_adjacent =
         (not (Chunk.retired c)) && match Chunk.next c with Some x -> x == n | None -> false
       in
-      if not still_adjacent then None
+      if not still_adjacent then []
       else begin
         let ln = Chunk.rebalance_lock n in
         Rwlock.lock_exclusive ln;
         Fun.protect
           ~finally:(fun () -> Rwlock.unlock_exclusive ln)
           (fun () ->
-            if Chunk.retired n then None
+            if Chunk.retired n then []
             else begin
               Obs.Trace.with_span (Obs.trace db.obs) ~name:"chunk_merge" (fun sp ->
               let floor = min (compaction_floor db c) (compaction_floor db n) in
@@ -727,22 +756,22 @@ let merge_chunks db c n =
               in
               let funk' = build_funk db ~min_key:(Chunk.min_key c) (K.of_list entries) in
               let counter = max (Chunk.counter_base c) (Chunk.counter_base n) in
+              let munk = Munk.of_sorted entries in
               let cm =
                 Chunk.create_inheriting ~id:(fresh_chunk_id db) ~min_key:(Chunk.min_key c)
-                  ~funk:funk' ~munk:(Some (Munk.of_sorted entries)) ~counter
-                  ~freq:(Chunk.freq c)
+                  ~funk:funk' ~munk:(Some munk) ~counter ~freq:(Chunk.freq c)
               in
               swap_funks db ~add:[ funk' ] ~replace:[ Chunk.funk c; Chunk.funk n ]
                 ~flip:(fun () -> splice_chunks db ~old:[ c; n ] ~first:cm ~last:cm);
               row_cache_purge db cm;
-              Lfu.transfer db.lfu c ~into:[ cm ];
+              Lfu.remove db.lfu c;
               Lfu.remove db.lfu n;
-              let evictee = Lfu.force_insert db.lfu cm in
+              let evictees = Lfu.force_insert db.lfu cm ~weight:(Munk.built_bytes munk) in
               Obs.Trace.add_attr sp "entries" (List.length entries);
-              evictee)
+              evictees)
             end)
       end)
-  |> Option.iter (evict_victim db)
+  |> evict_victims db
 
 (* ------------------------------------------------------------------ *)
 (* Put                                                                 *)
@@ -1036,6 +1065,9 @@ let all_chunks db = Chunk_index.chunks (Atomic.get db.index)
 let munk_count db =
   List.length (List.filter (fun c -> Chunk.munk c <> None) (all_chunks db))
 
+let munk_bytes db = Lfu.resident_bytes db.lfu
+let munk_budget_bytes db = Lfu.budget db.lfu
+
 let log_space db =
   List.fold_left
     (fun acc c -> acc + Funk.log_size (Chunk.funk c))
@@ -1055,13 +1087,21 @@ let register_probes db =
   List.iter (fun (name, read) -> p name read) (Env.counters db.env);
   p "db.chunks" (fun () -> chunk_count db);
   p "db.munks" (fun () -> munk_count db);
+  p "db.munk_bytes" (fun () -> munk_bytes db);
   p "db.log_bytes" (fun () -> log_space db);
   p "db.logical_bytes_written" (fun () -> Atomic.get db.logical_written)
 
 let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoint ~next_funk_id =
-  let lfu = Lfu.create ~capacity:cfg.Config.munk_cache_capacity () in
+  let lfu =
+    Lfu.create
+      ~budget:(cfg.Config.munk_cache_capacity * cfg.Config.max_chunk_bytes)
+      ~slack:cfg.Config.max_chunk_bytes ()
+  in
   List.iter
-    (fun c -> if Chunk.munk c <> None then ignore (Lfu.force_insert lfu c))
+    (fun c ->
+      Option.iter
+        (fun m -> ignore (Lfu.force_insert lfu c ~weight:(Munk.built_bytes m)))
+        (Chunk.munk c))
     chunks;
   let live_funks = Hashtbl.create 64 in
   List.iter (fun c -> Hashtbl.replace live_funks (Funk.id (Chunk.funk c)) (Chunk.funk c)) chunks;
@@ -1124,6 +1164,7 @@ let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoin
     ctr_log_appends = Obs.counter obs "funk.log_appends";
     ctr_funk_flushes = Obs.counter obs "funk.flushes";
     ctr_funk_merges = Obs.counter obs "funk.merges";
+    ctr_munk_loads = Obs.counter obs "munk.loads";
     ctr_io_errors = Obs.counter obs "io.errors";
     ctr_maint_failures = Obs.counter obs "maint.failures";
     opened_at_ns = Obs.now_ns ();
@@ -1405,6 +1446,7 @@ type chunk_stat = {
   cs_min_key : string;
   cs_munk_resident : bool;
   cs_resident_bytes : int;
+  cs_charged_bytes : int;
   cs_stat : Chunk.stat;
 }
 
@@ -1416,6 +1458,7 @@ let chunk_stats db =
         cs_min_key = Chunk.min_key c;
         cs_munk_resident = Chunk.munk c <> None;
         cs_resident_bytes = (match Chunk.munk c with Some m -> Munk.byte_size m | None -> 0);
+        cs_charged_bytes = (match Chunk.munk c with Some m -> Munk.built_bytes m | None -> 0);
         cs_stat = Chunk.stat c ~heat:(Lfu.frequency db.lfu c);
       })
     (all_chunks db)
@@ -1491,6 +1534,7 @@ let maintain db =
               munk_rebalance ~force:true db c
             | _ -> ())
         (all_chunks db);
+      settle db;
       (* Merge underflowing neighbours to a fixpoint (each merge
          changes the list, so re-scan after every one). *)
       let rec merge_pass budget =

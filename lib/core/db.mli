@@ -129,6 +129,16 @@ val config : t -> Config.t
 val chunk_count : t -> int
 val munk_count : t -> int
 
+val munk_bytes : t -> int
+(** Resident munk bytes as the munk cache charges them: each munk
+    weighs what it did when last built (loaded, rebalanced, split or
+    merged). *)
+
+val munk_budget_bytes : t -> int
+(** The munk cache's byte budget, [munk_cache_capacity *
+    max_chunk_bytes]; resident bytes settle within one
+    [max_chunk_bytes] above it. *)
+
 val logical_bytes_written : t -> int
 (** Sum of key+value sizes accepted through [put]/[delete]. *)
 
@@ -183,6 +193,9 @@ type chunk_stat = {
   cs_min_key : string;
   cs_munk_resident : bool;
   cs_resident_bytes : int;  (** munk bytes when resident, else 0 *)
+  cs_charged_bytes : int;
+      (** what the munk cache charges for the munk ({!munk_bytes}): its
+          bytes when last built; 0 when not resident *)
   cs_stat : Chunk.stat;
 }
 

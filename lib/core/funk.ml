@@ -78,6 +78,8 @@ let total_bytes t =
 
 let fsync_log t = Log_file.Writer.fsync t.log
 
+(* An empty log (every funk a flush or rebalance just built) is known
+   from the writer's position: no lookup, size or read of the file. *)
 let get_from_log t ?segments ~visible ~max_version key =
   let consider best _off (e : Kv_iter.entry) =
     if String.equal e.key key && e.version <= max_version && visible e.version then
@@ -86,22 +88,24 @@ let get_from_log t ?segments ~visible ~max_version key =
       | _ -> Some e
     else best
   in
-  match segments with
-  | None -> Log_file.Reader.fold t.funk_env (log_name t.funk_id) ~init:None ~f:consider
-  | Some ranges ->
-    (* Ranges are newest-first; a hit in a newer range cannot be
-       superseded by an older one, so stop at the first hit. *)
-    let rec scan = function
-      | [] -> None
-      | (lo, hi) :: rest -> (
-        let hi = if hi = max_int then None else Some hi in
-        match
-          Log_file.Reader.fold ~lo ?hi t.funk_env (log_name t.funk_id) ~init:None ~f:consider
-        with
-        | Some e -> Some e
-        | None -> scan rest)
-    in
-    scan ranges
+  if log_size t = 0 then None
+  else
+    match segments with
+    | None -> Log_file.Reader.fold t.funk_env (log_name t.funk_id) ~init:None ~f:consider
+    | Some ranges ->
+      (* Ranges are newest-first; a hit in a newer range cannot be
+         superseded by an older one, so stop at the first hit. *)
+      let rec scan = function
+        | [] -> None
+        | (lo, hi) :: rest -> (
+          let hi = if hi = max_int then None else Some hi in
+          match
+            Log_file.Reader.fold ~lo ?hi t.funk_env (log_name t.funk_id) ~init:None ~f:consider
+          with
+          | Some e -> Some e
+          | None -> scan rest)
+      in
+      scan ranges
 
 let get_from_sst t ~visible ~max_version key =
   (* The SSTable stores versions newest-first per key; take the newest
@@ -110,7 +114,8 @@ let get_from_sst t ~visible ~max_version key =
   List.find_opt (fun (e : Kv_iter.entry) -> e.version <= max_version && visible e.version) versions
 
 let log_entries_in_range t ~visible ~low ~high =
-  let entries =
+  if log_size t = 0 then []
+  else
     Log_file.Reader.fold t.funk_env (log_name t.funk_id) ~init:[] ~f:(fun acc _off e ->
         if
           String.compare low e.Kv_iter.key <= 0
@@ -118,8 +123,7 @@ let log_entries_in_range t ~visible ~low ~high =
           && visible e.Kv_iter.version
         then e :: acc
         else acc)
-  in
-  List.sort Kv_iter.compare_entries entries
+    |> List.sort Kv_iter.compare_entries
 
 let all_entries ?hi t ~visible =
   let log_entries =

@@ -55,14 +55,15 @@ val get_from_log :
   Kv_iter.entry option
 (** Newest visible log record for the key with version [<= max_version].
     [segments] (from the partitioned bloom) restricts the byte ranges
-    scanned, newest range first; default: the whole log. *)
+    scanned, newest range first; default: the whole log. An empty log
+    ({!log_size} 0) answers [None] without touching the file. *)
 
 val get_from_sst : t -> visible:(int -> bool) -> max_version:int -> string -> Kv_iter.entry option
 
 val log_entries_in_range :
   t -> visible:(int -> bool) -> low:string -> high:string -> Kv_iter.entry list
 (** All visible log records with [low <= key <= high], in canonical
-    order (for scans and merges). *)
+    order (for scans and merges); [[]] at once for an empty log. *)
 
 val all_entries : ?hi:int -> t -> visible:(int -> bool) -> Kv_iter.t
 (** SSTable merged with the sorted log — the chunk's full visible

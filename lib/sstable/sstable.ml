@@ -250,7 +250,6 @@ module Reader = struct
     name : string;
     chunk_min_key : string;
     blocks : block_meta array;
-    block_rank : int array; (* entries in the blocks before block [i] *)
     count : int;
     bloom : Bloom.t option;
   }
@@ -361,12 +360,7 @@ module Reader = struct
       in
       if Crc32c.string bloom_str <> f.bloom_crc then corrupt "bloom checksum mismatch";
       let bloom = if f.bloom_len = 0 then None else Some (Bloom.deserialize bloom_str) in
-      let n_blocks = Array.length blocks in
-      let block_rank = Array.make n_blocks 0 in
-      for i = 1 to n_blocks - 1 do
-        block_rank.(i) <- block_rank.(i - 1) + blocks.(i - 1).entries
-      done;
-      { env; name; chunk_min_key; blocks; block_rank; count; bloom }
+      { env; name; chunk_min_key; blocks; count; bloom }
     with
     | t -> t
     | exception Bad detail -> corrupt detail
@@ -499,13 +493,12 @@ module Reader = struct
 
   (* The block index names the one block that can hold the first entry
      at or above [key] (all versions of a key share a block); a binary
-     search inside it gives the position, and the block's running entry
-     count turns that into the table-wide rank. If every entry of the
-     block is below [key], the answer is the next block's first entry,
-     which is only read when pulled. *)
-  let seek t key =
+     search inside it gives the position. If every entry of the block is
+     below [key], the answer is the next block's first entry, which is
+     only read when pulled. *)
+  let iter_from t key =
     let bi = max 0 (find_block t key) in
-    if bi >= Array.length t.blocks then (0, fun () -> None)
+    if bi >= Array.length t.blocks then fun () -> None
     else begin
       let entries = block_entries t bi in
       let lo = ref 0 and hi = ref (Array.length entries) in
@@ -513,10 +506,8 @@ module Reader = struct
         let mid = (!lo + !hi) / 2 in
         if String.compare entries.(mid).Kv_iter.key key < 0 then lo := mid + 1 else hi := mid
       done;
-      (t.block_rank.(bi) + !lo, iter_at t bi entries !lo)
+      iter_at t bi entries !lo
     end
-
-  let iter_from t key = snd (seek t key)
 
   (* Best-effort extraction from a damaged table, for fsck --repair:
      whatever the index can still locate and whose block checksum still

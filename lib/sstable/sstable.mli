@@ -91,12 +91,7 @@ module Reader : sig
   (** Full scan in canonical order. Blocks are fetched lazily. *)
 
   val iter_from : t -> string -> Kv_iter.t
-  (** Scan starting at the first entry with key >= the argument. *)
-
-  val seek : t -> string -> int * Kv_iter.t
-  (** [seek t low] is [(rank, it)]: the 0-based position, counted
-      across blocks in file order, of the first entry whose key is
-      [>= low] ([entry_count t] when there is none), and an iterator
-      positioned there. Reads only the block the index names for
-      [low]; later blocks are fetched as [it] is pulled. *)
+  (** Scan starting at the first entry with key >= the argument. Reads
+      only the block the index names for it; later blocks are fetched
+      as the iterator is pulled. *)
 end

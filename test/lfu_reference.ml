@@ -1,26 +1,28 @@
 type decision =
   | Already_cached
-  | Admit of int option
-  | Evict_other of int
+  | Admit of int list
+  | Evict_other of int list
   | Skip
 
 type t = {
   mutex : Mutex.t;
-  capacity : int;
+  budget : int;
+  slack : int;
   decay_every : int;
   freq : (int, int) Hashtbl.t;
-  cached_set : (int, unit) Hashtbl.t;
+  cached_set : (int, int) Hashtbl.t; (* id -> weight *)
   mutable accesses : int;
   mutable hit_count : int;
   mutable miss_count : int;
   mutable eviction_count : int;
 }
 
-let create ~capacity ?(decay_every = 10_000) () =
-  if capacity <= 0 then invalid_arg "Lfu.create: capacity <= 0";
+let create ~budget ~slack ?(decay_every = 10_000) () =
+  if budget <= 0 then invalid_arg "Lfu.create: budget <= 0";
   {
     mutex = Mutex.create ();
-    capacity;
+    budget;
+    slack;
     decay_every;
     freq = Hashtbl.create 256;
     cached_set = Hashtbl.create 256;
@@ -44,70 +46,89 @@ let bump t id =
   end;
   f + 1
 
-(* Coldest cached chunk (lowest frequency), excluding [but]. *)
-let victim ?but t =
+let freq_of t id = Option.value ~default:0 (Hashtbl.find_opt t.freq id)
+
+(* Summed afresh on every question: the model keeps no running total. *)
+let resident t = Hashtbl.fold (fun _ w acc -> acc + w) t.cached_set 0
+
+(* Coldest cached chunk (lowest frequency) among those [skip] does not
+   exclude. *)
+let victim ?(skip = fun _ -> false) t =
   Hashtbl.fold
-    (fun id () best ->
-      if Some id = but then best
+    (fun id _ best ->
+      if skip id then best
       else begin
-        let f = Option.value ~default:0 (Hashtbl.find_opt t.freq id) in
+        let f = freq_of t id in
         match best with
         | Some (_, bf) when bf <= f -> best
         | _ -> Some (id, f)
       end)
     t.cached_set None
 
-let on_access t id =
+let insert t id weight =
+  Hashtbl.remove t.cached_set id;
+  Hashtbl.replace t.cached_set id weight
+
+let evict t id =
+  Hashtbl.remove t.cached_set id;
+  t.eviction_count <- t.eviction_count + 1
+
+(* Evict the coldest, one at a time, until within budget + slack. *)
+let drain ?but t =
+  let rec go acc =
+    if resident t <= t.budget + t.slack then List.rev acc
+    else
+      match victim ~skip:(fun id -> Some id = but) t with
+      | Some (vid, _) ->
+        evict t vid;
+        go (vid :: acc)
+      | None -> List.rev acc
+  in
+  go []
+
+let on_access t id ~weight =
   with_lock t (fun () ->
       let f = bump t id in
       if Hashtbl.mem t.cached_set id then begin
         t.hit_count <- t.hit_count + 1;
-        (* Splits can leave the cache transiently over capacity
-           (children inherit the parent's cached status); drain the
-           excess here. *)
-        if Hashtbl.length t.cached_set > t.capacity then begin
-          match victim ~but:id t with
-          | Some (vid, _) ->
-            Hashtbl.remove t.cached_set vid;
-            t.eviction_count <- t.eviction_count + 1;
-            Evict_other vid
-          | None -> Already_cached
-        end
-        else Already_cached
+        match drain ~but:id t with [] -> Already_cached | vs -> Evict_other vs
       end
       else begin
         t.miss_count <- t.miss_count + 1;
-        if Hashtbl.length t.cached_set < t.capacity then begin
-          Hashtbl.replace t.cached_set id ();
-          Admit None
-        end
-        else
-          match victim t with
-          | Some (vid, vf) when f > vf ->
-            Hashtbl.remove t.cached_set vid;
-            t.eviction_count <- t.eviction_count + 1;
-            Hashtbl.replace t.cached_set id ();
-            Admit (Some vid)
-          | _ -> Skip
+        match victim t with
+        | None ->
+          insert t id weight;
+          Admit []
+        | Some (_, vf) when f < vf && resident t + weight + t.slack > t.budget -> Skip
+        | Some _ ->
+          (* Pick victims one coldest at a time, without evicting, until
+             the newcomer fits; every one must be under half its count. *)
+          let rec plan picked freed =
+            if resident t - freed + weight <= t.budget then Some (List.rev picked)
+            else
+              match victim ~skip:(fun id -> List.mem id picked) t with
+              | Some (vid, vf) when 2 * vf < f -> plan (vid :: picked) (freed + Hashtbl.find t.cached_set vid)
+              | _ -> None
+          in
+          (match plan [] 0 with
+          | None -> Skip
+          | Some vs ->
+            List.iter (evict t) vs;
+            insert t id weight;
+            Admit vs)
       end)
 
 let is_cached t id = with_lock t (fun () -> Hashtbl.mem t.cached_set id)
 
-let force_insert t id =
+let set_weight t id weight =
+  with_lock t (fun () -> if Hashtbl.mem t.cached_set id then Hashtbl.replace t.cached_set id weight)
+
+let force_insert t id ~weight =
   with_lock t (fun () ->
-      if Hashtbl.mem t.cached_set id then None
-      else begin
-        Hashtbl.replace t.cached_set id ();
-        if Hashtbl.length t.cached_set > t.capacity then begin
-          match victim ~but:id t with
-          | Some (vid, _) ->
-            Hashtbl.remove t.cached_set vid;
-            t.eviction_count <- t.eviction_count + 1;
-            Some vid
-          | None -> None
-        end
-        else None
-      end)
+      insert t id weight;
+      drain ~but:id t)
+
+let overflow t = with_lock t (fun () -> drain t)
 
 let remove t id =
   with_lock t (fun () ->
@@ -116,24 +137,22 @@ let remove t id =
 
 let transfer t ~old_id ~new_ids =
   with_lock t (fun () ->
-      let f = Option.value ~default:0 (Hashtbl.find_opt t.freq old_id) in
+      let f = freq_of t old_id in
       let was_cached = Hashtbl.mem t.cached_set old_id in
       Hashtbl.remove t.cached_set old_id;
       Hashtbl.remove t.freq old_id;
       List.iter
-        (fun id ->
+        (fun (id, weight) ->
           Hashtbl.replace t.freq id f;
-          if was_cached then Hashtbl.replace t.cached_set id ())
+          if was_cached then insert t id weight)
         new_ids)
 
 let cached t =
-  with_lock t (fun () -> Hashtbl.fold (fun id () acc -> id :: acc) t.cached_set [])
+  with_lock t (fun () -> Hashtbl.fold (fun id _ acc -> id :: acc) t.cached_set [])
 
-let frequency t id =
-  with_lock t (fun () -> Option.value ~default:0 (Hashtbl.find_opt t.freq id))
-
+let resident_bytes t = with_lock t (fun () -> resident t)
+let frequency t id = with_lock t (fun () -> freq_of t id)
 let drop_cached t id = with_lock t (fun () -> Hashtbl.remove t.cached_set id)
-
 let hits t = with_lock t (fun () -> t.hit_count)
 let misses t = with_lock t (fun () -> t.miss_count)
 let evictions t = with_lock t (fun () -> t.eviction_count)

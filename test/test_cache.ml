@@ -111,135 +111,220 @@ let successor parent id =
 
 let ids cs = List.sort compare (List.map Chunk.id cs)
 
+(* Budgets in the unit tests below are in bytes; [chunk_bytes] plays
+   [max_chunk_bytes]: the slack, and a full munk's weight. *)
+let chunk_bytes = 100
+
+let decision_name = function
+  | Lfu.Skip -> "Skip"
+  | Lfu.Already_cached -> "Already_cached"
+  | Lfu.Evict_other _ -> "Evict_other"
+  | Lfu.Admit _ -> "Admit"
+
+let check_within l ~budget what =
+  let r = Lfu.resident_bytes l in
+  if r > budget + chunk_bytes then
+    Alcotest.failf "%s: %d resident bytes, bound %d" what r (budget + chunk_bytes)
+
 let lfu_admission () =
-  let l = Lfu.create ~capacity:2 () in
+  let budget = 2 * chunk_bytes in
+  let l = Lfu.create ~budget ~slack:chunk_bytes () in
   let c1 = chunk 1 and c2 = chunk 2 and c3 = chunk 3 in
-  (match Lfu.on_access l c1 with
-  | Lfu.Admit None -> ()
-  | _ -> Alcotest.fail "expected Admit None");
-  (match Lfu.on_access l c2 with
-  | Lfu.Admit None -> ()
-  | _ -> Alcotest.fail "expected Admit None for second");
+  (match Lfu.on_access l c1 ~weight:chunk_bytes with
+  | Lfu.Admit [] -> ()
+  | _ -> Alcotest.fail "expected Admit []");
+  (match Lfu.on_access l c2 ~weight:chunk_bytes with
+  | Lfu.Admit [] -> ()
+  | _ -> Alcotest.fail "expected Admit [] for second");
   Alcotest.(check bool) "1 cached" true (Lfu.is_cached l c1);
-  (* A one-hit wonder cannot displace an equally warm resident. *)
-  (match Lfu.on_access l c3 with
+  Alcotest.(check int) "two full munks" budget (Lfu.resident_bytes l);
+  (* A one-hit wonder cannot displace an equally warm resident, nor can
+     a chunk barely hotter than it: the victim must be under half as
+     hot. *)
+  (match Lfu.on_access l c3 ~weight:chunk_bytes with
   | Lfu.Skip -> ()
-  | _ -> Alcotest.fail "expected Skip");
-  (* Make 3 hotter than the coldest resident. *)
-  (match Lfu.on_access l c3 with
-  | Lfu.Admit (Some victim) ->
+  | d -> Alcotest.failf "expected Skip, got %s" (decision_name d));
+  (match Lfu.on_access l c3 ~weight:chunk_bytes with
+  | Lfu.Skip -> ()
+  | d -> Alcotest.failf "expected Skip at twice the count, got %s" (decision_name d));
+  (* Make 3 more than twice as hot as the coldest resident. *)
+  (match Lfu.on_access l c3 ~weight:chunk_bytes with
+  | Lfu.Admit [ victim ] ->
     Alcotest.(check bool) "victim was resident" true (victim == c1 || victim == c2)
-  | d ->
-    Alcotest.failf "expected Admit Some, got %s"
-      (match d with
-      | Lfu.Skip -> "Skip"
-      | Lfu.Already_cached -> "Already_cached"
-      | Lfu.Evict_other _ -> "Evict_other"
-      | Lfu.Admit _ -> "Admit"))
+  | d -> Alcotest.failf "expected Admit [victim], got %s" (decision_name d));
+  Alcotest.(check int) "still two full munks" budget (Lfu.resident_bytes l);
+  check_within l ~budget "after admission";
+  (* Half-full munks: the same budget holds four of them. *)
+  let l = Lfu.create ~budget ~slack:chunk_bytes () in
+  let half = chunk_bytes / 2 in
+  let cs = List.init 4 (fun i -> chunk (10 + i)) in
+  List.iter
+    (fun c ->
+      match Lfu.on_access l c ~weight:half with
+      | Lfu.Admit [] -> ()
+      | d -> Alcotest.failf "half-full chunk %d: expected Admit [], got %s" (Chunk.id c) (decision_name d))
+    cs;
+  Alcotest.(check int) "four half-full munks" 4 (List.length (Lfu.cached l));
+  (* A full chunk hot enough needs two half-full victims. *)
+  let big = chunk 20 in
+  for _ = 1 to 2 do
+    ignore (Lfu.on_access l big ~weight:chunk_bytes)
+  done;
+  (match Lfu.on_access l big ~weight:chunk_bytes with
+  | Lfu.Admit vs -> Alcotest.(check int) "two victims" 2 (List.length vs)
+  | d -> Alcotest.failf "expected Admit, got %s" (decision_name d));
+  Alcotest.(check int) "budget exactly spent" budget (Lfu.resident_bytes l);
+  check_within l ~budget "after a two-victim admission";
+  (* Spare bytes: a chunk colder than every munk gets them while a
+     chunk's worth would be left over, and not once it would not. *)
+  let budget = 4 * chunk_bytes in
+  let l = Lfu.create ~budget ~slack:chunk_bytes () in
+  let hot = List.init 3 (fun i -> chunk (30 + i)) and cold = chunk 40 in
+  List.iter
+    (fun c ->
+      for _ = 1 to 3 do
+        ignore (Lfu.on_access l c ~weight:chunk_bytes)
+      done)
+    (List.filteri (fun i _ -> i < 2) hot);
+  (match Lfu.on_access l cold ~weight:chunk_bytes with
+  | Lfu.Admit [] -> ()
+  | d -> Alcotest.failf "colder chunk, two chunks spare: expected Admit [], got %s" (decision_name d));
+  Lfu.drop_cached l cold;
+  for _ = 1 to 3 do
+    ignore (Lfu.on_access l (List.nth hot 2) ~weight:chunk_bytes)
+  done;
+  (match Lfu.on_access l cold ~weight:chunk_bytes with
+  | Lfu.Skip -> ()
+  | d -> Alcotest.failf "colder chunk, one chunk spare: expected Skip, got %s" (decision_name d));
+  Alcotest.(check int) "three munks" (3 * chunk_bytes) (Lfu.resident_bytes l)
 
 let lfu_already_cached () =
-  let l = Lfu.create ~capacity:2 () in
+  let l = Lfu.create ~budget:(2 * chunk_bytes) ~slack:chunk_bytes () in
   let c1 = chunk 1 in
-  ignore (Lfu.on_access l c1);
-  (match Lfu.on_access l c1 with
+  ignore (Lfu.on_access l c1 ~weight:chunk_bytes);
+  (match Lfu.on_access l c1 ~weight:chunk_bytes with
   | Lfu.Already_cached -> ()
   | _ -> Alcotest.fail "expected Already_cached")
 
 let lfu_hot_resists_eviction () =
-  let l = Lfu.create ~capacity:1 () in
+  let l = Lfu.create ~budget:chunk_bytes ~slack:chunk_bytes () in
   let c1 = chunk 1 and c2 = chunk 2 in
   for _ = 1 to 10 do
-    ignore (Lfu.on_access l c1)
+    ignore (Lfu.on_access l c1 ~weight:chunk_bytes)
   done;
   (* A few accesses of 2 cannot displace well-established 1. *)
-  (match Lfu.on_access l c2 with
+  (match Lfu.on_access l c2 ~weight:chunk_bytes with
   | Lfu.Skip -> ()
   | _ -> Alcotest.fail "cold challenger should be skipped");
   Alcotest.(check bool) "hot stays" true (Lfu.is_cached l c1)
 
 let lfu_decay () =
-  let l = Lfu.create ~capacity:1 ~decay_every:10 () in
+  let l = Lfu.create ~budget:chunk_bytes ~slack:chunk_bytes ~decay_every:10 () in
   let c1 = chunk 1 and c2 = chunk 2 in
   for _ = 1 to 8 do
-    ignore (Lfu.on_access l c1)
+    ignore (Lfu.on_access l c1 ~weight:chunk_bytes)
   done;
   Alcotest.(check int) "freq before decay" 8 (Lfu.frequency l c1);
   (* Cross the decay threshold. *)
-  ignore (Lfu.on_access l c2);
-  ignore (Lfu.on_access l c2);
+  ignore (Lfu.on_access l c2 ~weight:chunk_bytes);
+  ignore (Lfu.on_access l c2 ~weight:chunk_bytes);
   Alcotest.(check int) "frequency halved" 4 (Lfu.frequency l c1);
   Alcotest.(check int) "the record keeps the undecayed count" 8 (Chunk.freq c1).Chunk.count
 
 let lfu_transfer () =
-  let l = Lfu.create ~capacity:4 () in
+  let l = Lfu.create ~budget:(4 * chunk_bytes) ~slack:chunk_bytes () in
   let c10 = chunk 10 in
   for _ = 1 to 5 do
-    ignore (Lfu.on_access l c10)
+    ignore (Lfu.on_access l c10 ~weight:chunk_bytes)
   done;
   let c20 = successor c10 20 and c21 = successor c10 21 in
-  Lfu.transfer l c10 ~into:[ c20; c21 ];
+  Lfu.transfer l c10 ~into:[ (c20, 60); (c21, 70) ];
   Alcotest.(check bool) "old forgotten" false (Lfu.is_cached l c10);
   Alcotest.(check int) "old frequency zeroed" 0 (Lfu.frequency l c10);
   Alcotest.(check bool) "child cached" true (Lfu.is_cached l c20 && Lfu.is_cached l c21);
+  Alcotest.(check int) "children weighed" 130 (Lfu.resident_bytes l);
   Alcotest.(check int) "frequency inherited" 5 (Lfu.frequency l c20)
 
 let lfu_over_capacity_drains () =
-  let l = Lfu.create ~capacity:2 () in
+  let budget = 2 * chunk_bytes in
+  let l = Lfu.create ~budget ~slack:chunk_bytes () in
   let c1 = chunk 1 and c2 = chunk 2 in
-  ignore (Lfu.on_access l c1);
-  ignore (Lfu.on_access l c2);
-  ignore (Lfu.on_access l c2);
-  (* Splitting 1 into two children overshoots capacity. *)
+  ignore (Lfu.on_access l c1 ~weight:chunk_bytes);
+  ignore (Lfu.on_access l c2 ~weight:chunk_bytes);
+  ignore (Lfu.on_access l c2 ~weight:chunk_bytes);
+  (* Splitting 1 into two children, each as large as 1 was, takes the
+     cache to its bound: held, not drained. *)
   let c11 = successor c1 11 and c12 = successor c1 12 in
-  Lfu.transfer l c1 ~into:[ c11; c12 ];
-  Alcotest.(check (list int)) "transiently over" [ 2; 11; 12 ] (ids (Lfu.cached l));
-  (match Lfu.on_access l c2 with
-  | Lfu.Evict_other v -> Alcotest.(check bool) "evicts a child" true (v == c11 || v == c12)
-  | _ -> Alcotest.fail "expected Evict_other to drain overflow");
-  Alcotest.(check int) "back at capacity" 2 (List.length (Lfu.cached l))
+  Lfu.transfer l c1 ~into:[ (c11, chunk_bytes); (c12, chunk_bytes) ];
+  Alcotest.(check (list int)) "over the budget" [ 2; 11; 12 ] (ids (Lfu.cached l));
+  (match Lfu.on_access l c2 ~weight:chunk_bytes with
+  | Lfu.Already_cached -> ()
+  | d -> Alcotest.failf "within budget + slack: expected Already_cached, got %s" (decision_name d));
+  (* A rebalance that grows a child past the bound drains it. *)
+  Lfu.set_weight l c12 (chunk_bytes + 1);
+  Alcotest.(check int) "over the bound" (budget + chunk_bytes + 1) (Lfu.resident_bytes l);
+  (match Lfu.on_access l c2 ~weight:chunk_bytes with
+  | Lfu.Evict_other [ v ] -> Alcotest.(check bool) "evicts a child" true (v == c11 || v == c12)
+  | d -> Alcotest.failf "expected Evict_other [child] to drain overflow, got %s" (decision_name d));
+  check_within l ~budget "after the drain";
+  Alcotest.(check int) "two munks left" 2 (List.length (Lfu.cached l));
+  (* [overflow] drains the same way, without an access. *)
+  List.iter (fun c -> Lfu.set_weight l c (2 * chunk_bytes)) (Lfu.cached l);
+  Alcotest.(check int) "one victim" 1 (List.length (Lfu.overflow l));
+  check_within l ~budget "after overflow";
+  Alcotest.(check (list int)) "nothing more to drain" [] (ids (Lfu.overflow l))
 
 let lfu_force_insert_and_drop () =
-  let l = Lfu.create ~capacity:1 () in
+  let l = Lfu.create ~budget:chunk_bytes ~slack:0 () in
   let c1 = chunk 1 and c2 = chunk 2 in
-  Alcotest.(check bool) "first force" true (Lfu.force_insert l c1 = None);
-  (match Lfu.force_insert l c2 with
-  | Some v when v == c1 -> ()
+  Alcotest.(check bool) "first force" true (Lfu.force_insert l c1 ~weight:chunk_bytes = []);
+  (match Lfu.force_insert l c2 ~weight:chunk_bytes with
+  | [ v ] when v == c1 -> ()
   | _ -> Alcotest.fail "expected eviction of 1");
   Lfu.drop_cached l c2;
-  Alcotest.(check bool) "dropped" false (Lfu.is_cached l c2)
+  Alcotest.(check bool) "dropped" false (Lfu.is_cached l c2);
+  Alcotest.(check int) "nothing resident" 0 (Lfu.resident_bytes l)
 
 (* Differential property: the policy over chunk records makes the same
-   decisions as [Lfu_reference], the id-keyed policy with its own
-   frequency table and eager halving sweep that it replaced. Both see
-   the same accesses, splits, merges, forced inserts and explicit
-   evictions; a small [decay_every] makes runs cross many halvings,
-   including accesses that trigger one. *)
+   decisions as [Lfu_reference], an id-keyed policy with its own
+   frequency table, an eager halving sweep, and a resident total summed
+   afresh on every question. Both see the same accesses, splits,
+   merges, forced inserts, re-weighings, drains and explicit
+   evictions, with weights up to one and a half chunks; a small
+   [decay_every] makes runs cross many halvings, including accesses
+   that trigger one. *)
 type lfu_op =
-  | Access of int
+  | Access of int * int  (* chunk, weight estimate *)
   | Access_retired of int  (* a reader still holding a retired chunk *)
-  | Split of int
-  | Merge of int
-  | Force of int
+  | Split of int * int * int  (* chunk, children's weights *)
+  | Merge of int * int
+  | Force of int * int
+  | Reweigh of int * int
+  | Overflow
   | Drop of int
 
 let show_lfu_op = function
-  | Access i -> Printf.sprintf "Access %d" i
+  | Access (i, w) -> Printf.sprintf "Access (%d, %d)" i w
   | Access_retired i -> Printf.sprintf "Access_retired %d" i
-  | Split i -> Printf.sprintf "Split %d" i
-  | Merge i -> Printf.sprintf "Merge %d" i
-  | Force i -> Printf.sprintf "Force %d" i
+  | Split (i, w1, w2) -> Printf.sprintf "Split (%d, %d, %d)" i w1 w2
+  | Merge (i, w) -> Printf.sprintf "Merge (%d, %d)" i w
+  | Force (i, w) -> Printf.sprintf "Force (%d, %d)" i w
+  | Reweigh (i, w) -> Printf.sprintf "Reweigh (%d, %d)" i w
+  | Overflow -> "Overflow"
   | Drop i -> Printf.sprintf "Drop %d" i
 
 let lfu_op_gen =
   QCheck.Gen.(
-    let i = int_bound 63 in
+    let i = int_bound 63 and w = int_range 1 (3 * chunk_bytes / 2) in
     frequency
       [
-        (12, map (fun i -> Access i) i);
+        (12, map2 (fun i w -> Access (i, w)) i w);
         (1, map (fun i -> Access_retired i) i);
-        (2, map (fun i -> Split i) i);
-        (2, map (fun i -> Merge i) i);
-        (1, map (fun i -> Force i) i);
+        (2, map3 (fun i w1 w2 -> Split (i, w1, w2)) i w w);
+        (2, map2 (fun i w -> Merge (i, w)) i w);
+        (1, map2 (fun i w -> Force (i, w)) i w);
+        (2, map2 (fun i w -> Reweigh (i, w)) i w);
+        (1, return Overflow);
         (1, map (fun i -> Drop i) i);
       ])
 
@@ -251,8 +336,12 @@ let lfu_matches_reference =
            ~print:(fun ops -> String.concat "; " (List.map show_lfu_op ops))
            Gen.(list_size (int_range 1 300) lfu_op_gen)))
     (fun (capacity, decay_every, initial, ops) ->
-      let l = Lfu.create ~capacity ~decay_every () in
-      let r = Lfu_reference.create ~capacity ~decay_every () in
+      (* The shrinker may step below the generators' ranges. *)
+      let capacity = max 1 capacity and decay_every = max 1 decay_every
+      and initial = max 1 initial in
+      let budget = capacity * chunk_bytes in
+      let l = Lfu.create ~budget ~slack:chunk_bytes ~decay_every () in
+      let r = Lfu_reference.create ~budget ~slack:chunk_bytes ~decay_every () in
       let live = ref (List.init initial chunk) and retired = ref [] in
       let next_id = ref initial in
       let fresh parent =
@@ -262,51 +351,71 @@ let lfu_matches_reference =
       in
       let nth l i = List.nth l (i mod List.length l) in
       let same what a b = if a <> b then QCheck.Test.fail_reportf "%s differs" what in
-      let id_opt = Option.map Chunk.id in
+      let id_list = List.map Chunk.id in
       let decision = function
         | Lfu.Already_cached -> Lfu_reference.Already_cached
-        | Lfu.Admit v -> Lfu_reference.Admit (id_opt v)
-        | Lfu.Evict_other v -> Lfu_reference.Evict_other (Chunk.id v)
+        | Lfu.Admit vs -> Lfu_reference.Admit (id_list vs)
+        | Lfu.Evict_other vs -> Lfu_reference.Evict_other (id_list vs)
         | Lfu.Skip -> Lfu_reference.Skip
       in
-      let access c =
-        let d = decision (Lfu.on_access l c) in
-        same "decision" d (Lfu_reference.on_access r (Chunk.id c))
+      (* Every decision that can evict leaves the cache within one
+         chunk of its budget (no weight here exceeds that on its own). *)
+      let bounded what =
+        let b = Lfu.resident_bytes l in
+        if b > budget + chunk_bytes then
+          QCheck.Test.fail_reportf "%s: %d resident bytes, bound %d" what b (budget + chunk_bytes)
+      in
+      let access c weight =
+        let d = decision (Lfu.on_access l c ~weight) in
+        same "decision" d (Lfu_reference.on_access r (Chunk.id c) ~weight);
+        if d <> Lfu_reference.Skip then bounded "after an access"
       in
       let step = function
-        | Access i -> access (nth !live i)
-        | Access_retired i -> if !retired <> [] then access (nth !retired i)
-        | Split i ->
+        | Access (i, w) -> access (nth !live i) w
+        | Access_retired i -> if !retired <> [] then access (nth !retired i) 0
+        | Split (i, w1, w2) ->
           let c = nth !live i in
           let c1 = fresh c in
           let c2 = fresh c in
-          Lfu.transfer l c ~into:[ c1; c2 ];
-          Lfu_reference.transfer r ~old_id:(Chunk.id c) ~new_ids:[ Chunk.id c1; Chunk.id c2 ];
+          Lfu.transfer l c ~into:[ (c1, w1); (c2, w2) ];
+          Lfu_reference.transfer r ~old_id:(Chunk.id c)
+            ~new_ids:[ (Chunk.id c1, w1); (Chunk.id c2, w2) ];
           live := List.concat_map (fun x -> if x == c then [ c1; c2 ] else [ x ]) !live;
           retired := c :: !retired
-        | Merge i ->
+        | Merge (i, w) ->
           let n_live = List.length !live in
           if n_live >= 2 then begin
             let j = i mod (n_live - 1) in
             let c = List.nth !live j and n = List.nth !live (j + 1) in
             let cm = fresh c in
-            Lfu.transfer l c ~into:[ cm ];
+            Lfu.remove l c;
             Lfu.remove l n;
-            let v = id_opt (Lfu.force_insert l cm) in
-            Lfu_reference.transfer r ~old_id:(Chunk.id c) ~new_ids:[ Chunk.id cm ];
+            let vs = id_list (Lfu.force_insert l cm ~weight:w) in
+            (* The merged chunk inherits [c]'s count; in the model that
+               is a transfer. *)
+            Lfu_reference.transfer r ~old_id:(Chunk.id c) ~new_ids:[ (Chunk.id cm, w) ];
             Lfu_reference.remove r (Chunk.id n);
-            same "merge evictee" v (Lfu_reference.force_insert r (Chunk.id cm));
+            same "merge evictees" vs (Lfu_reference.force_insert r (Chunk.id cm) ~weight:w);
+            bounded "after a merge";
             live :=
               List.filter_map
                 (fun x -> if x == c then Some cm else if x == n then None else Some x)
                 !live;
             retired := c :: n :: !retired
           end
-        | Force i ->
+        | Force (i, w) ->
           let c = nth !live i in
-          same "force evictee"
-            (id_opt (Lfu.force_insert l c))
-            (Lfu_reference.force_insert r (Chunk.id c))
+          same "force evictees"
+            (id_list (Lfu.force_insert l c ~weight:w))
+            (Lfu_reference.force_insert r (Chunk.id c) ~weight:w);
+          bounded "after a forced insert"
+        | Reweigh (i, w) ->
+          let c = nth !live i in
+          Lfu.set_weight l c w;
+          Lfu_reference.set_weight r (Chunk.id c) w
+        | Overflow ->
+          same "overflow" (id_list (Lfu.overflow l)) (Lfu_reference.overflow r);
+          bounded "after a drain"
         | Drop i ->
           let c = nth !live i in
           Lfu.drop_cached l c;
@@ -318,6 +427,7 @@ let lfu_matches_reference =
           same "cached set, in victim-scan order"
             (List.map Chunk.id (Lfu.cached l))
             (Lfu_reference.cached r);
+          same "resident bytes" (Lfu.resident_bytes l) (Lfu_reference.resident_bytes r);
           same "hits" (Lfu.hits l) (Lfu_reference.hits r);
           same "misses" (Lfu.misses l) (Lfu_reference.misses r);
           same "evictions" (Lfu.evictions l) (Lfu_reference.evictions r);

@@ -397,6 +397,69 @@ let cold_rebalance_put_race () =
   Hashtbl.iter (fun k v -> Alcotest.(check (option string)) k (Some v) (Db.get db k)) expect;
   Db.close db
 
+(* A cold funk rebalance merges the funk it pinned without the chunk's
+   lock, then installs its result under the lock. If meanwhile the
+   chunk's munk was loaded and evicted again, and the eviction flushed
+   it into a new funk, puts since then live only in that funk's log:
+   the rebalance must give way, not replace the new funk with its
+   merge of the old one. The backend runs the load, the flushing
+   eviction and a put from inside the merge's first size query of a
+   funk log. Like the test above, the body runs on a fresh domain so
+   that the munk cache samples a known access. *)
+let cold_rebalance_flush_race () =
+  let (Backend.B (module Inner)) = Backend.memory () in
+  let hook = ref None in
+  let backend =
+    Backend.B
+      (module struct
+        include Inner
+
+        let size name =
+          (match !hook with
+          | Some f when is_funk name ".log" ->
+            hook := None;
+            f ()
+          | _ -> ());
+          Inner.size name
+      end)
+  in
+  let db = Db.open_ ~config:tiny_config (Env.of_backend backend) in
+  let expect = Hashtbl.create 64 in
+  let put k v =
+    Db.put db k v;
+    Hashtbl.replace expect k v
+  in
+  let raced = ref false in
+  Domain.join
+    (Domain.spawn (fun () ->
+         for i = 0 to 39 do
+           put (key i) (String.make 40 'a')
+         done;
+         ignore (Db.evict_munk db (key 0));
+         hook :=
+           Some
+             (fun () ->
+               (* The munk cache is empty: a sampled get loads the
+                  munk. *)
+               let tries = ref 0 in
+               while Db.munk_count db = 0 && !tries < 16 do
+                 ignore (Db.get db (key 3));
+                 incr tries
+               done;
+               Alcotest.(check int) "munk loaded mid-merge" 1 (Db.munk_count db);
+               (* The log is over the cold limit, so this eviction
+                  flushes the munk into a new funk. *)
+               let flushes = counter db "funk.flushes" in
+               Alcotest.(check bool) "evicted" true (Db.evict_munk db (key 0));
+               Alcotest.(check int) "eviction flushed" (flushes + 1) (counter db "funk.flushes");
+               put "key_race" "raced";
+               raced := true);
+         (* Overflows the cold log limit on its own. *)
+         put (key 1) (String.make 2500 'b')));
+  Alcotest.(check bool) "the load, flush and put raced the merge" true !raced;
+  Hashtbl.iter (fun k v -> Alcotest.(check (option string)) k (Some v) (Db.get db k)) expect;
+  Db.close db
+
 (* An exception the maintainer does not expect is counted in
    [maint.failures]; the domain keeps serving later chunks. *)
 let maintainer_survives_failure () =
@@ -441,5 +504,6 @@ let suite =
           Alcotest.test_case "maintainer domain" `Quick background_maintenance;
           Alcotest.test_case "maintainer survives a failure" `Quick maintainer_survives_failure;
           Alcotest.test_case "put between log end and merge" `Quick cold_rebalance_put_race;
+          Alcotest.test_case "munk flushed during a cold merge" `Quick cold_rebalance_flush_race;
         ] );
     ]

@@ -30,6 +30,21 @@ let with_db ?(config = tiny_config) f =
 let key i = Printf.sprintf "key%06d" i
 let value i = Printf.sprintf "value-%d" i
 
+(* The munk cache's byte bound: the resident bytes it charges are the
+   resident munks' built sizes, and at most one chunk above the budget
+   of [munk_cache_capacity] full chunks. *)
+let check_munk_bytes db what =
+  let charged = List.fold_left (fun acc c -> acc + c.Db.cs_charged_bytes) 0 (Db.chunk_stats db) in
+  Alcotest.(check int) (what ^ ": charged = resident munks' built bytes") charged (Db.munk_bytes db);
+  let cfg = Db.config db in
+  Alcotest.(check int) (what ^ ": budget") (cfg.Config.munk_cache_capacity * cfg.Config.max_chunk_bytes)
+    (Db.munk_budget_bytes db);
+  let bound = Db.munk_budget_bytes db + cfg.Config.max_chunk_bytes in
+  if Db.munk_bytes db > bound then
+    Alcotest.failf "%s: %d resident munk bytes, bound %d" what (Db.munk_bytes db) bound
+
+let munk_loads db = Evendb_obs.Obs.Counter.get (Evendb_obs.Obs.counter (Db.obs db) "munk.loads")
+
 let put_get () =
   with_db (fun _ db ->
       Alcotest.(check (option string)) "empty store" None (Db.get db "missing");
@@ -90,8 +105,7 @@ let many_keys_split () =
         Db.put db (key (i * 13 mod n)) (String.make 64 'v')
       done;
       Alcotest.(check bool) "splits happened" true (Db.chunk_count db > 4);
-      Alcotest.(check bool) "munk cache bounded" true
-        (Db.munk_count db <= tiny_config.Config.munk_cache_capacity + 1);
+      check_munk_bytes db "munk cache bounded";
       for i = 0 to n - 1 do
         if Db.get db (key i) = None then Alcotest.failf "lost %s" (key i)
       done;
@@ -340,9 +354,9 @@ let merge_preserves_recovery () =
     (List.length (Db.scan db ~low:"" ~high:"zzzz" ()));
   Db.close db
 
-(* A merged chunk always takes a munk; when the cache is full, the munk
-   the policy evicts for it must actually go, or resident munks pile up
-   past [munk_cache_capacity] until the victim is read again. *)
+(* A merged chunk always takes a munk; when the cache is full, the munks
+   the policy evicts for it must actually go, or resident munk bytes
+   pile up past the budget until the victims are read again. *)
 let merge_respects_munk_capacity () =
   let capacity = 2 in
   let config =
@@ -369,13 +383,75 @@ let merge_respects_munk_capacity () =
           Db.delete db (key i)
         done;
         Db.maintain db;
-        if Db.munk_count db > capacity then
-          Alcotest.failf "round %d: %d resident munks, capacity %d" r (Db.munk_count db) capacity
+        check_munk_bytes db (Printf.sprintf "round %d" r)
       done;
       Alcotest.(check bool)
         (Printf.sprintf "merged %d -> %d" chunks_before (Db.chunk_count db))
         true
         (Db.chunk_count db < chunks_before))
+
+(* The budget is bytes, so chunks left half full by splits are cached
+   beyond [munk_cache_capacity] of them, and the byte bound holds at
+   every point: through the load (splits hand both halves a munk) and
+   through rounds of reads over the whole store. Keys arrive in order,
+   so every split leaves a left half that no later put grows. *)
+let half_full_munks_beat_the_count () =
+  with_db (fun _ db ->
+      let n = 3000 and capacity = tiny_config.Config.munk_cache_capacity in
+      for i = 0 to n - 1 do
+        Db.put db (key i) (String.make 64 'v');
+        if i mod 100 = 99 then check_munk_bytes db (Printf.sprintf "after %d puts" (i + 1))
+      done;
+      Db.maintain db;
+      check_munk_bytes db "after maintain";
+      for round = 1 to 5 do
+        for i = 0 to n - 1 do
+          if Db.get db (key i) = None then Alcotest.failf "lost %s" (key i)
+        done;
+        let what = Printf.sprintf "read round %d" round in
+        check_munk_bytes db what;
+        let munks = Db.munk_count db in
+        if munks <= capacity then
+          Alcotest.failf "%s: %d munks in a budget of %d full chunks" what munks capacity;
+        let full = munks * tiny_config.Config.max_chunk_bytes in
+        if Db.munk_bytes db * 4 > full * 3 then
+          Alcotest.failf "%s: %d munks charge %d bytes, not partial chunks" what munks (Db.munk_bytes db)
+      done)
+
+(* A hot set that fits the byte budget is loaded once, though it has
+   more chunks than [munk_cache_capacity]: after the first rounds of
+   reads every hot chunk has its munk, and no later round loads one
+   again. (Under a count cap the hot chunks would take turns.) *)
+let hot_set_loaded_once () =
+  with_db (fun _ db ->
+      let n = 3000 in
+      for i = 0 to n - 1 do
+        Db.put db (key i) (String.make 64 'v')
+      done;
+      Db.maintain db;
+      List.iter (fun c -> ignore (Db.evict_munk db c.Db.cs_min_key)) (Db.chunk_stats db);
+      Alcotest.(check int) "all munks evicted" 0 (Db.munk_count db);
+      (* Six neighbouring half-full chunks in the middle: under the
+         budget of four full chunks. *)
+      let hot_chunks = 6 in
+      let chunks = Array.of_list (Db.chunk_stats db) in
+      let first = Array.length chunks / 2 in
+      let low = chunks.(first).Db.cs_min_key
+      and high = chunks.(first + hot_chunks).Db.cs_min_key in
+      let hot = List.filter (fun i -> low <= key i && key i < high) (List.init n Fun.id) in
+      let loads_after round =
+        for _ = 1 to 4 do
+          List.iter (fun i -> ignore (Db.get db (key i))) hot
+        done;
+        check_munk_bytes db (Printf.sprintf "round %d" round);
+        munk_loads db
+      in
+      let warm = loads_after 1 in
+      Alcotest.(check int) "each hot chunk loaded once" hot_chunks warm;
+      Alcotest.(check int) "hot chunks resident" hot_chunks (Db.munk_count db);
+      for round = 2 to 10 do
+        Alcotest.(check int) (Printf.sprintf "no load in round %d" round) warm (loads_after round)
+      done)
 
 let suite =
   suite
@@ -385,6 +461,11 @@ let suite =
           Alcotest.test_case "merge after deletes" `Quick merge_after_deletes;
           Alcotest.test_case "merge + recovery" `Quick merge_preserves_recovery;
           Alcotest.test_case "merge respects munk capacity" `Quick merge_respects_munk_capacity;
+        ] );
+      ( "munk_budget",
+        [
+          Alcotest.test_case "half-full munks beat the count" `Quick half_full_munks_beat_the_count;
+          Alcotest.test_case "a hot set is loaded once" `Quick hot_set_loaded_once;
         ] );
     ]
 

@@ -217,6 +217,43 @@ let chunk_counter_monotone () =
   in
   Alcotest.(check bool) "child continues" true (Chunk.next_counter inherited > c1)
 
+(* A memory backend that counts every size query, existence check and
+   read of the file [name]. *)
+let touching name =
+  let touches = ref 0 in
+  let (Backend.B (module M)) = Backend.memory () in
+  let module Touching = struct
+    include M
+
+    let note n = if n = name then incr touches
+    let size n = note n; M.size n
+    let exists n = note n; M.exists n
+    let read_at n ~off ~len = note n; M.read_at n ~off ~len
+    let pread n ~off ~len = note n; M.pread n ~off ~len
+  end in
+  (Env.of_backend (Backend.B (module Touching)), touches)
+
+(* A cold read of a funk whose log is empty answers from the writer's
+   position alone; once the log holds a record, the same reads go to
+   the file and find it. *)
+let empty_log_not_touched () =
+  let env, touches = touching (Funk.log_name 1) in
+  let f = mk env [ e ~version:1 ~value:"sst" "k" ] in
+  touches := 0;
+  Alcotest.(check bool) "get: nothing" true
+    (Funk.get_from_log f ~visible ~max_version:max_int "k" = None);
+  Alcotest.(check bool) "get in segments: nothing" true
+    (Funk.get_from_log f ~segments:[ (0, max_int) ] ~visible ~max_version:max_int "k" = None);
+  Alcotest.(check int) "range: nothing" 0
+    (List.length (Funk.log_entries_in_range f ~visible ~low:"" ~high:"z"));
+  Alcotest.(check int) "the empty log was never touched" 0 !touches;
+  ignore (Funk.append f (e ~version:2 ~value:"log" "k"));
+  Alcotest.(check (option string)) "get finds the record" (Some "log")
+    (Option.bind (Funk.get_from_log f ~visible ~max_version:max_int "k") (fun x -> x.Kv_iter.value));
+  Alcotest.(check int) "range finds the record" 1
+    (List.length (Funk.log_entries_in_range f ~visible ~low:"" ~high:"z"));
+  Alcotest.(check bool) "a non-empty log is read" true (!touches > 0)
+
 let suite =
   [
     ( "funk",
@@ -230,6 +267,7 @@ let suite =
         Alcotest.test_case "with_pin follows flips" `Quick with_pin_follows_flip;
         Alcotest.test_case "bounded log segments" `Quick log_segment_reads;
         Alcotest.test_case "visibility filter" `Quick visibility_filter;
+        Alcotest.test_case "empty log is not touched" `Quick empty_log_not_touched;
       ] );
     ( "manifest",
       [

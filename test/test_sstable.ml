@@ -112,11 +112,11 @@ let seek () =
   let it = Sstable.Reader.iter_from r "zzz" in
   Alcotest.(check bool) "past end" true (it () = None)
 
-(* [seek]'s rank is the number of entries below the target, across
-   blocks; its iterator yields exactly the entries from that rank on.
-   Several versions per key, small blocks, and every key, every gap
-   between keys, the start and the end as targets. *)
-let seek_rank () =
+(* [iter_from] yields exactly the entries at or above the target, from
+   wherever in the table they start: several versions per key, small
+   blocks, and every key, every gap between keys, the start and the
+   end as targets. *)
+let iter_from_position () =
   let env = Env.memory () in
   let entries =
     List.concat
@@ -125,7 +125,6 @@ let seek_rank () =
                e ~version:(10 - v) ~value:(String.make 20 'v') (Printf.sprintf "k%04d" (i * 2)))))
   in
   let r = build env ~block_size:128 entries in
-  let all = Array.of_list entries in
   let targets =
     "" :: "zzz"
     :: List.concat_map (fun (x : Kv_iter.entry) -> [ x.key; x.key ^ "\x00" ]) entries
@@ -133,17 +132,15 @@ let seek_rank () =
   List.iter
     (fun target ->
       let want = List.filter (fun (x : Kv_iter.entry) -> String.compare x.key target >= 0) entries in
-      let rank, it = Sstable.Reader.seek r target in
-      Alcotest.(check int) ("rank of " ^ String.escaped target) (Array.length all - List.length want) rank;
       Alcotest.(check (list string))
         ("entries from " ^ String.escaped target)
         (List.map (fun (x : Kv_iter.entry) -> Printf.sprintf "%s@%d" x.key x.version) want)
-        (List.map (fun (x : Kv_iter.entry) -> Printf.sprintf "%s@%d" x.key x.version) (Kv_iter.to_list it)))
+        (List.map
+           (fun (x : Kv_iter.entry) -> Printf.sprintf "%s@%d" x.key x.version)
+           (Kv_iter.to_list (Sstable.Reader.iter_from r target))))
     targets;
   let empty = build env ~name:"e.sst" [] in
-  let rank, it = Sstable.Reader.seek empty "k" in
-  Alcotest.(check int) "empty table rank" 0 rank;
-  Alcotest.(check bool) "empty table iter" true (it () = None)
+  Alcotest.(check bool) "empty table iter" true (Sstable.Reader.iter_from empty "k" () = None)
 
 let empty_table () =
   let env = Env.memory () in
@@ -231,7 +228,7 @@ let suite =
         Alcotest.test_case "versions stay in one block" `Quick versions_span_block_boundary;
         Alcotest.test_case "iteration order" `Quick iteration_order;
         Alcotest.test_case "seek" `Quick seek;
-        Alcotest.test_case "seek rank" `Quick seek_rank;
+        Alcotest.test_case "iter_from position" `Quick iter_from_position;
         Alcotest.test_case "empty table" `Quick empty_table;
         Alcotest.test_case "min key header" `Quick min_key_header;
         Alcotest.test_case "bloom section" `Quick bloom_section;
