@@ -33,6 +33,7 @@ module Db = Evendb_core.Db
 module Chunk = Evendb_core.Chunk
 module Snapshot = Evendb_core.Snapshot
 module Backup = Evendb_core.Backup
+module Layout = Evendb_core.Layout
 module Env = Evendb_storage.Env
 module Fault = Evendb_storage.Fault
 module Repl = Evendb_repl.Repl
@@ -80,7 +81,7 @@ let fault_report faults () =
    Sync (an applied-but-unsynced stream record would be acked to the
    shipper yet lost on crash). *)
 let follower_safe_config env config =
-  if Env.exists env Repl.follower_marker then
+  if Env.exists env Layout.follower_file then
     Some
       {
         (Option.value config ~default:Evendb_core.Config.default) with
@@ -89,7 +90,7 @@ let follower_safe_config env config =
   else config
 
 let refuse_follower_writes env =
-  if Env.exists env Repl.follower_marker then begin
+  if Env.exists env Layout.follower_file then begin
     Printf.eprintf
       "evendb: store is a replication follower; direct writes are refused (run `evendb \
        promote` to make it a primary)\n";
@@ -102,9 +103,9 @@ let with_store ?fault_profile ?config ?(shards = 0) ?(writes = false) dir f =
       let env = Env.disk ?faults dir in
       if writes then refuse_follower_writes env;
       let config = follower_safe_config env config in
-      if shards > 1 || Env.exists env "SHARDS" then begin
+      if shards > 1 || Layout.is_sharded env then begin
         let boundaries =
-          if Env.exists env "SHARDS" then []
+          if Layout.is_sharded env then []
           else begin
             (* New sharded store: uniform split keys over the synthetic
                (YCSB-style) key space the load command populates. *)
@@ -127,7 +128,7 @@ let with_db ?fault_profile ?config dir f =
   let faults = Option.map Fault.parse_profile fault_profile in
   run_guarded ~report:(fault_report faults) (fun () ->
       let env = Env.disk ?faults dir in
-      if Env.exists env "SHARDS" then begin
+      if Layout.is_sharded env then begin
         Printf.eprintf "evendb: %s is a sharded store; this command works on plain stores\n" dir;
         exit 2
       end;
@@ -433,7 +434,7 @@ let stat_cmd =
               Printf.printf "snapshots:           %d (%s)\n" (List.length snaps)
                 (String.concat ", " (List.map (fun i -> i.Snapshot.id) snaps)));
             let env = Env.disk dir in
-            if Env.exists env Repl.follower_marker then
+            if Env.exists env Layout.follower_file then
               Printf.printf "replication:         follower, applied LSN %d\n"
                 (Repl.Follower.load_watermark env)
             else if Db.fenced db then Printf.printf "replication:         fenced (deposed primary)\n";
@@ -954,7 +955,7 @@ let promote_cmd =
       ~report:(fun () -> ())
       (fun () ->
         let renv = Env.disk dir in
-        if not (Env.exists renv Repl.follower_marker) then begin
+        if not (Env.exists renv Layout.follower_file) then begin
           Printf.eprintf "evendb: %s is not a replication follower\n" dir;
           exit 2
         end;

@@ -1,26 +1,22 @@
 (** On-disk integrity scrubber ([evendb fsck]).
 
     Walks every file of a store directory — without opening the store —
-    classifies each by name, and verifies whatever integrity that kind
-    of file promises: SSTable checksums and structural tiling, log
-    record framing, metadata payload CRCs, and the cross-file
-    referential integrity of the EvenDB manifest (every live funk id
-    must resolve to files, some live funk must carry the sentinel ""
-    min-key).
+    classifies each by {!Evendb_core.Layout} (refined for the baseline
+    engines, backup archives and telemetry journals), and verifies
+    whatever integrity that kind of file promises: SSTable checksums
+    and structural tiling, log record framing, metadata payload CRCs,
+    and the cross-file referential integrity of the EvenDB manifest
+    (every live funk id must resolve to files, some live funk must
+    carry the sentinel "" min-key). Members of published snapshots are
+    verified like their live-store counterparts; a torn tail on the
+    {e newest} telemetry segment is only a warning.
 
-    The scrubber also understands the auxiliary namespaces: members of
-    published snapshots under ["snapshots/<id>/"] are verified like
-    their live-store counterparts (a member of a half-published
-    snapshot is a warning — the recovery sweep drops it), backup
-    archives ([backup_*.evbk]) are structurally validated, and the
-    replication files ([REPL_LSN] watermark, [FOLLOWER] / [FENCED]
-    markers) are recognized. A healthy snapshot member is never
-    quarantined by {!repair}. Telemetry journal segments under
-    ["telemetry/"] are frame-checked: a torn tail on the {e newest}
-    segment is only a warning (a crashed sampler legitimately leaves
-    one; replay stops there), while damage to an older segment is an
-    error and {!repair} quarantines the segment — a corrupt journal
-    never breaks [Db.open_], which skips the namespace entirely.
+    A sharded store (a [SHARDS] file at the root) is walked one shard
+    namespace at a time, plus the CRC of [SHARDS]; findings carry the
+    shard-qualified name (["s00.funk_00000000.sst"]).
+
+    [Orphan] and [Leftover_tmp] findings name exactly the files the
+    next recovery deletes ({!Evendb_core.Layout.swept}).
 
     {!repair} additionally fixes what it can. The rule is: never
     destroy bytes — an untrusted file is {e quarantined} (renamed under
@@ -38,8 +34,8 @@ type kind =
   | Bad_checksum  (** payload or block failed its CRC *)
   | Structural  (** malformed layout, bad refs, missing sentinel *)
   | Log_garbage  (** undecodable log region (torn tail or bit rot) *)
-  | Missing_file  (** a manifest-live file is absent *)
-  | Orphan  (** a data file no manifest references (swept at recovery) *)
+  | Missing_file  (** a manifest-live file, or a shard's manifest, is absent *)
+  | Orphan  (** a file the recovery sweep deletes *)
   | Leftover_tmp  (** interrupted write-tmp-then-rename *)
   | Unknown_file  (** name matches no known layout *)
 
@@ -69,8 +65,9 @@ val repair : Env.t -> report
     rebuild SSTables from salvageable blocks (plus, for funks, the keys
     still covered by the funk's log), rewrite logs to their valid
     records, reconstruct the EvenDB MANIFEST from the funk files
-    present, reset an unreadable MODE to the conservative ["async"],
-    and delete leftover [.tmp] files. The returned report carries the
+    present, reset an unreadable MODE to the conservative async,
+    and delete leftover [.tmp] files — each inside its shard's
+    namespace. The returned report carries the
     {e post}-repair findings (what remains wrong) plus the action log. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -165,7 +165,7 @@ let verify env name = ignore (read_archive env name)
 (* Ship                                                                *)
 
 let meta_members =
-  [ Manifest.file_name; Checkpoint_file.file_name; Recovery_table.file_name; Snapshot.mode_name ]
+  [ Manifest.file_name; Checkpoint_file.file_name; Recovery_table.file_name; Layout.mode_file ]
 
 let ship ?obs ~src ~dest ~snapshot_id ?base_id () =
   let snap =
@@ -201,7 +201,7 @@ let ship ?obs ~src ~dest ~snapshot_id ?base_id () =
   let funk_entries =
     List.concat_map
       (fun (fid, log_len) ->
-        let sst = Funk.sst_name fid and log = Funk.log_name fid in
+        let sst = Layout.sst_name fid and log = Layout.log_name fid in
         match Hashtbl.find_opt base_logs fid with
         | Some base_len when base_len <= log_len ->
           (* Shared with the base: the SSTable is immutable, the log is

@@ -17,9 +17,6 @@
 
 open Evendb_storage
 
-val archive_name : int -> string
-(** [archive_name seq] = ["backup_<seq08>.evbk"]. *)
-
 val parse_archive_name : string -> int option
 
 val list_archives : Env.t -> (int * string) list

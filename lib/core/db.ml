@@ -628,7 +628,7 @@ let cold_funk_rebalance db c =
                the new funks and make them durable there: after the swap
                they live nowhere else. *)
             discarding funks (fun () ->
-                Log_file.Reader.fold ~lo:log_end db.env (Funk.log_name (Funk.id funk)) ~init:()
+                Log_file.Reader.fold ~lo:log_end db.env (Layout.log_name (Funk.id funk)) ~init:()
                   ~f:(fun () _off e -> ignore (Funk.append (target_of e.K.key) e));
                 List.iter (fun f -> if Funk.log_size f > 0 then Funk.fsync_log f) funks);
             (* Blooms are built after the divert so they cover it. *)
@@ -1015,38 +1015,6 @@ let scan db ?limit ~low ~high () =
 (* ------------------------------------------------------------------ *)
 (* Open / recovery / close                                             *)
 
-(* Persistence-mode marker: recovery must know whether the *previous*
-   incarnation ran synchronously — in that case its funks reflect every
-   completed update (§3.5) and the whole epoch is visible, checkpoint
-   or not. *)
-let mode_file = Snapshot.mode_name
-
-let store_mode env (mode : Config.persistence) =
-  Meta_file.publish env ~name:mode_file
-    (match mode with Config.Sync -> "sync" | Config.Async -> "async")
-
-let load_mode env : Config.persistence =
-  if not (Env.exists env mode_file) then Config.Async
-  else if Env.read_all env mode_file = "sync" then Config.Sync
-  else Config.Async
-
-(* Failover fencing: the marker survives restarts, so a deposed primary
-   stays read-only until an operator removes it. *)
-let fence_marker = "FENCED"
-
-let parse_funk_file name =
-  (* funk_NNNNNNNN.sst / .log, and the .view sidecars of earlier builds *)
-  if String.length name >= 17 && String.sub name 0 5 = "funk_" then
-    match int_of_string_opt (String.sub name 5 8) with
-    | Some id ->
-      let ext = String.sub name 13 (String.length name - 13) in
-      if ext = ".sst" then Some (id, `Sst)
-      else if ext = ".log" then Some (id, `Log)
-      else if ext = ".view" then Some (id, `View)
-      else None
-    | None -> None
-  else None
-
 let span_names =
   [
     "munk_rebalance";
@@ -1130,7 +1098,7 @@ let make_db env cfg ~obs ~committer ~head ~chunks ~gv ~rt ~epoch ~last_checkpoin
     logical_written = Atomic.make 0;
     put_count = Atomic.make 0;
     closed = Atomic.make false;
-    fenced = Atomic.make (Env.exists env fence_marker);
+    fenced = Atomic.make (Env.exists env Layout.fenced_file);
     commit_hook = Atomic.make None;
     committer =
       (* A caller-supplied committer lets several stores share one batch
@@ -1256,7 +1224,7 @@ let open_internal config ~committer env =
     in
     Manifest.store env { next_id = 1; live = [ 0 ] };
     Recovery_table.store env Recovery_table.empty;
-    store_mode env config.Config.persistence;
+    Layout.store_mode env config.Config.persistence;
     let chunk = Chunk.create ~id:0 ~min_key:"" ~funk ~munk:(Some (Munk.of_sorted [])) in
     make_db env config ~obs ~committer ~head:chunk ~chunks:[ chunk ] ~gv:(Version.pack ~epoch:0 ~seq:0)
       ~rt:Recovery_table.empty ~epoch:0 ~last_checkpoint:(-1) ~next_funk_id:1
@@ -1271,7 +1239,7 @@ let open_internal config ~committer env =
     let ckpt = Checkpoint_file.load env in
     let prev_epoch = Recovery_table.max_epoch rt_old + 1 in
     let prev_ckpt_seq =
-      match load_mode env with
+      match Layout.load_mode env with
       | Config.Sync ->
         (* Synchronous persistence: every completed put is on disk. *)
         (1 lsl Version.seq_bits) - 1
@@ -1282,30 +1250,18 @@ let open_internal config ~committer env =
     in
     let rt = Recovery_table.add rt_old ~epoch:prev_epoch ~last_seq:prev_ckpt_seq in
     Recovery_table.store env rt;
-    store_mode env config.Config.persistence;
+    Layout.store_mode env config.Config.persistence;
     let epoch = prev_epoch + 1 in
     if epoch > Version.max_epoch then failwith "Evendb: epoch space exhausted";
-    (* Remove leftovers of interrupted rebuilds. Quarantined files (moved
-       aside by fsck --repair) are evidence, never swept; snapshot
-       members are pinned by their own namespace, where only
-       half-published snapshots (no COMPLETE marker — a crash between
-       pin and publish) are collected; telemetry journal segments are
-       observational history a future sampler resumes over. The sorted-
-       view sidecars ([funk_*.view]) that earlier builds kept next to
-       each funk are no longer read, so they go too, live or not. *)
+    (* Remove leftovers of interrupted rebuilds and half-published
+       snapshots: whatever {!Layout.swept} names, which fsck reports
+       as the same set. *)
     let live_set = Hashtbl.create 16 in
     List.iter (fun id -> Hashtbl.replace live_set id ()) manifest.Manifest.live;
+    let live = Hashtbl.mem live_set and published = Snapshot.published env in
     List.iter
-      (fun name ->
-        if not (Env.is_quarantined name || Env.is_snapshot name || Env.is_telemetry name)
-        then
-          match parse_funk_file name with
-          | Some (_, `View) -> Env.delete env name
-          | Some (id, _) when not (Hashtbl.mem live_set id) -> Env.delete env name
-          | Some _ -> ()
-          | None -> if Filename.check_suffix name ".tmp" then Env.delete env name)
+      (fun name -> if Layout.swept ~live ~published (Layout.classify name) then Env.delete env name)
       (Env.list_files env);
-    ignore (Snapshot.sweep_orphans env);
     let funks = List.map (fun id -> Funk.open_existing env ~id) manifest.Manifest.live in
     (* Two live funks under one min-key: [swap_funks] never stores
        that, but stores written by earlier builds (which published in
@@ -1374,13 +1330,13 @@ let open_dir ?config dir = open_ ?config (Env.disk dir)
 (* Fencing and snapshots                                               *)
 
 let fence db =
-  Meta_file.publish db.env ~name:fence_marker "fenced";
+  Meta_file.publish db.env ~name:Layout.fenced_file "fenced";
   Atomic.set db.fenced true
 
 let fenced db = Atomic.get db.fenced
 
 let unfence db =
-  Env.delete db.env fence_marker;
+  Env.delete db.env Layout.fenced_file;
   Atomic.set db.fenced false
 
 (* Pin the manifest's live set. [swap_funks] drops a funk from the set

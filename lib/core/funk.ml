@@ -12,12 +12,9 @@ type t = {
   retired : bool Atomic.t;
 }
 
-let sst_name id = Printf.sprintf "funk_%08d.sst" id
-let log_name id = Printf.sprintf "funk_%08d.log" id
-
 let create_from_iter env ~block_bytes ~id ~min_key it =
   let builder =
-    Sstable.Builder.create env ~block_size:block_bytes ~name:(sst_name id) ~min_key ()
+    Sstable.Builder.create env ~block_size:block_bytes ~name:(Layout.sst_name id) ~min_key ()
   in
   let rec drain () =
     match it () with
@@ -36,23 +33,23 @@ let create_from_iter env ~block_bytes ~id ~min_key it =
      raise exn);
   Sstable.Builder.finish builder;
   let log =
-    try Log_file.Writer.create env (log_name id)
+    try Log_file.Writer.create env (Layout.log_name id)
     with exn ->
-      (try Env.delete env (sst_name id) with _ -> ());
+      (try Env.delete env (Layout.sst_name id) with _ -> ());
       raise exn
   in
   {
     funk_id = id;
     funk_env = env;
-    sst_reader = Sstable.Reader.open_ env (sst_name id);
+    sst_reader = Sstable.Reader.open_ env (Layout.sst_name id);
     log;
     refs = Atomic.make 1;
     retired = Atomic.make false;
   }
 
 let open_existing env ~id =
-  let sst_reader = Sstable.Reader.open_ env (sst_name id) in
-  let log = Log_file.Writer.open_append env (log_name id) in
+  let sst_reader = Sstable.Reader.open_ env (Layout.sst_name id) in
+  let log = Log_file.Writer.open_append env (Layout.log_name id) in
   {
     funk_id = id;
     funk_env = env;
@@ -70,10 +67,9 @@ let env t = t.funk_env
 let append t e = Log_file.Writer.append t.log e
 
 let log_size t = Log_file.Writer.size t.log
-let log_append_count t = Log_file.Writer.append_count t.log
 
 let total_bytes t =
-  let sst_bytes = try Env.size t.funk_env (sst_name t.funk_id) with Not_found -> 0 in
+  let sst_bytes = try Env.size t.funk_env (Layout.sst_name t.funk_id) with Not_found -> 0 in
   sst_bytes + log_size t
 
 let fsync_log t = Log_file.Writer.fsync t.log
@@ -91,7 +87,7 @@ let get_from_log t ?segments ~visible ~max_version key =
   if log_size t = 0 then None
   else
     match segments with
-    | None -> Log_file.Reader.fold t.funk_env (log_name t.funk_id) ~init:None ~f:consider
+    | None -> Log_file.Reader.fold t.funk_env (Layout.log_name t.funk_id) ~init:None ~f:consider
     | Some ranges ->
       (* Ranges are newest-first; a hit in a newer range cannot be
          superseded by an older one, so stop at the first hit. *)
@@ -100,7 +96,7 @@ let get_from_log t ?segments ~visible ~max_version key =
         | (lo, hi) :: rest -> (
           let hi = if hi = max_int then None else Some hi in
           match
-            Log_file.Reader.fold ~lo ?hi t.funk_env (log_name t.funk_id) ~init:None ~f:consider
+            Log_file.Reader.fold ~lo ?hi t.funk_env (Layout.log_name t.funk_id) ~init:None ~f:consider
           with
           | Some e -> Some e
           | None -> scan rest)
@@ -116,7 +112,7 @@ let get_from_sst t ~visible ~max_version key =
 let log_entries_in_range t ~visible ~low ~high =
   if log_size t = 0 then []
   else
-    Log_file.Reader.fold t.funk_env (log_name t.funk_id) ~init:[] ~f:(fun acc _off e ->
+    Log_file.Reader.fold t.funk_env (Layout.log_name t.funk_id) ~init:[] ~f:(fun acc _off e ->
         if
           String.compare low e.Kv_iter.key <= 0
           && String.compare e.Kv_iter.key high <= 0
@@ -127,7 +123,7 @@ let log_entries_in_range t ~visible ~low ~high =
 
 let all_entries ?hi t ~visible =
   let log_entries =
-    Log_file.Reader.fold ?hi t.funk_env (log_name t.funk_id) ~init:[] ~f:(fun acc _off e ->
+    Log_file.Reader.fold ?hi t.funk_env (Layout.log_name t.funk_id) ~init:[] ~f:(fun acc _off e ->
         if visible e.Kv_iter.version then e :: acc else acc)
   in
   let log_sorted = Kv_iter.of_list (List.sort Kv_iter.compare_entries log_entries) in
@@ -136,13 +132,13 @@ let all_entries ?hi t ~visible =
 
 let log_offsets_for_bloom t ~visible =
   List.rev
-    (Log_file.Reader.fold t.funk_env (log_name t.funk_id) ~init:[] ~f:(fun acc off e ->
+    (Log_file.Reader.fold t.funk_env (Layout.log_name t.funk_id) ~init:[] ~f:(fun acc off e ->
          if visible e.Kv_iter.version then (off, e.Kv_iter.key) :: acc else acc))
 
 let delete_files t =
   Log_file.Writer.close t.log;
-  Env.delete t.funk_env (sst_name t.funk_id);
-  Env.delete t.funk_env (log_name t.funk_id)
+  Env.delete t.funk_env (Layout.sst_name t.funk_id);
+  Env.delete t.funk_env (Layout.log_name t.funk_id)
 
 let release t =
   let before = Atomic.fetch_and_add t.refs (-1) in

@@ -20,9 +20,6 @@ open Evendb_storage
 
 type t
 
-val sst_name : int -> string
-val log_name : int -> string
-
 val create_from_iter :
   Env.t -> block_bytes:int -> id:int -> min_key:string -> Kv_iter.t -> t
 (** Build a funk whose SSTable holds the iterator's entries (canonical
@@ -41,9 +38,6 @@ val append : t -> Kv_iter.entry -> int
 (** Append one record to the log; returns its byte offset. *)
 
 val log_size : t -> int
-
-val log_append_count : t -> int
-(** Records appended to this funk's log since it was opened. *)
 
 val total_bytes : t -> int
 val fsync_log : t -> unit

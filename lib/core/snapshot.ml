@@ -19,8 +19,7 @@ open Evendb_log
    async ⇒ recovery clips at the checkpoint) treat every record above
    [v] as invisible. COMPLETE is written last via tmp+fsync+rename, so
    a crash mid-publish leaves a directory without it — recovery's
-   orphan sweep ({!sweep_orphans}) deletes such half-published
-   snapshots wholesale. *)
+   sweep deletes such half-published snapshots wholesale. *)
 
 let complete_name = "COMPLETE"
 let member = Env.snapshot_member
@@ -95,28 +94,18 @@ let list env =
 
 let drop env ~id = List.iter (fun name -> Env.delete env name) (member_names env ~id)
 
-let sweep_orphans env =
+let published env =
   (* A valid COMPLETE pins the whole directory; anything else under the
      id — including a crashed half-publish with no (or corrupt) marker
-     — is garbage. Leftover [*.tmp] members are always garbage. *)
-  List.fold_left
-    (fun swept id ->
-      let complete_ok =
-        match try load_complete env ~id with Env.Corruption _ -> None with
-        | Some _ -> true
-        | None -> false
-      in
-      if not complete_ok then begin
-        drop env ~id;
-        swept + 1
-      end
-      else begin
-        List.iter
-          (fun name -> if Filename.check_suffix name ".tmp" then Env.delete env name)
-          (member_names env ~id);
-        swept
-      end)
-    0 (all_ids env)
+     — is garbage (see {!Layout.swept}). One marker read per id. *)
+  let known = Hashtbl.create 4 in
+  fun id ->
+    match Hashtbl.find_opt known id with
+    | Some ok -> ok
+    | None ->
+      let ok = try load_complete env ~id <> None with Env.Corruption _ -> false in
+      Hashtbl.replace known id ok;
+      ok
 
 (* ------------------------------------------------------------------ *)
 (* Publish: copy the pinned funk set, then the metadata, COMPLETE last *)
@@ -140,18 +129,13 @@ let copy_file env ~src ~dst ~len =
      (try Env.delete env dst with _ -> ());
      raise exn)
 
-(* The store's persistence-mode marker (see [Db]). A snapshot's always
-   reads "async": a store restored from these files must clip
-   visibility at the snapshot checkpoint, never trust whole logs. *)
-let mode_name = "MODE"
-
 let publish env ~id ~version ~next_id ~rt funks =
   let members =
     List.map
       (fun f ->
         let fid = Funk.id f in
         let log_len = Funk.log_size f in
-        let sst = Funk.sst_name fid and log = Funk.log_name fid in
+        let sst = Layout.sst_name fid and log = Layout.log_name fid in
         copy_file env ~src:sst ~dst:(member ~id sst) ~len:(Env.size env sst);
         copy_file env ~src:log ~dst:(member ~id log) ~len:log_len;
         (fid, log_len))
@@ -161,7 +145,9 @@ let publish env ~id ~version ~next_id ~rt funks =
     { Manifest.next_id; live = List.map fst members };
   Recovery_table.store ~name:(member ~id Recovery_table.file_name) env rt;
   Checkpoint_file.store ~name:(member ~id Checkpoint_file.file_name) env ~version;
-  Meta_file.publish env ~name:(member ~id mode_name) "async";
+  (* Always Async: a store restored from these files must clip
+     visibility at the snapshot checkpoint, never trust whole logs. *)
+  Layout.store_mode ~name:(member ~id Layout.mode_file) env Config.Async;
   let info = { id; version; next_id; funks = members } in
   store_complete env info;
   info
@@ -179,7 +165,6 @@ let enforce_retention env ~max_retained =
 (* Reader: a point-in-time read-only view over the pinned files        *)
 
 type reader = {
-  r_info : info;
   r_visible : int -> bool;
   r_funks : (Sstable.Reader.t * Env.t * string) list; (* sst reader, env, log name *)
 }
@@ -197,13 +182,11 @@ let open_reader env ~id =
     let funks =
       List.map
         (fun (fid, _len) ->
-          let sst = Sstable.Reader.open_ env (member ~id (Funk.sst_name fid)) in
-          (sst, env, member ~id (Funk.log_name fid)))
+          let sst = Sstable.Reader.open_ env (member ~id (Layout.sst_name fid)) in
+          (sst, env, member ~id (Layout.log_name fid)))
         info.funks
     in
-    { r_info = info; r_visible = visible; r_funks = funks }
-
-let reader_info r = r.r_info
+    { r_visible = visible; r_funks = funks }
 
 let scan r ~low ~high =
   let in_range k = String.compare low k <= 0 && String.compare k high <= 0 in

@@ -7,7 +7,7 @@
     it pins the manifest's live funk set; {!publish} then copies that
     set and the store's metadata under the ["snapshots/<id>/"]
     namespace of the same environment (see
-    {!Evendb_storage.Env.snapshots_prefix}). This module owns the
+    {!Evendb_storage.Env.snapshot_member}). This module owns the
     on-disk layout: the copies, the [COMPLETE] publish marker (written
     last, via tmp + fsync + rename, CRC-trailered), namespace
     enumeration, retention and garbage collection, and a read-only
@@ -40,33 +40,24 @@ type info = {
 
 val load_complete : Env.t -> id:string -> info option
 (** [None] when the marker is absent; raises [Corruption] when present
-    but damaged (a half-published snapshot that {!sweep_orphans} will
-    collect). *)
+    but damaged (a half-published snapshot that recovery sweeps). *)
 
 val exists : Env.t -> id:string -> bool
 (** Whether a published (COMPLETE) snapshot [id] exists. *)
-
-val all_ids : Env.t -> string list
-(** Every id with any member file on disk, published or not. *)
 
 val list : Env.t -> info list
 (** Published snapshots, oldest cut first. Unpublished or corrupt
     directories are skipped. *)
 
-val member_names : Env.t -> id:string -> string list
-
 val drop : Env.t -> id:string -> unit
 (** Delete every member file of [id]; no-op when absent. *)
 
-val sweep_orphans : Env.t -> int
-(** Delete every snapshot directory without a valid [COMPLETE] marker
-    (a crash between pin and publish) plus leftover member [*.tmp]
-    files; returns the number of snapshots swept. Called by recovery. *)
+val published : Env.t -> string -> bool
+(** [published env] is a predicate, memoized per id: does the id carry
+    a valid [COMPLETE] marker? Recovery sweeps every member of an id
+    for which it is [false] (see {!Layout.swept}). *)
 
 (** {2 Publishing} *)
-
-val mode_name : string
-(** The store's persistence-mode marker, ["MODE"]. *)
 
 val publish :
   Env.t -> id:string -> version:int -> next_id:int -> rt:Recovery_table.t -> Funk.t list -> info
@@ -74,7 +65,7 @@ val publish :
     write the snapshot's MANIFEST, RECOVERY_TABLE ([rt]), CHECKPOINT
     ([version], the cut) and MODE (always ["async"]), then the
     [COMPLETE] marker. The caller keeps the funks pinned throughout. A
-    failure leaves members without a marker for {!sweep_orphans}. *)
+    failure leaves members without a marker, which recovery sweeps. *)
 
 val enforce_retention : Env.t -> max_retained:int -> int
 (** Drop the oldest published snapshots beyond [max_retained] (no cap
@@ -87,7 +78,6 @@ type reader
 val open_reader : Env.t -> id:string -> reader
 (** Raises [Invalid_argument] when [id] is not published. *)
 
-val reader_info : reader -> info
 val get : reader -> string -> string option
 val scan : reader -> low:string -> high:string -> (string * string) list
 (** Inclusive range, newest visible version per key, tombstones

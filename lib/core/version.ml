@@ -9,4 +9,3 @@ let pack ~epoch ~seq =
 
 let epoch v = v lsr seq_bits
 let seq v = v land max_seq
-let first_of_epoch e = pack ~epoch:e ~seq:0

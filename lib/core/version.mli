@@ -18,6 +18,3 @@ val pack : epoch:int -> seq:int -> int
 
 val epoch : int -> int
 val seq : int -> int
-
-val first_of_epoch : int -> int
-(** [pack ~epoch ~seq:0]. *)

@@ -86,3 +86,6 @@ val attr : t -> Evendb_obs.Attr.t
     ([Compaction]) and fragment reads ([Disk_read]). *)
 
 val metrics_dump : t -> [ `Json | `Prometheus ] -> string
+
+val parse_file_name : string -> Evendb_lsm.Lsm_tree.file option
+(** Which of this engine's files [name] is (fsck's classifier). *)

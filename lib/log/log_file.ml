@@ -84,11 +84,10 @@ module Writer = struct
     mutable frame : bytes; (* the record being framed; grows, never shrinks *)
     mutex : Mutex.t;
     mutable pos : int;
-    mutable appends : int;
   }
 
   let make file =
-    { file; frame = Bytes.create 256; mutex = Mutex.create (); pos = Env.file_size file; appends = 0 }
+    { file; frame = Bytes.create 256; mutex = Mutex.create (); pos = Env.file_size file }
 
   let create env name = make (Env.create env name)
   let open_append env name = make (Env.open_append env name)
@@ -113,7 +112,6 @@ module Writer = struct
        t.pos <- Env.file_size t.file;
        raise exn);
     t.pos <- start + len;
-    t.appends <- t.appends + 1;
     start
 
   let append t e =
@@ -129,9 +127,6 @@ module Writer = struct
 
   let size t = t.pos
 
-  let append_count t =
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) (fun () -> t.appends)
   let fsync t = Evendb_obs.Attr.timed Evendb_obs.Attr.Fsync (fun () -> Env.fsync t.file)
   let close t = Env.close_file t.file
 end

@@ -45,10 +45,6 @@ module Writer : sig
 
   val size : t -> int
 
-  val append_count : t -> int
-  (** Records appended through this writer (excludes records already
-      in the file when it was opened with {!open_append}). *)
-
   val fsync : t -> unit
   val close : t -> unit
 end

@@ -93,3 +93,6 @@ val attr : t -> Evendb_obs.Attr.t
     ([Disk_read]). *)
 
 val metrics_dump : t -> [ `Json | `Prometheus ] -> string
+
+val parse_file_name : string -> Lsm_tree.file option
+(** Which of this engine's files [name] is (fsck's classifier). *)

@@ -81,6 +81,9 @@ module type POLICY = sig
   (** The newest version of the key within the level. *)
 end
 
+(* The files an engine writes (see {!Make.parse_file_name}). *)
+type file = Sst of int | Wal of int | Manifest
+
 module Make (P : POLICY) = struct
   type state = {
     mem : Memtable.t;
@@ -126,6 +129,15 @@ module Make (P : POLICY) = struct
   let sst_name fid = Printf.sprintf "%s_%08d.sst" P.name fid
   let wal_name gen = Printf.sprintf "%s_wal_%08d.log" P.name gen
   let manifest_name = String.uppercase_ascii P.name ^ "_MANIFEST"
+
+  let parse_file_name name =
+    let number pattern =
+      Scanf.sscanf_opt name (Scanf.format_from_string (P.name ^ pattern) "%d") Fun.id
+    in
+    match (number "_%d.sst%!", number "_wal_%d.log%!") with
+    | Some fid, _ -> Some (Sst fid)
+    | None, Some gen -> Some (Wal gen)
+    | None, None -> if name = manifest_name then Some Manifest else None
 
   let env t = t.env
   let logical_bytes_written t = Atomic.get t.logical_written
@@ -514,24 +526,15 @@ module Make (P : POLICY) = struct
            manifest, WALs of generations other than the live one, and
            leftover manifest tmp files. *)
         let live_fids = Array.to_list level_fids |> List.concat_map P.files in
-        let number pattern name =
-          Scanf.sscanf_opt name (Scanf.format_from_string (P.name ^ pattern) "%d") Fun.id
-        in
         List.iter
           (fun name ->
-            let orphan_sst =
-              match number "_%d.sst" name with
-              | Some fid -> not (List.mem fid live_fids)
-              | None -> false
-            and stale_wal =
-              match number "_wal_%d.log" name with
-              | Some gen -> gen <> wal_gen
-              | None -> false
+            let swept =
+              match parse_file_name name with
+              | Some (Sst fid) -> not (List.mem fid live_fids)
+              | Some (Wal gen) -> gen <> wal_gen
+              | Some Manifest | None -> name = manifest_name ^ ".tmp"
             in
-            if
-              (orphan_sst || stale_wal || name = manifest_name ^ ".tmp")
-              && not (Env.is_quarantined name)
-            then try Env.delete env name with _ -> ())
+            if swept && not (Env.is_quarantined name) then try Env.delete env name with _ -> ())
           (Env.list_files env);
         let mem = ref Memtable.empty in
         let max_seq = ref seq in

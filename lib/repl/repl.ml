@@ -35,9 +35,6 @@ type record = {
   counter : int;
 }
 
-let follower_marker = "FOLLOWER"
-let watermark_file = "REPL_LSN"
-
 (* ------------------------------------------------------------------ *)
 (* Source: the primary-side stream buffer                              *)
 
@@ -107,18 +104,18 @@ module Follower = struct
   let store_watermark env lsn =
     let buf = Buffer.create 16 in
     Evendb_util.Varint.write buf lsn;
-    Meta_file.store env ~name:watermark_file (Buffer.contents buf)
+    Meta_file.store env ~name:Layout.repl_lsn_file (Buffer.contents buf)
 
   let load_watermark env =
     Option.value ~default:0
-      (Meta_file.decode env ~name:watermark_file (fun payload ->
+      (Meta_file.decode env ~name:Layout.repl_lsn_file (fun payload ->
            fst (Evendb_util.Varint.read payload 0)))
 
   let open_ ?(config = Config.default) env =
     (* The standby must ack nothing it could lose: force Sync. *)
     let config = { config with Config.persistence = Config.Sync } in
-    if not (Env.exists env follower_marker) then begin
-      let f = Env.create env follower_marker in
+    if not (Env.exists env Layout.follower_file) then begin
+      let f = Env.create env Layout.follower_file in
       Env.append f "follower";
       Env.fsync f;
       Env.close_file f
@@ -278,8 +275,8 @@ let promote ?primary follower =
   | None -> ());
   (* Leave follower mode: new writes are accepted directly, and a stale
      watermark must not suppress applies from some future stream. *)
-  Env.delete follower.Follower.env follower_marker;
-  Env.delete follower.Follower.env watermark_file;
+  Env.delete follower.Follower.env Layout.follower_file;
+  Env.delete follower.Follower.env Layout.repl_lsn_file;
   Db.checkpoint (Follower.db follower);
   Obs.Counter.incr (Obs.counter (Db.obs (Follower.db follower)) "repl.failovers");
   Follower.db follower

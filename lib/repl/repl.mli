@@ -26,13 +26,6 @@ type record = {
   counter : int;
 }
 
-val follower_marker : string
-(** ["FOLLOWER"] — marks a store as a standby; the CLI refuses direct
-    writes to it (use [evendb promote]). *)
-
-val watermark_file : string
-(** ["REPL_LSN"] — the CRC-trailered applied-LSN watermark. *)
-
 exception Stream_fault
 (** An injected (or, in {!Ship.deliver}, a retries-exhausted) stream
     transport failure. *)
@@ -61,7 +54,7 @@ module Follower : sig
   val open_ : ?config:Config.t -> Env.t -> t
   (** Open (or create, or recover) the standby store; persistence is
       forced to [Sync] so an applied record is durable before the
-      watermark covers it. Writes the {!follower_marker}. *)
+      watermark covers it. Writes the {!Evendb_core.Layout.follower_file} marker. *)
 
   val db : t -> Db.t
   val applied_lsn : t -> int

@@ -27,8 +27,8 @@
    without a cross-shard transaction layer.
 
    The split keys are fixed at creation and persisted in a checksummed
-   SHARDS file in the root namespace, so every reopen (including
-   post-crash recovery) rebuilds the same partition. *)
+   SHARDS file in the root namespace (see Layout), so every reopen
+   (including post-crash recovery) rebuilds the same partition. *)
 
 open Evendb_storage
 open Evendb_core
@@ -41,39 +41,10 @@ type t = {
   closed : bool Atomic.t;
 }
 
-let max_shards = 64
-let shards_file = "SHARDS"
-let shard_prefix i = Printf.sprintf "s%02d." i
-
-(* --- SHARDS metadata: varint count + length-prefixed keys + CRC --- *)
-
-let store_boundaries env boundaries =
-  let buf = Buffer.create 64 in
-  Evendb_util.Varint.write buf (Array.length boundaries);
-  Array.iter
-    (fun k ->
-      Evendb_util.Varint.write buf (String.length k);
-      Buffer.add_string buf k)
-    boundaries;
-  Meta_file.store env ~name:shards_file (Buffer.contents buf)
-
-let load_boundaries env =
-  Meta_file.decode env ~name:shards_file (fun payload ->
-      let n, pos = Evendb_util.Varint.read payload 0 in
-      let keys = Array.make n "" in
-      let pos = ref pos in
-      for i = 0 to n - 1 do
-        let len, p = Evendb_util.Varint.read payload !pos in
-        if p + len > String.length payload then invalid_arg "short key";
-        keys.(i) <- String.sub payload p len;
-        pos := p + len
-      done;
-      keys)
-
 let check_boundaries boundaries =
   let n = Array.length boundaries + 1 in
-  if n > max_shards then
-    invalid_arg (Printf.sprintf "Evendb_shard: %d shards (max %d)" n max_shards);
+  if n > Layout.max_shards then
+    invalid_arg (Printf.sprintf "Evendb_shard: %d shards (max %d)" n Layout.max_shards);
   Array.iteri
     (fun i k ->
       if i > 0 && boundaries.(i - 1) >= k then
@@ -86,7 +57,7 @@ let open_ ?config ?(shared_commit = true) ?(boundaries = []) env =
   let requested = Array.of_list boundaries in
   check_boundaries requested;
   let boundaries =
-    match load_boundaries env with
+    match Layout.load_shards env with
     | Some stored ->
       (* The on-disk partition is authoritative: data already lives in
          its shards' namespaces. Re-specifying a different one is a
@@ -95,7 +66,7 @@ let open_ ?config ?(shared_commit = true) ?(boundaries = []) env =
         invalid_arg "Evendb_shard.open_: boundaries differ from the stored partition";
       stored
     | None ->
-      store_boundaries env requested;
+      Layout.store_shards env requested;
       requested
   in
   let cfg = match config with Some c -> c | None -> Config.default in
@@ -121,7 +92,7 @@ let open_ ?config ?(shared_commit = true) ?(boundaries = []) env =
   let shards =
     Array.init
       (Array.length boundaries + 1)
-      (fun i -> Db.open_ ~config:cfg ?committer (Env.sub env ~prefix:(shard_prefix i)))
+      (fun i -> Db.open_ ~config:cfg ?committer (Layout.shard_env env i))
   in
   { env; boundaries; shards; commit_obs; closed = Atomic.make false }
 

@@ -547,13 +547,14 @@ let disk dir : packed =
             Unix.rename (path old_name) (path new_name))
 
       let list_files () =
-        (* Top-level files plus quarantined ones (as "quarantine/x")
-           and snapshot members (as "snapshots/<id>/x"), matching the
-           memory backend's flat view of those prefixes. *)
+        (* Top-level files plus quarantined ones (as "quarantine/x"),
+           telemetry segments (as "telemetry/x") and snapshot members
+           (as "snapshots/<id>/x"), matching the memory backend's flat
+           view of those prefixes. *)
         Array.to_list (Sys.readdir dir)
         |> List.concat_map (fun name ->
                if Sys.is_directory (path name) then
-                 if name = "quarantine" then
+                 if name = "quarantine" || name = "telemetry" then
                    Array.to_list (Sys.readdir (path name))
                    |> List.map (fun f -> Filename.concat name f)
                  else if name = "snapshots" then
@@ -564,9 +565,6 @@ let disk dir : packed =
                             Array.to_list (Sys.readdir (path sdir))
                             |> List.map (fun f -> Filename.concat sdir f)
                           else [ sdir ])
-                 else if name = "telemetry" then
-                   Array.to_list (Sys.readdir (path name))
-                   |> List.map (fun f -> Filename.concat name f)
                  else []
                else [ name ])
       let sync_namespace () = false
@@ -595,18 +593,19 @@ let has_prefix ~prefix s =
 
 let strip ~prefix s = String.sub s (String.length prefix) (String.length s - String.length prefix)
 
+let prefixed_name ~prefix name =
+  if has_prefix ~prefix:quarantine_dir name then
+    quarantine_dir ^ prefix ^ strip ~prefix:quarantine_dir name
+  else if has_prefix ~prefix:snapshots_dir name then
+    snapshots_dir ^ prefix ^ strip ~prefix:snapshots_dir name
+  else if has_prefix ~prefix:telemetry_dir name then
+    telemetry_dir ^ prefix ^ strip ~prefix:telemetry_dir name
+  else prefix ^ name
+
 let prefixed ~prefix (B (module Inner) : packed) : packed =
   if prefix = "" || String.contains prefix '/' then
     invalid_arg "Backend.prefixed: prefix must be non-empty and contain no '/'";
-  let map name =
-    if has_prefix ~prefix:quarantine_dir name then
-      quarantine_dir ^ prefix ^ strip ~prefix:quarantine_dir name
-    else if has_prefix ~prefix:snapshots_dir name then
-      snapshots_dir ^ prefix ^ strip ~prefix:snapshots_dir name
-    else if has_prefix ~prefix:telemetry_dir name then
-      telemetry_dir ^ prefix ^ strip ~prefix:telemetry_dir name
-    else prefix ^ name
-  in
+  let map = prefixed_name ~prefix in
   let unmap name =
     if has_prefix ~prefix name then Some (strip ~prefix name)
     else if has_prefix ~prefix:(quarantine_dir ^ prefix) name then

@@ -89,6 +89,9 @@ val strip : prefix:string -> string -> string
 (** [strip ~prefix s] drops the first [String.length prefix] bytes of
     [s]; callers check {!has_prefix} first. *)
 
+val prefixed_name : prefix:string -> string -> string
+(** The inner backend's name for [name] under {!prefixed}. *)
+
 val prefixed : prefix:string -> packed -> packed
 (** A flat sub-namespace: every file name is mapped to [prefix ^ name]
     in the inner backend (["quarantine/x"] to ["quarantine/" ^ prefix ^

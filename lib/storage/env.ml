@@ -32,8 +32,6 @@ let is_snapshot = in_namespace snapshots_prefix
    losing it can never lose user data. *)
 let telemetry_prefix = Backend.telemetry_dir
 
-let telemetry_member name = telemetry_prefix ^ name
-
 let is_telemetry = in_namespace telemetry_prefix
 
 let split_snapshot name =
@@ -173,10 +171,6 @@ let install_block_cache t ~capacity_bytes =
 
 let backend_name t = match t.backend with Backend.B (module M) -> M.backend_name
 let supports_crash t = match t.backend with Backend.B (module M) -> M.supports_crash
-
-(* Historically "memory" and "can simulate crashes" coincide; custom
-   backends inherit whichever durability model they implement. *)
-let is_memory t = supports_crash t
 
 let check_live file =
   if file.closed then failwith "Env: operation on closed file";

@@ -59,8 +59,6 @@ val is_quarantined : string -> bool
     checkpoint and funk set under ["snapshots/<id>/"]. Like quarantine,
     the prefix is invisible to the live store's recovery sweep. *)
 
-val snapshots_prefix : string
-
 val snapshot_member : id:string -> string -> string
 (** [snapshot_member ~id name] is [name]'s location inside snapshot
     [id]: ["snapshots/<id>/<name>"]. *)
@@ -79,9 +77,6 @@ val split_snapshot : string -> (string * string) option
     its segments without ever blocking a store open. *)
 
 val telemetry_prefix : string
-
-val telemetry_member : string -> string
-(** [telemetry_member name] is ["telemetry/<name>"]. *)
 
 val is_telemetry : string -> bool
 
@@ -109,16 +104,12 @@ val stats : t -> Io_stats.t
 val backend_name : t -> string
 (** The full middleware stack, e.g. ["counting+faulty(7:0.01)+memory"]. *)
 
-val is_memory : t -> bool
-
 val supports_crash : t -> bool
 (** Whether {!crash} is meaningful for this env's backend. Query this
     instead of catching the [Invalid_argument] that {!crash} raises on
     backends without crash simulation. *)
 
 val faults : t -> Fault.plan option
-val faults_injected : t -> int
-(** Total storage faults injected so far (0 without a fault plan). *)
 
 (** {2 Integrity counters} *)
 

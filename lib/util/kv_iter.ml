@@ -179,12 +179,6 @@ let filter p it =
   in
   next
 
-let map_list f it =
-  fun () ->
-    match it () with
-    | None -> None
-    | Some e -> Some (f e)
-
 let upto ~high it =
   let stopped = ref false in
   fun () ->

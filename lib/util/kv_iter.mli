@@ -51,7 +51,6 @@ val compact : ?min_retained_version:int -> ?drop_tombstones:bool -> t -> t
     survive elsewhere, e.g. lower LSM levels). *)
 
 val filter : (entry -> bool) -> t -> t
-val map_list : (entry -> entry) -> t -> t
 
 val upto : high:string -> t -> t
 (** The prefix of the stream with keys [<= high]; stops pulling the

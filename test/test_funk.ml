@@ -33,10 +33,10 @@ let create_and_read () =
 let retire_deletes_files () =
   let env = Env.memory () in
   let f = mk env [ e ~value:"v" "k" ] in
-  Alcotest.(check bool) "files exist" true (Env.exists env (Funk.sst_name 1));
+  Alcotest.(check bool) "files exist" true (Env.exists env (Layout.sst_name 1));
   Funk.retire f;
-  Alcotest.(check bool) "sst deleted" false (Env.exists env (Funk.sst_name 1));
-  Alcotest.(check bool) "log deleted" false (Env.exists env (Funk.log_name 1))
+  Alcotest.(check bool) "sst deleted" false (Env.exists env (Layout.sst_name 1));
+  Alcotest.(check bool) "log deleted" false (Env.exists env (Layout.log_name 1))
 
 let pinned_funk_survives_retire () =
   let env = Env.memory () in
@@ -44,12 +44,12 @@ let pinned_funk_survives_retire () =
   Alcotest.(check bool) "pin acquired" true (Funk.acquire f);
   Funk.retire f;
   (* Still pinned: files stay readable. *)
-  Alcotest.(check bool) "files survive while pinned" true (Env.exists env (Funk.sst_name 1));
+  Alcotest.(check bool) "files survive while pinned" true (Env.exists env (Layout.sst_name 1));
   (match Funk.get_from_sst f ~visible ~max_version:max_int "k" with
   | Some _ -> ()
   | None -> Alcotest.fail "pinned read failed");
   Funk.release f;
-  Alcotest.(check bool) "deleted after release" false (Env.exists env (Funk.sst_name 1))
+  Alcotest.(check bool) "deleted after release" false (Env.exists env (Layout.sst_name 1))
 
 let acquire_after_retire_fails () =
   let env = Env.memory () in
@@ -64,10 +64,10 @@ let acquire_does_not_revive () =
   let env = Env.memory () in
   let f = mk env [ e ~value:"v" "k" ] in
   Funk.retire f;
-  let file = Env.create env (Funk.log_name 1) in
+  let file = Env.create env (Layout.log_name 1) in
   Env.close_file file;
   Alcotest.(check bool) "no pin after release" false (Funk.acquire f);
-  Alcotest.(check bool) "files deleted once" true (Env.exists env (Funk.log_name 1))
+  Alcotest.(check bool) "files deleted once" true (Env.exists env (Layout.log_name 1))
 
 let with_pin_raises_stale () =
   let env = Env.memory () in
@@ -237,7 +237,7 @@ let touching name =
    position alone; once the log holds a record, the same reads go to
    the file and find it. *)
 let empty_log_not_touched () =
-  let env, touches = touching (Funk.log_name 1) in
+  let env, touches = touching (Layout.log_name 1) in
   let f = mk env [ e ~version:1 ~value:"sst" "k" ] in
   touches := 0;
   Alcotest.(check bool) "get: nothing" true

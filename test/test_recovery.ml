@@ -156,6 +156,32 @@ let sync_mode_survives_without_checkpoint () =
   done;
   Db.close db
 
+(* An unreadable MODE is a counted fallback, never a silent one:
+   recovery assumes Async (only checkpointed data is trusted) and
+   counts the corruption, on the same file fsck calls a structural
+   error. *)
+let unreadable_mode_counted () =
+  let env = Env.memory () in
+  let db = Db.open_ ~config:tiny_config env in
+  for i = 0 to 49 do
+    Db.put db (key i) "checkpointed"
+  done;
+  Db.close db;
+  let f = Env.create env Layout.mode_file in
+  Env.append f "garbage";
+  Env.fsync f;
+  Env.close_file f;
+  Alcotest.(check bool) "fsck: a structural error" true
+    (List.map (fun f -> f.Evendb_check.Scrub.f_kind) (Evendb_check.Scrub.scrub env).findings
+    = [ Evendb_check.Scrub.Structural ]);
+  let before = Env.corruptions_detected env in
+  let db = Db.open_ ~config:tiny_config env in
+  Alcotest.(check int) "fallback counted in io.corruptions" (before + 1)
+    (Env.corruptions_detected env);
+  Alcotest.(check (option string)) "checkpointed data visible" (Some "checkpointed")
+    (Db.get db (key 0));
+  Db.close db
+
 let recovery_after_splits () =
   let env = Env.memory () in
   let db = Db.open_ ~config:tiny_config env in
@@ -381,6 +407,7 @@ let suite =
         Alcotest.test_case "epochs across crashes" `Quick epochs_across_crashes;
         Alcotest.test_case "crash without checkpoint" `Quick crash_without_any_checkpoint;
         Alcotest.test_case "sync mode" `Quick sync_mode_survives_without_checkpoint;
+        Alcotest.test_case "unreadable MODE is a counted fallback" `Quick unreadable_mode_counted;
         Alcotest.test_case "recovery after splits" `Quick recovery_after_splits;
         Alcotest.test_case "auto checkpoint" `Quick auto_checkpoint;
         Alcotest.test_case "old view sidecars are swept" `Quick sweeps_old_view_sidecars;

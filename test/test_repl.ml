@@ -105,11 +105,11 @@ let corrupt_watermark_is_typed () =
   Repl.Follower.apply follower
     { Repl.lsn = 1; key = "k"; value = Some "v"; version = 1; counter = 0 };
   Repl.Follower.close follower;
-  let data = Env.read_all renv Repl.watermark_file in
+  let data = Env.read_all renv Evendb_core.Layout.repl_lsn_file in
   let b = Bytes.of_string data in
   Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x5A));
-  Env.delete renv Repl.watermark_file;
-  let f = Env.create renv Repl.watermark_file in
+  Env.delete renv Evendb_core.Layout.repl_lsn_file;
+  let f = Env.create renv Evendb_core.Layout.repl_lsn_file in
   Env.append f (Bytes.to_string b);
   Env.close_file f;
   match Repl.Follower.load_watermark renv with
@@ -139,8 +139,8 @@ let promote_and_fence () =
   | exception Db.Fenced -> ());
   Alcotest.(check bool) "fenced flag" true (Db.fenced pdb);
   (* Promotion removed follower state: direct writes now apply. *)
-  Alcotest.(check bool) "follower marker gone" false (Env.exists renv Repl.follower_marker);
-  Alcotest.(check bool) "watermark gone" false (Env.exists renv Repl.watermark_file);
+  Alcotest.(check bool) "follower marker gone" false (Env.exists renv Evendb_core.Layout.follower_file);
+  Alcotest.(check bool) "watermark gone" false (Env.exists renv Evendb_core.Layout.repl_lsn_file);
   Db.put promoted "direct" "write";
   Alcotest.(check (option string)) "promoted accepts writes" (Some "write")
     (Db.get promoted "direct");

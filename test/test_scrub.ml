@@ -71,6 +71,17 @@ let build_flsm_store () =
   Evendb_flsm.Flsm.close db;
   env
 
+(* Two shards split at the middle key: each shard is a whole EvenDB
+   layout under its own name prefix. *)
+let build_sharded_store ?(items = 300) () =
+  let env = Env.memory () in
+  let s = Evendb_shard.open_ ~config:evendb_config ~boundaries:[ key_of (items / 2) ] env in
+  for i = 0 to items - 1 do
+    Evendb_shard.put s (key_of i) (value_of i)
+  done;
+  Evendb_shard.close s;
+  env
+
 let rewrite env name data =
   let f = Env.create env name in
   Env.append f data;
@@ -129,6 +140,81 @@ let read_back env ~items =
         | Some v -> Alcotest.failf "%s: wrong value %S" (key_of i) v
         | None -> Alcotest.failf "%s: lost" (key_of i)
       done)
+
+(* Repair of a sharded store works inside the damaged shard: the
+   wrecked SSTable (its data still in the shard's funk log) is
+   quarantined and rebuilt under its shard-qualified name, and every
+   write of both shards survives. *)
+let sharded_repair_in_shard () =
+  let items = 20 in
+  let env = build_sharded_store ~items () in
+  let name = Evendb_core.Layout.(shard_file 1 (sst_name 0)) in
+  flip_byte env name 2;
+  let report = Scrub.repair env in
+  Alcotest.(check (list string)) "acted on the shard's file only" [ name ]
+    (List.sort_uniq compare (List.map fst report.Scrub.actions));
+  Alcotest.(check int) "no findings left" 0 (List.length report.Scrub.findings);
+  Alcotest.(check bool) "quarantined inside the shard's namespace" true
+    (Env.exists env (Env.quarantined name));
+  let s = Evendb_shard.open_ ~config:evendb_config env in
+  Fun.protect
+    ~finally:(fun () -> Evendb_shard.close s)
+    (fun () ->
+      for i = 0 to items - 1 do
+        Alcotest.(check (option string)) (key_of i) (Some (value_of i)) (Evendb_shard.get s (key_of i))
+      done)
+
+(* Recovery and fsck read one layout: the files fsck reports as
+   leftovers (orphans and tmp files) are exactly the files the next
+   open deletes, and nothing in the reserved namespaces is touched. *)
+let recovery_and_fsck_agree () =
+  let env = build_evendb_store () in
+  let db = Evendb_core.Db.open_ ~config:evendb_config env in
+  ignore (Evendb_core.Db.snapshot db ~id:"keep");
+  Evendb_core.Db.close db;
+  let live = match Evendb_core.Manifest.load env with Some m -> m.live | None -> [] in
+  let id = List.hd live and orphan = 1 + List.fold_left max 0 live in
+  let module L = Evendb_core.Layout in
+  let planted =
+    [
+      L.sst_name orphan;
+      L.log_name (orphan + 1);
+      Printf.sprintf "funk_%08d.view" id;
+      "x.tmp";
+    ]
+  in
+  rewrite env (L.sst_name orphan) (Env.read_all env (L.sst_name id));
+  rewrite env (L.log_name (orphan + 1)) (Env.read_all env (L.log_name id));
+  rewrite env (Printf.sprintf "funk_%08d.view" id) "sidecar of an earlier build";
+  rewrite env "x.tmp" "interrupted";
+  List.iter
+    (fun n -> rewrite env n "kept")
+    [
+      Env.quarantined (L.sst_name (orphan + 2));
+      Env.quarantined "y.tmp";
+      Evendb_telemetry.Journal.segment_name 0;
+      "telemetry/z.tmp";
+    ];
+  let leftovers =
+    List.filter_map
+      (fun (f : Scrub.finding) ->
+        match f.f_kind with Scrub.Orphan | Scrub.Leftover_tmp -> Some f.f_file | _ -> None)
+      (Scrub.scrub env).findings
+  in
+  let reserved n = Env.is_quarantined n || Env.is_snapshot n || Env.is_telemetry n in
+  let before = List.map (fun n -> (n, Env.read_all env n)) (Env.list_files env) in
+  Evendb_core.Db.close (Evendb_core.Db.open_ ~config:evendb_config env);
+  let deleted = List.filter (fun (n, _) -> not (Env.exists env n)) before |> List.map fst in
+  let sorted = List.sort_uniq compare in
+  Alcotest.(check (list string)) "the planted leftovers" (sorted planted) (sorted leftovers);
+  Alcotest.(check (list string)) "fsck's leftovers are what recovery deletes" (sorted leftovers)
+    (sorted deleted);
+  List.iter
+    (fun (n, data) ->
+      if reserved n && ((not (Env.exists env n)) || Env.read_all env n <> data) then
+        Alcotest.failf "recovery touched reserved %s" n)
+    before;
+  Alcotest.(check bool) "snapshot still published" true (Evendb_core.Snapshot.exists env ~id:"keep")
 
 (* A corrupt MANIFEST makes the store unopenable; repair rebuilds it
    from the funk files and every acked (sync-mode) write survives. *)
@@ -376,6 +462,10 @@ let suite_cases =
       (flips_detected "lsm" build_lsm_store);
     Alcotest.test_case "single-byte flips detected: flsm" `Slow
       (flips_detected "flsm" build_flsm_store);
+    Alcotest.test_case "single-byte flips detected: sharded evendb" `Slow (fun () ->
+        flips_detected "sharded evendb" (fun () -> build_sharded_store ()) ();
+        sharded_repair_in_shard ());
+    Alcotest.test_case "recovery and fsck agree" `Quick recovery_and_fsck_agree;
     Alcotest.test_case "repair MANIFEST: no acked write lost" `Quick repair_manifest_no_loss;
     Alcotest.test_case "repair SSTable backed by log: no loss" `Quick
       repair_sst_with_log_backup_no_loss;
